@@ -72,10 +72,6 @@ class CompactLieAlgebra:
                        "entries": entries}, fh)
 
 
-def bracket(alg: CompactLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return alg.bracket(x, y)
-
-
 def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     """Compact real form on the basis {i t_{a_k}} + {U0_a, U1_a: a positive}."""
     if not rs.has_signs:

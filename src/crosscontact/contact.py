@@ -117,17 +117,6 @@ def d_eta_matrix(structure: AlmostContactStructure) -> np.ndarray:
     return -0.5 * structure.a_scalar * structure.frame.cbar[:, :, 0]
 
 
-def d_eta(structure: AlmostContactStructure, u: np.ndarray, v: np.ndarray) -> float:
-    """Exterior derivative of the scaled contact form on frame vectors."""
-    return float(np.asarray(u) @ d_eta_matrix(structure) @ np.asarray(v))
-
-
-def fundamental_two_form(structure: AlmostContactStructure,
-                         u: np.ndarray, v: np.ndarray) -> float:
-    """Phi(u, v) = g(u, phi v)."""
-    return float(np.asarray(u) @ structure.metric.gram @ structure.phi @ np.asarray(v))
-
-
 def axiom_residuals(structure: AlmostContactStructure) -> dict[str, float]:
     """Residuals of the almost contact metric axioms."""
     phi, char, eta = structure.phi, structure.char, structure.eta
@@ -150,12 +139,6 @@ def nijenhuis_tensor(structure: AlmostContactStructure) -> np.ndarray:
     t3 = np.einsum("ai,ajl,kl->ijk", phi, c, phi)
     t4 = np.einsum("bj,ibl,kl->ijk", phi, c, phi)
     return -c + t2 - t3 - t4
-
-
-def nijenhuis(structure: AlmostContactStructure,
-              u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", np.asarray(u, float), np.asarray(v, float),
-                     nijenhuis_tensor(structure))
 
 
 def nabla_phi_residual(structure: AlmostContactStructure) -> float:

@@ -8,6 +8,7 @@ k_half, h) is extracted from the spectrum of ad_X^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -141,8 +142,8 @@ def build_pair(space: SpaceId) -> SymmetricPair:
     if space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
         alg = compactform.build_so_matrix_model(space.n)
         dim = alg.dim
-        # A_jk indexed with j < k; m is the A_1k row
-        is_m = np.array([lbl.startswith("A1") for lbl in alg.basis_labels])
+        # the basis A_jk (j < k) is j-major, so m (the A_1k row) comes first
+        is_m = np.arange(dim) < space.n
         sigma = np.diag(np.where(is_m, -1.0, 1.0))
         ip = alg.inv_form.copy()
         eye = np.eye(dim)
@@ -335,8 +336,12 @@ def restricted_frame(pair: SymmetricPair, x: np.ndarray | None = None,
     return frame
 
 
+@functools.cache
 def build_frame(space: SpaceId) -> RestrictedFrame:
-    """Convenience: pair + Cartan vector + frame in one call."""
+    """Pair + Cartan vector + frame in one call, built once per space.
+
+    Every caller shares the returned frame, so it must not be written to.
+    """
     return restricted_frame(build_pair(space))
 
 

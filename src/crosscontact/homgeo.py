@@ -78,14 +78,8 @@ def u_map(frame: RestrictedFrame, metric: InvariantMetric,
     return np.einsum("i,j,ijk->k", u, v, u_tensor(frame, metric))
 
 
-def levi_civita_alpha(frame: RestrictedFrame, metric: InvariantMetric,
-                      u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """alpha(u,v) = [u,v]_mbar / 2 + U(u,v) in frame coordinates."""
-    return 0.5 * frame.bracket_mbar(np.asarray(u, float), np.asarray(v, float)) \
-        + u_map(frame, metric, u, v)
-
-
 def alpha_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
+    """alpha(e_i, e_j) = [e_i, e_j]_mbar / 2 + U(e_i, e_j), the Levi-Civita bilinear."""
     return 0.5 * frame.cbar + u_tensor(frame, metric)
 
 

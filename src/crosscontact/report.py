@@ -37,9 +37,6 @@ class VerificationReport:
             residual: float | None = None, details: str = "") -> None:
         self.checks.append(Check(name, claim_ref, passed, residual, details))
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     def finalize(self) -> "VerificationReport":
         self.wall_time = time.perf_counter() - self._start
         self.checks.sort(key=lambda c: c.name)

@@ -145,6 +145,24 @@ class RootSystem:
     def has_signs(self) -> bool:
         return bool(self.structure_signs)
 
+    def signed_n(self, a: Root, b: Root) -> float:
+        """N for arbitrary-sign roots, reduced to the positive table via (*), (**)."""
+        table = self.structure_signs
+        s = a + b
+        if not self.is_root(s):
+            return 0.0
+        apos, bpos = a.is_positive(), b.is_positive()
+        if apos and bpos:
+            return table[(a.coeffs, b.coeffs)]
+        if not apos and not bpos:
+            return -table[((-a).coeffs, (-b).coeffs)]
+        if not apos:  # reduce to the (positive, negative) case
+            return -self.signed_n(b, a)
+        # a > 0, b < 0; cycle (a, b, -s): N(a,b) = N(b,-s) = N(-s,a)
+        if s.is_positive():
+            return -table[((-b).coeffs, s.coeffs)]
+        return table[((-s).coeffs, a.coeffs)]
+
 
 def _cartan_pairing(basis: SimpleBasis, beta: Root, j: int) -> int:
     """<beta, alpha_j^v> = 2(beta, alpha_j)/(alpha_j, alpha_j) from the Cartan matrix."""
@@ -254,28 +272,11 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
     if rs.gram is None:
         killing_gram(rs)
     order = {r.coeffs: i for i, r in enumerate(rs.positive_roots)}
-    table: dict[tuple[Coeffs, Coeffs], float] = {}
+    table = rs.structure_signs = {}
 
     def put(a: Root, b: Root, val: float):
         table[(a.coeffs, b.coeffs)] = val
         table[(b.coeffs, a.coeffs)] = -val
-
-    def lookup(a: Root, b: Root) -> float:
-        """N for arbitrary-sign roots, reduced to the positive table via (*), (**)."""
-        s = a + b
-        if not rs.is_root(s):
-            return 0.0
-        apos, bpos = a.is_positive(), b.is_positive()
-        if apos and bpos:
-            return table[(a.coeffs, b.coeffs)]
-        if not apos and not bpos:
-            return -table[((-a).coeffs, (-b).coeffs)]
-        if not apos:  # reduce to the (positive, negative) case
-            return -lookup(b, a)
-        # a > 0, b < 0; cycle (a, b, -s): N(a,b) = N(b,-s) = N(-s,a)
-        if s.is_positive():
-            return -table[((-b).coeffs, s.coeffs)]
-        return table[((-s).coeffs, a.coeffs)]
 
     for gamma in rs.positive_roots:
         if gamma.height < 2:
@@ -292,11 +293,11 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
         put(a1, b1, _n_magnitude(rs, a1, b1))
         for alpha, beta in pairs[1:]:
             # Jacobi identity on (E_{-a1}, E_alpha, E_beta), all brackets land on E_{b1}
-            denom = lookup(gamma, -a1)
-            t1 = lookup(-a1, alpha)
-            t1 = t1 * lookup(alpha - a1, beta) if t1 else 0.0
-            t2 = lookup(beta, -a1)
-            t2 = t2 * lookup(beta - a1, alpha) if t2 else 0.0
+            denom = rs.signed_n(gamma, -a1)
+            t1 = rs.signed_n(-a1, alpha)
+            t1 = t1 * rs.signed_n(alpha - a1, beta) if t1 else 0.0
+            t2 = rs.signed_n(beta, -a1)
+            t2 = t2 * rs.signed_n(beta - a1, alpha) if t2 else 0.0
             val = -(t1 + t2) / denom
             want = _n_magnitude(rs, alpha, beta)
             if abs(abs(val) - want) > 1e-9 * max(1.0, want):
@@ -305,8 +306,6 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
                     f"|N| = {abs(val):.12g}, expected {want:.12g}")
             put(alpha, beta, val)
 
-    rs.structure_signs = table
-    rs.n_lookup = lookup  # type: ignore[attr-defined]
     return rs
 
 
@@ -314,4 +313,4 @@ def n_constant(rs: RootSystem, alpha: Root, beta: Root) -> float:
     """Signed N(alpha, beta) for any pair of (possibly negative) roots."""
     if not rs.has_signs:
         raise RootSystemError("structure constants not assigned")
-    return rs.n_lookup(alpha, beta)  # type: ignore[attr-defined]
+    return rs.signed_n(alpha, beta)

@@ -1,11 +1,13 @@
-"""Named verification suites shared by the command-line driver.
+"""Named verification suites and the registry of the ten acceptance criteria.
 
-Each suite appends Check entries to a VerificationReport; the acceptance
-runner executes the full release gate over all five space families.
+Each suite appends Check entries to a VerificationReport for one space. Each
+acceptance criterion returns one Check; the acceptance runner and the test
+module both read the CRITERIA registry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,9 +16,7 @@ from . import compactform, contact, crossmodel, homgeo, tanbundle
 from .compactform import ToleranceConfig
 from .crossmodel import Family, RestrictedFrame, SpaceId
 from .homgeo import MetricParams
-from .report import VerificationReport
-
-_FRAME_CACHE: dict[str, RestrictedFrame] = {}
+from .report import Check, VerificationReport
 
 FAMILY_BY_FLAG = {
     "sphere": Family.SPHERE, "rp": Family.REAL_PROJECTIVE,
@@ -32,17 +32,10 @@ def space_from_flags(space: str, n: int) -> SpaceId:
     return SpaceId(FAMILY_BY_FLAG[space], n)
 
 
-def get_frame(space: SpaceId) -> RestrictedFrame:
-    key = space.label()
-    if key not in _FRAME_CACHE:
-        _FRAME_CACHE[key] = crossmodel.build_frame(space)
-    return _FRAME_CACHE[key]
-
-
-def suite_table1(space: SpaceId, rep: VerificationReport,
-                 tol: ToleranceConfig) -> None:
+def suite_table1(space: SpaceId, r: float, kappa: float, grid: int,
+                 rep: VerificationReport, tol: ToleranceConfig) -> None:
     """Dimensions and restricted-root multiplicities of the space."""
-    frame = get_frame(space)
+    frame = crossmodel.build_frame(space)
     me, mh = crossmodel.table1_multiplicities(space)
     rep.add(f"table1/{space.label()}/multiplicities",
             "restricted-root multiplicities match the classification table",
@@ -59,10 +52,10 @@ def suite_table1(space: SpaceId, rep: VerificationReport,
             details=f"got {frame.h_basis.shape[1]}, want {want_h}")
 
 
-def suite_brackets(space: SpaceId, rep: VerificationReport,
-                   tol: ToleranceConfig) -> None:
+def suite_brackets(space: SpaceId, r: float, kappa: float, grid: int,
+                   rep: VerificationReport, tol: ToleranceConfig) -> None:
     """Algebra integrity and bracket-inclusion laws of the frame."""
-    frame = get_frame(space)
+    frame = crossmodel.build_frame(space)
     alg = compactform.verify_algebra(frame.alg, tol)
     rep.add(f"brackets/{space.label()}/algebra",
             "antisymmetry, Jacobi and invariant-form residuals vanish",
@@ -78,10 +71,10 @@ def suite_brackets(space: SpaceId, rep: VerificationReport,
                 fix["passed"], residual=max(fix["checks"].values()))
 
 
-def suite_metrics(space: SpaceId, rep: VerificationReport,
-                  tol: ToleranceConfig) -> None:
+def suite_metrics(space: SpaceId, r: float, kappa: float, grid: int,
+                  rep: VerificationReport, tol: ToleranceConfig) -> None:
     """Sampled properties of the invariant-metric family."""
-    frame = get_frame(space)
+    frame = crossmodel.build_frame(space)
     rng = np.random.default_rng(20240811)
     worst_sym = 0.0
     killing_ok = True
@@ -113,9 +106,9 @@ def suite_metrics(space: SpaceId, rep: VerificationReport,
                     frame, MetricParams(1, 1, 1, 4, 0.25)), tol))
 
 
-def suite_tashiro(space: SpaceId, rep: VerificationReport,
-                  tol: ToleranceConfig) -> None:
-    frame = get_frame(space)
+def suite_tashiro(space: SpaceId, r: float, kappa: float, grid: int,
+                  rep: VerificationReport, tol: ToleranceConfig) -> None:
+    frame = crossmodel.build_frame(space)
     out = contact.tashiro_suite(frame, [0.25, 0.5, 1.0, 2.0], tol)
     for entry in out["entries"]:
         rep.add(f"tashiro/{space.label()}/r={entry['r']}",
@@ -126,9 +119,9 @@ def suite_tashiro(space: SpaceId, rep: VerificationReport,
                         f"rect_k={entry['rectified_k_contact']}")
 
 
-def suite_sasakian(space: SpaceId, r: float, kappa: float,
+def suite_sasakian(space: SpaceId, r: float, kappa: float, grid: int,
                    rep: VerificationReport, tol: ToleranceConfig) -> None:
-    frame = get_frame(space)
+    frame = crossmodel.build_frame(space)
     cls = contact.classify(contact.theorem_main_structure(frame, r, kappa), tol)
     rep.add(f"sasakian/{space.label()}/r={r}/kappa={kappa}",
             "the q=1 K-contact structure is Sasakian (both normality checks)",
@@ -138,7 +131,7 @@ def suite_sasakian(space: SpaceId, r: float, kappa: float,
 
 def suite_uniqueness(space: SpaceId, r: float, kappa: float, grid: int,
                      rep: VerificationReport, tol: ToleranceConfig) -> None:
-    frame = get_frame(space)
+    frame = crossmodel.build_frame(space)
     scan = contact.uniqueness_scan(frame, r, kappa, grid, tol=tol)
     rep.add(f"uniqueness/{space.label()}/r={r}/kappa={kappa}",
             "only the distinguished parameters admit a K-contact structure",
@@ -148,27 +141,17 @@ def suite_uniqueness(space: SpaceId, r: float, kappa: float, grid: int,
                     f"min failing residual {scan['min_failing_residual']:.2e}")
 
 
-SUITES = ("table1", "brackets", "metrics", "tashiro", "sasakian", "uniqueness")
+SUITES = {"table1": suite_table1, "brackets": suite_brackets,
+          "metrics": suite_metrics, "tashiro": suite_tashiro,
+          "sasakian": suite_sasakian, "uniqueness": suite_uniqueness}
 
 
 def run_suite(space: SpaceId, suite: str, r: float, kappa: float, grid: int,
               rep: VerificationReport, tol: ToleranceConfig) -> None:
-    names = SUITES if suite == "all" else (suite,)
-    for name in names:
-        if name == "table1":
-            suite_table1(space, rep, tol)
-        elif name == "brackets":
-            suite_brackets(space, rep, tol)
-        elif name == "metrics":
-            suite_metrics(space, rep, tol)
-        elif name == "tashiro":
-            suite_tashiro(space, rep, tol)
-        elif name == "sasakian":
-            suite_sasakian(space, r, kappa, rep, tol)
-        elif name == "uniqueness":
-            suite_uniqueness(space, r, kappa, grid, rep, tol)
-        else:
-            raise ValueError(f"unknown suite {name!r}")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    for name in SUITES if suite == "all" else (suite,):
+        SUITES[name](space, r, kappa, grid, rep, tol)
 
 
 # --- acceptance gate -------------------------------------------------------
@@ -188,200 +171,213 @@ REPRESENTATIVE_SPACES = (
 )
 
 
+def _suite_checks(suite, tol: ToleranceConfig, spaces, grid: int = 5,
+                  radii=(1.0,), kappas=(1.0,)) -> list[Check]:
+    """The checks one per-space suite adds over spaces x radii x kappas."""
+    rep = VerificationReport(config={})
+    for space, r, kappa in itertools.product(spaces, radii, kappas):
+        suite(space, r, kappa, grid, rep, tol)
+    return rep.checks
+
+
 def lemma_u_closed_forms_residual(frame: RestrictedFrame,
                                   params: MetricParams) -> float:
     """Worst deviation of the solved U-map from its closed-form expressions."""
-    metric = homgeo.metric_from_params(frame, params)
+    u = homgeo.u_tensor(frame, homgeo.metric_from_params(frame, params))
+    c = frame.cbar
+    e = np.eye(frame.dim_mbar)
     a, ae, ah, be, bh = params.as_tuple()
-    s = frame.slices()
-    n = frame.dim_mbar
-
-    def e(i: int) -> np.ndarray:
-        v = np.zeros(n)
-        v[i] = 1.0
-        return v
-
-    u = lambda x, y: homgeo.u_map(frame, metric, x, y)  # noqa: E731
-    x = e(0)
-    worst = float(np.max(np.abs(u(x, x))))
     a2 = a * a
-    for j in range(frame.m_eps):
-        xi, ze = e(s["m_eps"].start + j), e(s["k_eps"].start + j)
-        worst = max(worst,
-                    float(np.max(np.abs(u(x, xi) - (a2 - ae) / (2 * be) * ze))),
-                    float(np.max(np.abs(u(x, ze) - (be - a2) / (2 * ae) * xi))),
-                    float(np.max(np.abs(u(xi, ze) - (ae - be) / (2 * a2) * x))))
-        for k in range(frame.m_eps):
-            worst = max(worst, float(np.max(np.abs(
-                u(xi, e(s["m_eps"].start + k))))))
-            if k != j:
-                worst = max(worst, float(np.max(np.abs(
-                    u(xi, e(s["k_eps"].start + k))))))
-    for p in range(frame.m_half):
-        xh, zh = e(s["m_half"].start + p), e(s["k_half"].start + p)
-        worst = max(worst,
-                    float(np.max(np.abs(u(x, xh) - (a2 - ah) / (4 * bh) * zh))),
-                    float(np.max(np.abs(u(x, zh) - (bh - a2) / (4 * ah) * xh))))
-        for j in range(frame.m_eps):
-            xi, ze = e(s["m_eps"].start + j), e(s["k_eps"].start + j)
-            worst = max(worst,
-                        float(np.max(np.abs(u(xi, xh) - (ah - ae) / (2 * bh)
-                                            * frame.bracket_mbar(xi, xh)))),
-                        float(np.max(np.abs(u(xi, zh) - (bh - ae) / (2 * ah)
-                                            * frame.bracket_mbar(xi, zh)))),
-                        float(np.max(np.abs(u(xh, ze) - (be - ah) / (2 * ah)
-                                            * frame.bracket_mbar(xh, ze)))),
-                        float(np.max(np.abs(u(ze, zh) - (bh - be) / (2 * bh)
-                                            * frame.bracket_mbar(ze, zh)))))
-        for q in range(frame.m_half):
-            zq = e(s["k_half"].start + q)
-            br = frame.bracket_mbar(xh, zq)
-            m_eps_part = np.zeros(n)
-            m_eps_part[s["m_eps"]] = br[s["m_eps"]]
-            delta = x / (2 * a2) if p == q else 0.0
-            worst = max(worst, float(np.max(np.abs(
-                u(xh, zq) - (ah - bh) / 2 * (delta - m_eps_part / ae)))))
-    return worst
+    s = frame.slices()
+    eps = list(zip(range(s["m_eps"].start, s["m_eps"].stop),
+                   range(s["k_eps"].start, s["k_eps"].stop)))
+    half = list(zip(range(s["m_half"].start, s["m_half"].stop),
+                    range(s["k_half"].start, s["k_half"].stop)))
+    devs = [u[0, 0]]
+    for xi, ze in eps:
+        devs += [u[0, xi] - (a2 - ae) / (2 * be) * e[ze],
+                 u[0, ze] - (be - a2) / (2 * ae) * e[xi],
+                 u[xi, ze] - (ae - be) / (2 * a2) * e[0]]
+        devs += [u[xi, xk] for xk, _ in eps]
+        devs += [u[xi, zk] for _, zk in eps if zk != ze]
+    for xh, zh in half:
+        devs += [u[0, xh] - (a2 - ah) / (4 * bh) * e[zh],
+                 u[0, zh] - (bh - a2) / (4 * ah) * e[xh]]
+        for xi, ze in eps:
+            devs += [u[xi, xh] - (ah - ae) / (2 * bh) * c[xi, xh],
+                     u[xi, zh] - (bh - ae) / (2 * ah) * c[xi, zh],
+                     u[xh, ze] - (be - ah) / (2 * ah) * c[xh, ze],
+                     u[ze, zh] - (bh - be) / (2 * bh) * c[ze, zh]]
+        for _, zq in half:
+            m_eps_part = np.zeros(frame.dim_mbar)
+            m_eps_part[s["m_eps"]] = c[xh, zq, s["m_eps"]]
+            delta = e[0] / (2 * a2) if zq == zh else 0.0
+            devs.append(u[xh, zq] - (ah - bh) / 2 * (delta - m_eps_part / ae))
+    return max(float(np.max(np.abs(d))) for d in devs)
 
 
-def acceptance_report(tol: ToleranceConfig, grid: int = 5) -> VerificationReport:
-    """The full release gate: ten criteria over all five space families."""
-    rep = VerificationReport(config={"command": "acceptance",
-                                     "tol": tol.absolute, "grid": grid})
-    # 1. classification-table reproduction
-    ok1 = True
-    for space in TABLE1_SPACES:
-        frame = get_frame(space)
-        me, mh = crossmodel.table1_multiplicities(space)
-        ok1 = ok1 and frame.m_eps == me and frame.m_half == mh \
-            and frame.dim_mbar == 2 * space.base_dim - 1 \
-            and frame.h_basis.shape[1] == crossmodel.table1_h_dim(space)
-    rep.add("criterion-01/table1",
-            "dimensions, multiplicities and isotropy dims match the table", ok1)
+def criterion_01_table1_reproduction(tol: ToleranceConfig, grid: int) -> Check:
+    """Every table row: exact dims, multiplicities and isotropy dims."""
+    checks = _suite_checks(suite_table1, tol, TABLE1_SPACES)
+    return Check("criterion-01/table1",
+                 "dimensions, multiplicities and isotropy dims match the table",
+                 all(c.passed for c in checks))
 
-    # 2. algebra integrity
-    worst2 = 0.0
+
+def criterion_02_algebra_integrity(tol: ToleranceConfig, grid: int) -> Check:
+    """Jacobi and invariant-form residuals below 1e-9 on all five families."""
+    ok, worst = True, 0.0
     for space in REPRESENTATIVE_SPACES:
-        res = compactform.verify_algebra(get_frame(space).alg, tol)["residuals"]
-        worst2 = max(worst2, res["jacobi"], res["ad_invariance"])
-    rep.add("criterion-02/algebra_integrity",
-            "Jacobi and form-invariance residuals below 1e-9", worst2 < 1e-9,
-            residual=worst2)
+        out = compactform.verify_algebra(crossmodel.build_frame(space).alg, tol)
+        ok = ok and out["passed"]
+        worst = max(worst, out["residuals"]["jacobi"],
+                    out["residuals"]["ad_invariance"])
+    return Check("criterion-02/algebra_integrity",
+                 "Jacobi and form-invariance residuals below 1e-9",
+                 ok and worst < 1e-9, residual=worst)
 
-    # 3. closed-form equivalence of the metric correction bilinear
+
+def criterion_03_u_closed_forms(tol: ToleranceConfig, grid: int) -> Check:
+    """Solved U-map equals closed forms, 50 random parameter sets per space."""
     rng = np.random.default_rng(7)
-    worst3 = 0.0
+    worst = 0.0
     for space in (SpaceId(Family.COMPLEX_PROJECTIVE, 3),
                   SpaceId(Family.QUATERNIONIC_PROJECTIVE, 2)):
-        frame = get_frame(space)
+        frame = crossmodel.build_frame(space)
         for _ in range(50):
-            p = MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5)))
-            worst3 = max(worst3, lemma_u_closed_forms_residual(frame, p))
-    rep.add("criterion-03/u_closed_forms",
-            "solved U-map equals closed forms over 50 random parameter sets",
-            worst3 < 1e-9, residual=worst3)
+            params = MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5)))
+            worst = max(worst, lemma_u_closed_forms_residual(frame, params))
+    return Check("criterion-03/u_closed_forms",
+                 "solved U-map equals closed forms over 50 random parameter sets",
+                 worst < 1e-9, residual=worst)
 
-    # 4. contact criterion biconditional
-    frame = get_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
-    ok4 = True
+
+def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
+                                                 grid: int) -> Check:
+    """contact_metric flag holds exactly when a_l = a lambda(r) / (2 r q_l)."""
+    frame = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
+    rng = np.random.default_rng(21)
+    ok = True
     for trial in range(60):
         r = float(np.exp(rng.uniform(-1, 1)))
         a = float(np.exp(rng.uniform(-1, 1)))
-        qe, qh = np.exp(rng.uniform(-1, 1, 2))
+        qe, qh = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
         le, lh = contact.lambda_r(r)
         if trial % 2 == 0:  # force the criterion to hold
             ae, ah = a * le / (2 * r * qe), a * lh / (2 * r * qh)
         else:
-            ae, ah = np.exp(rng.uniform(-1, 1, 2))
+            ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        st = contact.phi_q_structure(frame, r, float(qe), float(qh), a, params,
-                                     induced=True)
+        st = contact.phi_q_structure(frame, r, qe, qh, a, params, induced=True)
         flag = contact.classify(st, tol).flags["contact_metric"]
         want = (abs(ae - a * le / (2 * r * qe)) < 1e-9
                 and abs(ah - a * lh / (2 * r * qh)) < 1e-9)
-        ok4 = ok4 and (flag == want)
-    rep.add("criterion-04/contact_criterion",
-            "contact flag is equivalent to the closed-form condition on a_l", ok4)
+        ok = ok and (flag == want)
+    return Check("criterion-04/contact_criterion",
+                 "contact flag is equivalent to the closed-form condition on a_l",
+                 ok)
 
-    # 5. contact behaviour of standard and rectified structures over radii
-    ok5 = all(contact.tashiro_suite(get_frame(s), [0.25, 0.5, 1.0, 2.0],
-                                    tol)["passed"]
-              for s in REPRESENTATIVE_SPACES)
-    rep.add("criterion-05/tashiro",
-            "standard contact only at r=1/2; rectified contact always and "
-            "K-contact (then Sasakian) only at r=1 on constant curvature", ok5)
 
-    # 6. main theorem: Sasakian over the full (space, r, kappa) matrix
-    worst6 = 0.0
-    ok6 = True
-    agree6 = True
-    for space in REPRESENTATIVE_SPACES:
-        fr = get_frame(space)
-        for r in (0.5, 1.0, 2.0):
-            for kappa in (0.5, 1.0, 3.0):
-                cls = contact.classify(
-                    contact.theorem_main_structure(fr, r, kappa), tol)
-                nij, nab = cls.residuals["nijenhuis"], cls.residuals["nabla_phi"]
-                worst6 = max(worst6, nij, nab)
-                ok6 = ok6 and cls.flags["sasakian"]
-                agree6 = agree6 and ((nij < 1e-8) == (nab < 1e-8))
-    rep.add("criterion-06/main_theorem",
-            "both normality checks pass and agree over the full matrix",
-            ok6 and agree6 and worst6 < 1e-8, residual=worst6)
+def criterion_05_tashiro_radius_sweep(tol: ToleranceConfig, grid: int) -> Check:
+    """Standard/rectified contact behaviour at r in {1/4, 1/2, 1, 2}, all families."""
+    checks = _suite_checks(suite_tashiro, tol, REPRESENTATIVE_SPACES)
+    return Check("criterion-05/tashiro",
+                 "standard contact only at r=1/2; rectified contact always and "
+                 "K-contact (then Sasakian) only at r=1 on constant curvature",
+                 all(c.passed for c in checks))
 
-    # 7. uniqueness of the K-contact parameters
-    ok7 = True
-    for space in (SpaceId(Family.COMPLEX_PROJECTIVE, 2),
-                  SpaceId(Family.QUATERNIONIC_PROJECTIVE, 1)):
-        scan = contact.uniqueness_scan(get_frame(space), 1.0, 1.0, grid, tol=tol)
-        ok7 = ok7 and scan["unique"] and scan["min_failing_residual"] > 1e-3
-    rep.add("criterion-07/uniqueness",
-            "only the distinguished parameter point passes the K-contact scan",
-            ok7)
 
-    # 8. sphere coincidence of the two metrics
-    fr = get_frame(SpaceId(Family.SPHERE, 4))
-    g_main = contact.theorem_main_structure(fr, 1.0, 0.5).metric.gram
-    g_std = contact.standard_structure(fr, 1.0).metric.gram
-    res8 = float(np.max(np.abs(g_main - 0.25 * g_std)))
-    rep.add("criterion-08/sphere_coincidence",
-            "theorem metric at kappa=1/2 is a quarter of the standard metric",
-            res8 < 1e-12, residual=res8)
+def criterion_06_main_theorem_matrix(tol: ToleranceConfig, grid: int) -> Check:
+    """Sasakian over 5 spaces x r in {1/2,1,2} x kappa in {1/2,1,3}, with both
+    normality residuals below 1e-8 (so the two checks agree)."""
+    checks = _suite_checks(suite_sasakian, tol, REPRESENTATIVE_SPACES,
+                           radii=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 3.0))
+    worst = max(c.residual for c in checks)
+    return Check("criterion-06/main_theorem",
+                 "both normality checks pass and agree over the full matrix",
+                 all(c.passed for c in checks) and worst < 1e-8, residual=worst)
 
-    # 9. complex-projective bracket scalars
-    worst9 = 0.0
+
+def criterion_07_uniqueness_scan(tol: ToleranceConfig, grid: int) -> Check:
+    """On the log grid only the distinguished point passes, every other point
+    failing by more than 1e-3."""
+    checks = _suite_checks(suite_uniqueness, tol,
+                           (SpaceId(Family.COMPLEX_PROJECTIVE, 2),
+                            SpaceId(Family.QUATERNIONIC_PROJECTIVE, 1)), grid)
+    return Check("criterion-07/uniqueness",
+                 "only the distinguished parameter point passes the K-contact scan",
+                 all(c.passed for c in checks))
+
+
+def criterion_08_sphere_metric_coincidence(tol: ToleranceConfig,
+                                           grid: int) -> Check:
+    """On the sphere the kappa = 1/2 theorem metric is a quarter of the standard one."""
+    frame = crossmodel.build_frame(SpaceId(Family.SPHERE, 4))
+    g_main = contact.theorem_main_structure(frame, 1.0, 0.5).metric.gram
+    g_std = contact.standard_structure(frame, 1.0).metric.gram
+    res = float(np.max(np.abs(g_main - 0.25 * g_std)))
+    return Check("criterion-08/sphere_coincidence",
+                 "theorem metric at kappa=1/2 is a quarter of the standard metric",
+                 res < 1e-12, residual=res)
+
+
+def criterion_09_cp_bracket_scalars(tol: ToleranceConfig, grid: int) -> Check:
+    """Basis-independent complex-projective bracket scalars within 1e-9."""
+    ok, worst = True, 0.0
     for n in (2, 3):
         fix = crossmodel.fixture_check_cp2_brackets(
-            get_frame(SpaceId(Family.COMPLEX_PROJECTIVE, n)), tol)
-        worst9 = max(worst9, max(fix["checks"].values()))
-    rep.add("criterion-09/cp_bracket_scalars",
-            "basis-independent bracket scalars reproduced", worst9 < 1e-9,
-            residual=worst9)
+            crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, n)), tol)
+        ok = ok and fix["passed"]
+        worst = max(worst, max(fix["checks"].values()))
+    return Check("criterion-09/cp_bracket_scalars",
+                 "basis-independent bracket scalars reproduced",
+                 ok and worst < 1e-9, residual=worst)
 
-    # 10. Hermitian pairing biconditional and extension verdicts
-    ok10 = True
-    fr = get_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
+
+def criterion_10_hermitian_and_extension(tol: ToleranceConfig,
+                                         grid: int) -> Check:
+    """The Hermitian predicate matches the direct isometry test on random data
+    and the radial extension verdicts are (yes, no, no)."""
+    frame = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
+    rng = np.random.default_rng(30)
+    ok = True
     for _ in range(30):
         t = float(np.exp(rng.uniform(-1, 1)))
-        qfun = (lambda c: (lambda s: c * s))(float(np.exp(rng.uniform(-1, 1))))
+        c = float(np.exp(rng.uniform(-1, 1)))
+        qfun = lambda s, c=c: c * s  # noqa: E731
         vals = {k: float(np.exp(rng.uniform(-1, 1))) for k in tanbundle.FNS_KEYS}
         if rng.random() < 0.5:  # force the Hermitian conditions
             qe, qh = tanbundle.q_values(qfun, t)
             vals["b"] = vals["a"]
             vals["b_eps"] = qe * qe * vals["a_eps"]
             vals["b_half"] = qh * qh * vals["a_half"]
-        fns = {k: (lambda v: (lambda s: v))(v) for k, v in vals.items()}
-        pred = tanbundle.is_hermitian(fns, qfun, t, tol)
-        j = tanbundle.jq_matrix(fr, qfun, t)
-        g = tanbundle.ambient_metric(fr, fns, t)
+        fns = {k: (lambda s, v=v: v) for k, v in vals.items()}
+        j = tanbundle.jq_matrix(frame, qfun, t)
+        g = tanbundle.ambient_metric(frame, fns, t)
         direct = float(np.max(np.abs(j.T @ g @ j - g))) < 1e-9 * max(
             1.0, float(np.max(np.abs(g))))
-        ok10 = ok10 and (pred == direct)
+        ok = ok and (tanbundle.is_hermitian(fns, qfun, t, tol) == direct)
     verdicts = (tanbundle.extension_admissible(lambda t: t),
                 tanbundle.extension_admissible(lambda t: 1.0),
                 tanbundle.extension_admissible(math.sqrt))
-    ok10 = ok10 and verdicts == ("yes", "no", "no")
-    rep.add("criterion-10/hermitian_extension",
-            "Hermitian pairing biconditional and radial extension verdicts",
-            ok10, details=f"verdicts={verdicts}")
+    return Check("criterion-10/hermitian_extension",
+                 "Hermitian pairing biconditional and radial extension verdicts",
+                 ok and verdicts == ("yes", "no", "no"),
+                 details=f"verdicts={verdicts}")
+
+
+CRITERIA = (
+    criterion_01_table1_reproduction, criterion_02_algebra_integrity,
+    criterion_03_u_closed_forms, criterion_04_contact_criterion_biconditional,
+    criterion_05_tashiro_radius_sweep, criterion_06_main_theorem_matrix,
+    criterion_07_uniqueness_scan, criterion_08_sphere_metric_coincidence,
+    criterion_09_cp_bracket_scalars, criterion_10_hermitian_and_extension,
+)
+
+
+def acceptance_report(tol: ToleranceConfig, grid: int = 5) -> VerificationReport:
+    """The full release gate: ten criteria over all five space families."""
+    rep = VerificationReport(config={"command": "acceptance",
+                                     "tol": tol.absolute, "grid": grid})
+    rep.checks.extend(criterion(tol, grid) for criterion in CRITERIA)
     return rep.finalize()

@@ -49,14 +49,6 @@ def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray
     return j
 
 
-def jq_apply(frame: RestrictedFrame, q: RadialFunction, t: float,
-             vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (frame.dim_mbar + 1,):
-        raise BundleError("vector must carry frame coordinates plus one radial slot")
-    return jq_matrix(frame, q, t) @ vec
-
-
 def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
                    t: float) -> np.ndarray:
     """Gram of the invariant ambient metric at (o, t), radial slot last."""

@@ -39,11 +39,12 @@ def test_d_eta_values(cp2):
     x = basis_vec(cp2, 0)
     xi_e, ze_e = basis_vec(cp2, s["m_eps"].start), basis_vec(cp2, s["k_eps"].start)
     xi_h, ze_h = basis_vec(cp2, s["m_half"].start), basis_vec(cp2, s["k_half"].start)
-    assert contact.d_eta(st, xi_e, ze_e) == pytest.approx(0.5)
-    assert contact.d_eta(st, xi_h, ze_h) == pytest.approx(0.25)
+    d_eta = contact.d_eta_matrix(st)
+    assert xi_e @ d_eta @ ze_e == pytest.approx(0.5)
+    assert xi_h @ d_eta @ ze_h == pytest.approx(0.25)
     for u in (xi_e, ze_e, xi_h, ze_h):
-        assert contact.d_eta(st, x, u) == pytest.approx(0.0)
-        assert contact.d_eta(st, u, u) == pytest.approx(0.0)
+        assert x @ d_eta @ u == pytest.approx(0.0)
+        assert u @ d_eta @ u == pytest.approx(0.0)
 
 
 def test_fundamental_two_form(cp2):
@@ -53,13 +54,13 @@ def test_fundamental_two_form(cp2):
     s = cp2.slices()
     xi_e, ze_e = basis_vec(cp2, s["m_eps"].start), basis_vec(cp2, s["k_eps"].start)
     xi_h, ze_h = basis_vec(cp2, s["m_half"].start), basis_vec(cp2, s["k_half"].start)
-    assert contact.fundamental_two_form(st, xi_e, ze_e) == pytest.approx(r * 1.0)
-    assert contact.fundamental_two_form(st, xi_h, ze_h) == pytest.approx(r / 2)
-    assert contact.fundamental_two_form(st, basis_vec(cp2, 0), xi_e) == 0.0
+    two_form = st.metric.gram @ st.phi  # Phi(u, v) = g(u, phi v)
+    assert xi_e @ two_form @ ze_e == pytest.approx(r * 1.0)
+    assert xi_h @ two_form @ ze_h == pytest.approx(r / 2)
+    assert basis_vec(cp2, 0) @ two_form @ xi_e == 0.0
     rng = np.random.default_rng(2)
     u, v = rng.normal(size=(2, cp2.dim_mbar))
-    assert contact.fundamental_two_form(st, u, v) == pytest.approx(
-        -contact.fundamental_two_form(st, v, u))
+    assert u @ two_form @ v == pytest.approx(-(v @ two_form @ u))
 
 
 def test_classify_flags_monotonic(frames):
@@ -189,12 +190,11 @@ def test_mixed_block_bracket_identity(cp2):
 
 def test_nijenhuis_vanishes_on_char(frames):
     for frame in frames.values():
-        st = contact.theorem_main_structure(frame, 1.0, 2.0)
-        x = basis_vec(frame, 0)
+        n = contact.nijenhuis_tensor(contact.theorem_main_structure(frame, 1.0, 2.0))
         for j in range(frame.dim_mbar):
-            assert np.max(np.abs(contact.nijenhuis(st, x, basis_vec(frame, j)))) < 1e-9
+            assert np.max(np.abs(n[0, j])) < 1e-9
         u = np.ones(frame.dim_mbar)
-        assert np.max(np.abs(contact.nijenhuis(st, u, u))) < 1e-12
+        assert np.max(np.abs(np.einsum("i,j,ijk->k", u, u, n))) < 1e-12
 
 
 def test_standard_structure_nijenhuis_fixture(cp2):

@@ -12,6 +12,7 @@ ALL_TABLE_SPACES = (
     + [("cp", n) for n in range(2, 5)]
     + [("hp", n) for n in range(1, 4)]
     + [("cayley", 2)]
+    + [("sphere", 10), ("rp", 10)]
 )
 
 FAMILY = {"sphere": Family.SPHERE, "rp": Family.REAL_PROJECTIVE,
@@ -28,6 +29,13 @@ def test_table_row(fam, n):
     assert (frame.m_eps, frame.m_half) == (me, mh)
     assert frame.dim_mbar == 2 * space.base_dim - 1
     assert frame.h_basis.shape[1] == crossmodel.table1_h_dim(space)
+
+
+def test_frames_built_once(frames):
+    """build_frame caches per space, and the session fixture shares that cache."""
+    space = SpaceId(Family.COMPLEX_PROJECTIVE, 2)
+    assert crossmodel.build_frame(space) is crossmodel.build_frame(space)
+    assert frames["cp2"] is crossmodel.build_frame(space)
 
 
 def test_spectrum_clusters(frames):

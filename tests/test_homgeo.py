@@ -150,7 +150,8 @@ def test_alpha_unit_params_is_half_bracket(cp2):
     metric = homgeo.metric_from_params(cp2, MetricParams(1, 1, 1, 1, 1))
     rng = np.random.default_rng(8)
     u, v = rng.normal(size=(2, cp2.dim_mbar))
-    assert np.allclose(homgeo.levi_civita_alpha(cp2, metric, u, v),
+    alpha = homgeo.alpha_tensor(cp2, metric)
+    assert np.allclose(np.einsum("i,j,ijk->k", u, v, alpha),
                        0.5 * cp2.bracket_mbar(u, v))
 
 
@@ -160,8 +161,9 @@ def test_alpha_torsion_free(cp2):
     s = cp2.slices()
     x = basis_vec(cp2, 0)
     xi = basis_vec(cp2, s["m_eps"].start)
-    diff = homgeo.levi_civita_alpha(cp2, metric, x, xi) \
-        - homgeo.levi_civita_alpha(cp2, metric, xi, x)
+    alpha = homgeo.alpha_tensor(cp2, metric)
+    diff = np.einsum("i,j,ijk->k", x, xi, alpha) \
+        - np.einsum("i,j,ijk->k", xi, x, alpha)
     want = -basis_vec(cp2, s["k_eps"].start)
     assert np.allclose(diff, want)
     assert np.allclose(cp2.bracket_mbar(x, xi), want)
@@ -171,11 +173,12 @@ def test_alpha_metric_compatible(hp2):
     """<alpha(w,u),v> + <u,alpha(w,v)> = 0: the connection preserves the metric."""
     metric = homgeo.metric_from_params(hp2, MetricParams(1, 2, 0.5, 2, 0.5))
     g = metric.gram
+    alpha = homgeo.alpha_tensor(hp2, metric)
     rng = np.random.default_rng(9)
     for _ in range(5):
         u, v, w = rng.normal(size=(3, hp2.dim_mbar))
-        lhs = homgeo.levi_civita_alpha(hp2, metric, w, u) @ g @ v \
-            + u @ g @ homgeo.levi_civita_alpha(hp2, metric, w, v)
+        lhs = np.einsum("i,j,ijk->k", w, u, alpha) @ g @ v \
+            + u @ g @ np.einsum("i,j,ijk->k", w, v, alpha)
         assert lhs == pytest.approx(0.0, abs=1e-9)
 
 
