@@ -53,7 +53,11 @@ class CompactLieAlgebra:
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise AlgebraError("vector length does not match algebra dimension")
-        return np.einsum("i,j,ijk->k", x, y, self.bracket_tensor)
+        return y @ np.tensordot(x, self.bracket_tensor, axes=1)
+
+    def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys."""
+        return np.tensordot(xs, ys.T @ self.bracket_tensor, axes=(0, 0))
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad_x acting on coordinate columns."""
@@ -178,11 +182,18 @@ def verify_algebra(alg: CompactLieAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -
     g = alg.inv_form
     scale = max(1.0, float(np.max(np.abs(c))))
     antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2)))))
-    cc = np.einsum("ijm,mkl->ijkl", c, c)
-    jacobi = float(np.max(np.abs(cc + np.transpose(cc, (1, 2, 0, 3))
-                                 + np.transpose(cc, (2, 0, 1, 3)))))
+    # Jacobi [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 is
+    # cc[i,j,k,l] + cc[j,k,i,l] + cc[k,i,j,l] with cc[i,j,k,l] = c[i,j,m] c[m,k,l];
+    # its maximum is taken one i at a time, so no dim^4 array is built
+    flat = c.reshape(alg.dim, -1)
+    jacobi = 0.0
+    for i in range(alg.dim):
+        ci = c[:, i, :]
+        cyc = ((c[i] @ flat).reshape(c.shape) + c @ ci
+               + (ci @ flat).reshape(c.shape).transpose(1, 0, 2))
+        jacobi = max(jacobi, float(np.max(np.abs(cyc))))
     # <[x,y],z> + <y,[x,z]> = 0 on basis triples
-    t = np.einsum("ijm,mk->ijk", c, g)
+    t = c @ g
     adinv = float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
     eigmin = float(np.min(np.linalg.eigvalsh(g)))
     checks = {

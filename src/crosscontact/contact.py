@@ -135,9 +135,9 @@ def nijenhuis_tensor(structure: AlmostContactStructure) -> np.ndarray:
     """Normality tensor N(e_i, e_j) (Nijenhuis torsion plus the 2 d eta term)."""
     c = structure.frame.cbar
     phi = structure.phi
-    t2 = np.einsum("ai,bj,abk->ijk", phi, phi, c)
-    t3 = np.einsum("ai,ajl,kl->ijk", phi, c, phi)
-    t4 = np.einsum("bj,ibl,kl->ijk", phi, c, phi)
+    t2 = np.tensordot(phi, phi.T @ c, axes=(0, 0))  # [phi e_i, phi e_j]
+    t3 = np.tensordot(phi, c @ phi.T, axes=(0, 0))  # phi [phi e_i, e_j]
+    t4 = phi.T @ c @ phi.T  # phi [e_i, phi e_j]
     return -c + t2 - t3 - t4
 
 
@@ -145,7 +145,7 @@ def nabla_phi_residual(structure: AlmostContactStructure) -> float:
     """Max deviation of alpha(u, phi v) - phi alpha(u, v) = g(u,v) char - eta(v) u."""
     frame, phi = structure.frame, structure.phi
     alpha = homgeo.alpha_tensor(frame, structure.metric)
-    lhs = np.einsum("bj,ibk->ijk", phi, alpha) - np.einsum("ijl,kl->ijk", alpha, phi)
+    lhs = phi.T @ alpha - alpha @ phi.T  # alpha(e_i, phi e_j) - phi alpha(e_i, e_j)
     g = structure.metric.gram
     rhs = np.einsum("ij,k->ijk", g, structure.char) \
         - np.einsum("j,ik->ijk", structure.eta, np.eye(frame.dim_mbar))
@@ -206,30 +206,37 @@ def tashiro_suite(frame: RestrictedFrame, radii: list[float],
     return {"space": frame.space.label(), "entries": entries, "passed": all_ok}
 
 
-def _k_contact_candidate_residual(frame: RestrictedFrame, kappa: float,
-                                  params: MetricParams) -> float:
-    """Worst axiom/Killing residual of the unique contact candidate phi for a metric.
+def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
+                                   diags: np.ndarray) -> np.ndarray:
+    """Worst axiom/Killing residual of the unique contact candidate phi, per metric.
 
-    The candidate is forced by g(phi u, v) = kappa * d eta(u, v); the metric
+    Row p of diags is the diagonal of one invariant Gram matrix g. The
+    candidate is forced by g(phi u, v) = kappa * d eta(u, v); the metric
     carries a K-contact structure with characteristic vector X/kappa iff the
-    candidate satisfies the almost-contact axioms and X is Killing.
+    candidate satisfies the almost-contact axioms and X is Killing. Every
+    temporary holds one dim_mbar^2 matrix per metric.
     """
-    metric = homgeo.metric_from_params(frame, params)
-    g = metric.gram
+    n = frame.dim_mbar
+    eye = np.eye(n)
+    gram = diags[:, :, None] * eye
     d_eta_unscaled = -0.5 * frame.cbar[:, :, 0]
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
-    phi = -kappa * np.linalg.solve(g, d_eta_unscaled)
-    char = np.zeros(frame.dim_mbar)
+    phi = -kappa * (d_eta_unscaled / diags[:, :, None])
+    char = np.zeros(n)
     char[0] = 1.0 / kappa
-    eta = np.zeros(frame.dim_mbar)
+    eta = np.zeros(n)
     eta[0] = kappa
-    eye = np.eye(frame.dim_mbar)
-    res = max(
-        float(np.max(np.abs(phi @ phi + eye - np.outer(char, eta)))),
-        float(np.max(np.abs(phi.T @ g @ phi - g + np.outer(eta, eta)))),
-        homgeo.killing_residual(frame, metric, kappa * char),
-    )
-    return res
+    phi_t = phi.transpose(0, 2, 1)
+    axioms = np.maximum(
+        np.max(np.abs(phi @ phi + eye - np.outer(char, eta)), axis=(1, 2)),
+        np.max(np.abs(phi_t @ gram @ phi - gram + np.outer(eta, eta)), axis=(1, 2)))
+    # xi = kappa char is Killing iff <U(e_i, e_j), xi> = 0. The U-map identity
+    # at w = xi gives 2<U(e_i,e_j), xi> = <[xi,e_i],e_j> + <[xi,e_j],e_i>
+    # = ad[i,j] g_j + ad[j,i] g_i, with ad[i,j] the e_j-coefficient of [xi, e_i]
+    # and g_j the Gram diagonal.
+    ad = np.tensordot(kappa * char, frame.cbar, axes=1)
+    killing = 0.5 * (ad * diags[:, None, :] + ad.T * diags[:, :, None])
+    return np.maximum(axioms, np.max(np.abs(killing), axis=(1, 2)))
 
 
 def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
@@ -238,43 +245,42 @@ def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
     """Log-grid scan showing only the theorem parameters admit a K-contact structure."""
     if grid_size < 3:
         raise ContactError("grid needs at least 3 points per axis")
+    if kappa <= 0:
+        raise ContactError("kappa must be positive")
     le, lh = lambda_r(r)
     target = {"a_eps": kappa * le / (2 * r), "a_half": kappa * lh / (2 * r),
               "b_eps": kappa * le / (2 * r), "b_half": kappa * lh / (2 * r)}
     axes = ["a_eps", "b_eps"] + (["a_half", "b_half"] if frame.m_half else [])
     grids = {k: np.geomspace(target[k] / span, target[k] * span, grid_size)
              for k in axes}
-    # force the exact theorem point onto the (odd) center of each axis
+    # force the exact theorem point onto the center of each axis
+    center = (grid_size - 1) // 2
     for k in axes:
-        grids[k][(grid_size - 1) // 2] = target[k]
+        grids[k][center] = target[k]
+
+    # grid indices of every point, last axis fastest (itertools.product order)
+    index = np.indices((grid_size,) * len(axes)).reshape(len(axes), -1).T
+    vals = {k: grids[k][index[:, n]] for n, k in enumerate(axes)}
+    ones = np.ones(len(index))
+    coeffs = np.stack([kappa * ones, vals["a_eps"], vals.get("a_half", ones),
+                       vals["b_eps"], vals.get("b_half", ones)], axis=-1)
+    residuals = _k_contact_candidate_residuals(
+        frame, kappa, homgeo.gram_diagonal(frame, coeffs))
+    is_target = np.all(index == center, axis=1)
 
     points = []
-    n_pass = 0
-    theorem_passed = False
-    worst_pass = 0.0
-    best_fail = np.inf
-    from itertools import product
-    for combo in product(*(grids[k] for k in axes)):
-        vals = dict(zip(axes, combo))
-        params = MetricParams(kappa, vals["a_eps"], vals.get("a_half", 1.0),
-                              vals["b_eps"], vals.get("b_half", 1.0))
-        res = _k_contact_candidate_residual(frame, kappa, params)
-        ok = tol.is_zero(res)
-        is_target = all(abs(vals[k] - target[k]) < 1e-14 for k in axes)
-        if ok:
-            n_pass += 1
-            worst_pass = max(worst_pass, res)
-            if is_target:
-                theorem_passed = True
-        else:
-            best_fail = min(best_fail, res)
-        points.append({"params": {k: float(vals[k]) for k in axes},
-                       "residual": res, "passed": ok, "theorem_point": is_target})
+    for p, res in enumerate(residuals.tolist()):
+        points.append({"params": {k: float(vals[k][p]) for k in axes},
+                       "residual": res, "passed": tol.is_zero(res),
+                       "theorem_point": bool(is_target[p])})
+    passing = [pt["residual"] for pt in points if pt["passed"]]
+    failing = [pt["residual"] for pt in points if not pt["passed"]]
+    theorem_passed = any(pt["passed"] and pt["theorem_point"] for pt in points)
     return {"space": frame.space.label(), "r": r, "kappa": kappa,
             "axes": axes, "grid_size": grid_size,
-            "n_points": len(points), "n_passed": n_pass,
+            "n_points": len(points), "n_passed": len(passing),
             "theorem_point_passed": theorem_passed,
-            "min_failing_residual": float(best_fail),
-            "max_passing_residual": float(worst_pass),
-            "unique": theorem_passed and n_pass == 1,
+            "min_failing_residual": float(min(failing, default=np.inf)),
+            "max_passing_residual": float(max(passing, default=0.0)),
+            "unique": theorem_passed and len(passing) == 1,
             "points": points}

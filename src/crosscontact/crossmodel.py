@@ -169,10 +169,9 @@ def build_pair(space: SpaceId) -> SymmetricPair:
 
 def sigma_automorphism_residual(pair: SymmetricPair) -> float:
     """Max |sigma[x,y] - [sigma x, sigma y]| over basis pairs."""
-    c = pair.alg.bracket_tensor
     s = pair.sigma
-    lhs = np.einsum("ijm,mk->ijk", c, s.T)
-    rhs = np.einsum("ia,jb,abk->ijk", s.T, s.T, c)
+    lhs = pair.alg.bracket_tensor @ s.T
+    rhs = pair.alg.bracket_table(s, s)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -309,12 +308,8 @@ def restricted_frame(pair: SymmetricPair, x: np.ndarray | None = None,
     xi_half = (_orthonormalize(m_groups[-0.25], ip)
                if m_groups[-0.25].shape[1] else m_groups[-0.25])
     # zeta = -(1/lambda_R(X)) [X, xi]
-    zeta_eps = np.column_stack([-alg.bracket(x, xi_eps[:, j])
-                                for j in range(xi_eps.shape[1])]) \
-        if xi_eps.shape[1] else xi_eps
-    zeta_half = np.column_stack([-2.0 * alg.bracket(x, xi_half[:, j])
-                                 for j in range(xi_half.shape[1])]) \
-        if xi_half.shape[1] else xi_half
+    zeta_eps = -(ad @ xi_eps)
+    zeta_half = -2.0 * (ad @ xi_half)
     h_basis = k_groups[0.0]
 
     cols = [x.reshape(-1, 1), xi_eps, xi_half, zeta_eps, zeta_half]
@@ -324,8 +319,7 @@ def restricted_frame(pair: SymmetricPair, x: np.ndarray | None = None,
         raise ModelError("mbar frame is not orthonormal")
 
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>
-    amb = np.einsum("ai,bj,abc->ijc", mbar, mbar, alg.bracket_tensor)
-    cbar = np.einsum("ijc,cd,dk->ijk", amb, ip, mbar)
+    cbar = alg.bracket_table(mbar, mbar) @ (ip @ mbar)
 
     frame = RestrictedFrame(pair.space, alg, ip, x, xi_eps, xi_half,
                             zeta_eps, zeta_half, h_basis, mbar, cbar,
@@ -345,12 +339,10 @@ def build_frame(space: SpaceId) -> RestrictedFrame:
     return restricted_frame(build_pair(space))
 
 
-def _proj_residual(alg, ip, vec: np.ndarray, onto: np.ndarray) -> float:
-    """Norm of the component of vec outside the span of the columns of onto."""
-    if onto.shape[1] == 0:
-        return float(np.sqrt(vec @ ip @ vec))
-    rem = vec - onto @ (onto.T @ ip @ vec)
-    return float(np.sqrt(max(rem @ ip @ rem, 0.0)))
+def _proj_residual(ip, vecs: np.ndarray, onto: np.ndarray) -> float:
+    """Largest norm of the component of a row of vecs outside the span of onto's columns."""
+    rem = vecs - (vecs @ ip @ onto) @ onto.T
+    return float(np.sqrt(np.max(np.sum((rem @ ip) * rem, axis=1), initial=0.0)))
 
 
 def verify_bracket_laws(frame: RestrictedFrame,
@@ -376,26 +368,17 @@ def verify_bracket_laws(frame: RestrictedFrame,
         ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
         ("k_half", "k_half", ("h", "k_eps")),
     ]
+    br = alg.bracket_table
     checks = {}
     for s1, s2, tgt in inclusions:
-        target = span(*tgt)
-        worst = 0.0
-        for u in sub[s1].T:
-            for v in sub[s2].T:
-                worst = max(worst, _proj_residual(alg, ip, alg.bracket(u, v), target))
-        checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = worst
+        vecs = br(sub[s1], sub[s2]).reshape(-1, alg.dim)
+        checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = _proj_residual(ip, vecs, span(*tgt))
 
     # pairing identities between the eps and half blocks
-    worst_s2 = 0.0
-    for j in range(frame.m_eps):
-        for p in range(frame.m_half):
-            xi_j, ze_j = frame.xi_eps[:, j], frame.zeta_eps[:, j]
-            xi_p, ze_p = frame.xi_half[:, p], frame.zeta_half[:, p]
-            worst_s2 = max(worst_s2, float(np.max(np.abs(
-                alg.bracket(xi_j, xi_p) - alg.bracket(ze_j, ze_p)))))
-            worst_s2 = max(worst_s2, float(np.max(np.abs(
-                alg.bracket(ze_j, xi_p) + alg.bracket(xi_j, ze_p)))))
-    checks["eps_half_pairing"] = worst_s2
+    xe, ze, xh, zh = frame.xi_eps, frame.zeta_eps, frame.xi_half, frame.zeta_half
+    checks["eps_half_pairing"] = max(
+        float(np.max(np.abs(br(xe, xh) - br(ze, zh)), initial=0.0)),
+        float(np.max(np.abs(br(ze, xh) + br(xe, zh)), initial=0.0)))
     passed = all(tol.is_zero(v) for v in checks.values())
     return {"checks": checks, "passed": passed}
 

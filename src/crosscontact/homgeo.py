@@ -1,8 +1,8 @@
 """Invariant Riemannian geometry of G/H at the origin.
 
-A G-invariant metric is a block-diagonal Gram matrix on the restricted-root
-frame; the U-map is the symmetric correction in the Levi-Civita bilinear
-alpha(u, v) = [u, v]/2 + U(u, v), obtained from a Gram linear system.
+A G-invariant metric is a diagonal Gram matrix on the restricted-root frame;
+the U-map is the symmetric correction in the Levi-Civita bilinear
+alpha(u, v) = [u, v]/2 + U(u, v), obtained from the Gram linear system.
 """
 
 from __future__ import annotations
@@ -39,29 +39,46 @@ class MetricParams:
 
 @dataclass
 class InvariantMetric:
-    """Invariant metric as its Gram matrix in the restricted-root frame."""
+    """Invariant metric as its Gram matrix in the restricted-root frame.
+
+    The Gram matrix must be diagonal: the U-map solves its Gram system by
+    dividing by the diagonal.
+    """
 
     params: MetricParams
     gram: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.gram != np.diag(np.diagonal(self.gram))):
+            raise GeometryError("invariant metric Gram matrix must be diagonal "
+                                "in the restricted-root frame")
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.asarray(u) @ self.gram @ np.asarray(v))
 
 
+def gram_diagonal(frame: RestrictedFrame, coeffs: np.ndarray) -> np.ndarray:
+    """Gram diagonal: a^2 on the Cartan line and a_l, b_l on each block.
+
+    The last axis of coeffs is (a, a_eps, a_half, b_eps, b_half); leading axes
+    stack several metrics.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    blocks = np.concatenate([coeffs[..., :1] ** 2, coeffs[..., 1:]], axis=-1)
+    sizes = [s.stop - s.start for s in frame.slices().values()]
+    return np.repeat(blocks, sizes, axis=-1)
+
+
 def metric_from_params(frame: RestrictedFrame, params: MetricParams) -> InvariantMetric:
-    """Assemble the Gram matrix a^2 on the Cartan line and a_l, b_l on each block."""
-    diag = np.empty(frame.dim_mbar)
-    s = frame.slices()
-    diag[s["a"]] = params.a ** 2
-    diag[s["m_eps"]] = params.a_eps
-    diag[s["m_half"]] = params.a_half
-    diag[s["k_eps"]] = params.b_eps
-    diag[s["k_half"]] = params.b_half
-    return InvariantMetric(params, np.diag(diag))
+    """Assemble the diagonal Gram matrix of the metric with these block coefficients."""
+    return InvariantMetric(params, np.diag(gram_diagonal(frame, params.as_tuple())))
 
 
 def u_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
-    """U[i,j,:] solving 2<U(e_i,e_j), w> = <[w,e_i],e_j> + <[w,e_j],e_i> for all w."""
+    """U[i,j,:] solving 2<U(e_i,e_j), w> = <[w,e_i],e_j> + <[w,e_j],e_i> for all w.
+
+    The Gram system is diagonal (see InvariantMetric), so it is solved by division.
+    """
     cg = np.einsum("wil,lj->wij", frame.cbar, metric.gram)
     rhs = cg + cg.transpose(0, 2, 1)  # rhs[w,i,j]
     ginv = 1.0 / np.diag(metric.gram)
@@ -86,8 +103,7 @@ def alpha_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
 def killing_residual(frame: RestrictedFrame, metric: InvariantMetric,
                      xi: np.ndarray) -> float:
     """Max over basis pairs of |<U(e_i,e_j), xi>| (zero iff xi is Killing)."""
-    ut = u_tensor(frame, metric)
-    vals = np.einsum("ijk,kl,l->ij", ut, metric.gram, np.asarray(xi, float))
+    vals = u_tensor(frame, metric) @ (metric.gram @ np.asarray(xi, float))
     return float(np.max(np.abs(vals)))
 
 

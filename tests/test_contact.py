@@ -253,3 +253,5 @@ def test_invalid_inputs(cp2):
         contact.theorem_main_structure(cp2, 1.0, 0.0)
     with pytest.raises(ContactError):
         contact.uniqueness_scan(cp2, 1.0, 1.0, grid_size=2)
+    with pytest.raises(ContactError):
+        contact.uniqueness_scan(cp2, 1.0, -1.0)

@@ -193,3 +193,12 @@ def test_u_map_dimension_check(cp2):
     metric = homgeo.metric_from_params(cp2, MetricParams(1, 1, 1, 1, 1))
     with pytest.raises(GeometryError):
         homgeo.u_map(cp2, metric, np.zeros(3), np.zeros(cp2.dim_mbar))
+
+
+def test_non_diagonal_gram_rejected(cp2):
+    """The U-map divides by the Gram diagonal, so off-diagonal entries must fail loudly."""
+    params = MetricParams(1, 2, 0.5, 2, 0.5)
+    gram = homgeo.metric_from_params(cp2, params).gram.copy()
+    gram[1, 2] = gram[2, 1] = 0.1
+    with pytest.raises(GeometryError):
+        homgeo.InvariantMetric(params, gram)
