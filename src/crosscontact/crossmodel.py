@@ -389,11 +389,8 @@ def center_of_h(frame: RestrictedFrame) -> np.ndarray:
     nh = hb.shape[1]
     if nh == 0:
         return hb
-    rows = []
-    for i in range(nh):
-        cols = np.column_stack([alg.bracket(hb[:, i], hb[:, j]) for j in range(nh)])
-        rows.append((hb.T @ ip @ cols).reshape(-1))
-    mat = np.array(rows).T  # column i = flattened ad_{h_i} restricted to h
+    # column i = flattened ad_{h_i} restricted to h, rows (p, j) = <h_p, [h_i, h_j]>
+    mat = (alg.bracket_table(hb, hb) @ ip @ hb).transpose(2, 1, 0).reshape(nh * nh, nh)
     _, sv, vt = np.linalg.svd(mat, full_matrices=True)
     null = [vt[k] for k in range(nh) if k >= len(sv) or sv[k] < 1e-9]
     if not null:
@@ -406,22 +403,16 @@ def fixture_check_cp2_brackets(frame: RestrictedFrame,
     """Basis-independent scalar checks of the complex-projective bracket table."""
     if frame.space.family is not Family.COMPLEX_PROJECTIVE:
         raise ModelError("fixture applies to complex projective spaces only")
-    alg, ip = frame.alg, frame.ip
-    xi_e, ze_e = frame.xi_eps[:, 0], frame.zeta_eps[:, 0]
+    br, ip = frame.alg.bracket_table, frame.ip
+    xe, ze, xh, zh = frame.xi_eps[:, :1], frame.zeta_eps[:, :1], frame.xi_half, frame.zeta_half
     checks = {}
-    checks["[xi_eps,zeta_eps]=-X"] = float(np.max(np.abs(
-        alg.bracket(xi_e, ze_e) + frame.x)))
-    worst_half = 0.0
-    worst_norm = 0.0
-    worst_pair = 0.0
-    for p in range(frame.m_half):
-        xi_p, ze_p = frame.xi_half[:, p], frame.zeta_half[:, p]
-        worst_half = max(worst_half, abs(
-            float(alg.bracket(xi_p, ze_p) @ ip @ frame.x) + 0.5))
-        b = alg.bracket(xi_e, xi_p)
-        worst_norm = max(worst_norm, abs(np.sqrt(b @ ip @ b) - 0.5))
-        worst_pair = max(worst_pair, float(np.max(np.abs(
-            alg.bracket(xi_e, ze_p) + alg.bracket(ze_e, xi_p)))))
+    checks["[xi_eps,zeta_eps]=-X"] = float(np.max(np.abs(br(xe, ze)[0, 0] + frame.x)))
+    half = np.diagonal(br(xh, zh)).T  # row p = [xi_p, zeta_p]
+    worst_half = float(np.max(np.abs(half @ ip @ frame.x + 0.5), initial=0.0))
+    b = br(xe, xh)[0]  # row p = [xi_eps, xi_p]
+    worst_norm = float(np.max(np.abs(np.sqrt(np.sum((b @ ip) * b, axis=1)) - 0.5),
+                              initial=0.0))
+    worst_pair = float(np.max(np.abs(br(xe, zh)[0] + br(ze, xh)[0]), initial=0.0))
     checks["<[xi_half,zeta_half],X>=-1/2"] = worst_half
     checks["|[xi_eps,xi_half]|=1/2"] = worst_norm
     checks["eps_half_antipairing"] = worst_pair

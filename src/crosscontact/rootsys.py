@@ -110,6 +110,26 @@ class Root:
         return (self.height, self.coeffs)
 
 
+@dataclass(frozen=True)
+class PairTables:
+    """Positive roots alpha_0, alpha_1, ... of a root system as arrays.
+
+    coeffs[p] are the simple-root coefficients of alpha_p and pairing[p, k]
+    is <alpha_p, alpha_k> over the simple roots alpha_k. sum_index[p, q] and
+    diff_index[p, q] are the positions of alpha_p + alpha_q and of
+    alpha_p - alpha_q among the positive roots, -1 where that is no positive
+    root. n_sum[p, q] = N(alpha_p, alpha_q) and n_diff[p, q] =
+    N(-alpha_p, alpha_q), read through RootSystem.signed_n.
+    """
+
+    coeffs: np.ndarray
+    pairing: np.ndarray
+    sum_index: np.ndarray
+    diff_index: np.ndarray
+    n_sum: np.ndarray
+    n_diff: np.ndarray
+
+
 @dataclass
 class RootSystem:
     """Positive roots plus inner products and signed structure constants."""
@@ -162,6 +182,32 @@ class RootSystem:
         if s.is_positive():
             return -table[((-b).coeffs, s.coeffs)]
         return table[((-s).coeffs, a.coeffs)]
+
+    def pair_tables(self) -> PairTables:
+        """The positive roots and their pairwise data as arrays, by position."""
+        if self.gram is None or not self.has_signs:
+            raise RootSystemError("Gram matrix and structure constants needed")
+        pos = self.positive_roots
+        coeffs = np.array([r.coeffs for r in pos], dtype=int).reshape(len(pos), self.rank)
+
+        def position(vecs: np.ndarray) -> np.ndarray:
+            hit = (vecs[..., None, :] == coeffs).all(axis=-1)
+            return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+
+        sum_index = position(coeffs[:, None, :] + coeffs[None, :, :])
+        diff_index = position(coeffs[:, None, :] - coeffs[None, :, :])
+        n_sum = np.zeros(sum_index.shape)
+        for p, q in zip(*np.nonzero(sum_index >= 0)):
+            n_sum[p, q] = self.signed_n(pos[p], pos[q])
+        n_diff = np.zeros(diff_index.shape)
+        for p, q in zip(*np.nonzero((diff_index >= 0) | (diff_index.T >= 0))):
+            n_diff[p, q] = self.signed_n(-pos[p], pos[q])
+        # one dot per entry: a matrix product sums in another order and can
+        # differ in the last bit
+        float_coeffs = coeffs.astype(float)
+        pairing = np.array([[float(row @ self.gram[:, k]) for k in range(self.rank)]
+                            for row in float_coeffs]).reshape(coeffs.shape)
+        return PairTables(coeffs, pairing, sum_index, diff_index, n_sum, n_diff)
 
 
 def _cartan_pairing(basis: SimpleBasis, beta: Root, j: int) -> int:

@@ -1,6 +1,7 @@
 """Compact real forms: bracket tensors, invariant forms, the matrix model."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,3 +101,47 @@ def test_bracket_shape_validation():
     alg = compactform.build_so_matrix_model(2)
     with pytest.raises(compactform.AlgebraError):
         alg.bracket(np.zeros(2), np.zeros(alg.dim))
+
+
+def test_malformed_algebra_rejected():
+    """Shapes that disagree with dim, and non-finite entries, raise AlgebraError."""
+    alg = compactform.build_so_matrix_model(3)
+    c, g, labels = alg.bracket_tensor, alg.inv_form, alg.basis_labels
+    bad = [
+        (alg.dim + 1, labels, c, g),
+        (alg.dim, labels, c[:, :, :-1], g),
+        (alg.dim, labels, c, g[:-1]),
+        (alg.dim, labels[:-1], c, g),
+        (alg.dim, labels, np.full_like(c, np.nan), g),
+        (alg.dim, labels, c, np.where(np.eye(alg.dim) > 0, np.inf, 0.0)),
+    ]
+    for dim, lab, cc, gg in bad:
+        with pytest.raises(compactform.AlgebraError):
+            compactform.CompactLieAlgebra(dim, lab, cc, gg)
+
+
+def test_nan_tensor_fails_verification():
+    """A NaN written into a built algebra propagates to the Jacobi residual."""
+    alg = compactform.build_so_matrix_model(3)
+    alg.bracket_tensor[...] = np.nan  # dense: the per-slice path
+    out = compactform.verify_algebra(alg)
+    assert np.isnan(out["residuals"]["jacobi"])
+    assert not out["passed"]
+    alg = compactform.build_so_matrix_model(3)
+    alg.bracket_tensor[0, 1, 2] = np.nan  # sparse: the nonzero join
+    out = compactform.verify_algebra(alg)
+    assert np.isnan(out["residuals"]["jacobi"])
+    assert not out["passed"]
+
+
+@pytest.mark.parametrize("tag,n", [("F4", 4), ("C", 5)])
+def test_verify_algebra_memory(tag, n):
+    """One verify_algebra call on CaP2 and HP^4 allocates at most 5 dim^3 floats."""
+    alg = root_built(tag, n)
+    tracemalloc.start()
+    try:
+        compactform.verify_algebra(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * alg.dim ** 3 * 8

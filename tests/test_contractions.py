@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from crosscontact import compactform, contact, homgeo
+from crosscontact import compactform, contact, crossmodel, homgeo
+from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import MetricParams
 
 LABELS = ("cp2", "hp2", "CaP2")
@@ -136,18 +137,53 @@ def test_jacobi_matches_dense(frames, label):
     assert want > 1e-4
 
 
+@pytest.mark.parametrize("space", [SpaceId(Family.CAYLEY_PLANE), SpaceId(Family.SPHERE, 9)],
+                         ids=["CaP2", "sphere9"])
+def test_jacobi_join_matches_dense(space, monkeypatch):
+    """A sparse broken tensor takes the nonzero join, which equals the dense maximum."""
+    alg = crossmodel.build_frame(space).alg
+    rng = np.random.default_rng(44)
+    c = alg.bracket_tensor.copy()
+    for i, j, k in rng.integers(alg.dim, size=(6, 3)):
+        c[i, j, k] += 1e-3
+        c[j, i, k] -= 1e-3
+
+    def no_dense(_):
+        raise AssertionError("per-slice path taken on a sparse tensor")
+
+    monkeypatch.setattr(compactform, "_jacobi_dense", no_dense)
+    got = compactform.verify_algebra(
+        dataclasses.replace(alg, bracket_tensor=c))["residuals"]["jacobi"]
+    want = dense_jacobi(c)
+    assert got == pytest.approx(want, rel=RTOL, abs=0.0)
+    assert want > 1e-4
+
+
+def test_jacobi_join_fixed_points():
+    """The cyclic sum is three times cc on a fixed point (a, a, a) of the rotation,
+    and the join of an all-zero (abelian) tensor is empty."""
+    c = np.zeros((3, 3, 3))
+    alg = compactform.CompactLieAlgebra(3, ["x", "y", "z"], c, np.eye(3))
+    assert compactform.verify_algebra(alg)["residuals"]["jacobi"] == 0.0
+    c[0, 0, 0], c[1, 1, 1], c[2, 0, 1] = 1.0, 2.0, 0.5
+    got = compactform.verify_algebra(alg)["residuals"]["jacobi"]
+    assert got == pytest.approx(dense_jacobi(c), rel=RTOL, abs=0.0)
+    assert got == 12.0
+
+
 def test_jacobi_negative_control():
-    """Breaking any one antisymmetric pair of so(4) by 1e-3 fails the Jacobi check."""
-    alg = compactform.build_so_matrix_model(3)
-    for i, j in itertools.combinations(range(alg.dim), 2):
-        for k in range(alg.dim):
-            c = alg.bracket_tensor.copy()
-            c[i, j, k] += 1e-3
-            c[j, i, k] -= 1e-3
-            out = compactform.verify_algebra(dataclasses.replace(alg, bracket_tensor=c))
-            assert not out["passed"], (i, j, k)
-            assert out["residuals"]["jacobi"] > 1e-4, (i, j, k)
-            assert out["residuals"]["antisymmetry"] == 0.0
+    """Breaking any one antisymmetric pair of so(4) or su(3) by 1e-3 fails the Jacobi check."""
+    for alg in (compactform.build_so_matrix_model(3),
+                crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2)).alg):
+        for i, j in itertools.combinations(range(alg.dim), 2):
+            for k in range(alg.dim):
+                c = alg.bracket_tensor.copy()
+                c[i, j, k] += 1e-3
+                c[j, i, k] -= 1e-3
+                out = compactform.verify_algebra(dataclasses.replace(alg, bracket_tensor=c))
+                assert not out["passed"], (alg.dim, i, j, k)
+                assert out["residuals"]["jacobi"] > 1e-4, (alg.dim, i, j, k)
+                assert out["residuals"]["antisymmetry"] == 0.0
 
 
 @pytest.mark.parametrize("label", ["cp2", "hp1"])

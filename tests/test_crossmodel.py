@@ -122,6 +122,34 @@ def test_cp_bracket_scalars(frames, label):
     assert max(out["checks"].values()) < 1e-9
 
 
+def pointwise_cp_scalars(frame) -> dict:
+    """The complex-projective bracket scalars, one pointwise bracket at a time."""
+    alg, ip = frame.alg, frame.ip
+    xi_e, ze_e = frame.xi_eps[:, 0], frame.zeta_eps[:, 0]
+    checks = {"[xi_eps,zeta_eps]=-X": float(np.max(np.abs(alg.bracket(xi_e, ze_e) + frame.x)))}
+    worst_half = worst_norm = worst_pair = 0.0
+    for p in range(frame.m_half):
+        xi_p, ze_p = frame.xi_half[:, p], frame.zeta_half[:, p]
+        worst_half = max(worst_half, abs(float(alg.bracket(xi_p, ze_p) @ ip @ frame.x) + 0.5))
+        b = alg.bracket(xi_e, xi_p)
+        worst_norm = max(worst_norm, abs(np.sqrt(b @ ip @ b) - 0.5))
+        worst_pair = max(worst_pair, float(np.max(np.abs(
+            alg.bracket(xi_e, ze_p) + alg.bracket(ze_e, xi_p)))))
+    checks["<[xi_half,zeta_half],X>=-1/2"] = worst_half
+    checks["|[xi_eps,xi_half]|=1/2"] = worst_norm
+    checks["eps_half_antipairing"] = worst_pair
+    return checks
+
+
+@pytest.mark.parametrize("label", ["cp2", "cp3"])
+def test_cp_bracket_scalars_match_pointwise(frames, label):
+    got = crossmodel.fixture_check_cp2_brackets(frames[label])["checks"]
+    want = pointwise_cp_scalars(frames[label])
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-12, name
+
+
 def test_cp_fixture_rejects_other_families(sphere4):
     with pytest.raises(ModelError):
         crossmodel.fixture_check_cp2_brackets(sphere4)
