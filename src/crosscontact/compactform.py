@@ -45,7 +45,6 @@ class CompactLieAlgebra:
     bracket_tensor: np.ndarray
     inv_form: np.ndarray
     rootsystem: RootSystem | None = None
-    cartan_slice: slice | None = None
     u_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -76,9 +75,6 @@ class CompactLieAlgebra:
         """Matrix of ad_x acting on coordinate columns."""
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.bracket_tensor)
 
-    def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.asarray(x) @ self.inv_form @ np.asarray(y))
-
     def dump_tensor(self, path) -> None:
         """Portable JSON dump of the nonzero bracket entries for cross-diffing."""
         c = self.bracket_tensor
@@ -91,7 +87,7 @@ class CompactLieAlgebra:
 
 def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     """Compact real form on the basis {i t_{a_k}} + {U0_a, U1_a: a positive}."""
-    if not rs.has_signs:
+    if rs.n is None:
         raise RootSystemError("root system has no structure constants assigned")
     rank = rs.rank
     pos = rs.positive_roots
@@ -143,8 +139,7 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     inv_form[:rank, :rank] = rs.gram  # -B(it_j, it_k) = B(t_j, t_k)
     inv_form[rank:, rank:] = 2.0 * np.eye(dim - rank)  # -B(U^a, U^a) = 2
 
-    return CompactLieAlgebra(dim, labels, c, inv_form, rootsystem=rs,
-                             cartan_slice=slice(0, rank), u_index=u_index)
+    return CompactLieAlgebra(dim, labels, c, inv_form, rootsystem=rs, u_index=u_index)
 
 
 def build_so_matrix_model(n: int) -> CompactLieAlgebra:

@@ -52,7 +52,7 @@ def lambda_r(r: float) -> tuple[float, float]:
     return r, r / 2.0
 
 
-def _phi_matrix(frame: RestrictedFrame, q_eps: float, q_half: float) -> np.ndarray:
+def phi_matrix(frame: RestrictedFrame, q_eps: float, q_half: float) -> np.ndarray:
     """phi: X -> 0, xi -> -(1/q_l) zeta, zeta -> q_l xi, per restricted root."""
     if q_eps <= 0 or (frame.m_half and q_half <= 0):
         raise ContactError("q values must be positive")
@@ -80,7 +80,7 @@ def phi_q_structure(frame: RestrictedFrame, r: float, q_eps: float, q_half: floa
             if not tol.is_zero(b - q * q * a, scale=b):
                 raise ContactError("parameters violate the Hermitian pairing b_l = q_l^2 a_l")
     metric = homgeo.metric_from_params(frame, params)
-    phi = _phi_matrix(frame, q_eps, q_half)
+    phi = phi_matrix(frame, q_eps, q_half)
     char = np.zeros(frame.dim_mbar)
     char[0] = 1.0 / a_scalar
     eta = np.zeros(frame.dim_mbar)
@@ -239,9 +239,12 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
     return np.maximum(axioms, np.max(np.abs(killing), axis=(1, 2)))
 
 
+# each scanned parameter runs over [target / SCAN_SPAN, target * SCAN_SPAN]
+SCAN_SPAN = 2.0
+
+
 def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
-                    grid_size: int = 5, span: float = 2.0,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+                    grid_size: int = 5, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Log-grid scan showing only the theorem parameters admit a K-contact structure."""
     if grid_size < 3:
         raise ContactError("grid needs at least 3 points per axis")
@@ -251,7 +254,7 @@ def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
     target = {"a_eps": kappa * le / (2 * r), "a_half": kappa * lh / (2 * r),
               "b_eps": kappa * le / (2 * r), "b_half": kappa * lh / (2 * r)}
     axes = ["a_eps", "b_eps"] + (["a_half", "b_half"] if frame.m_half else [])
-    grids = {k: np.geomspace(target[k] / span, target[k] * span, grid_size)
+    grids = {k: np.geomspace(target[k] / SCAN_SPAN, target[k] * SCAN_SPAN, grid_size)
              for k in axes}
     # force the exact theorem point onto the center of each axis
     center = (grid_size - 1) // 2

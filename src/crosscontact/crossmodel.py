@@ -255,9 +255,6 @@ class RestrictedFrame:
         """mbar-projection of the bracket, in frame coordinates."""
         return np.einsum("i,j,ijk->k", u, v, self.cbar)
 
-    def to_ambient(self, u: np.ndarray) -> np.ndarray:
-        return self.mbar @ u
-
     def summary(self) -> dict:
         return {"space": self.space.label(),
                 "dim_base": self.space.base_dim,
@@ -288,11 +285,9 @@ def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
     return out, w
 
 
-def restricted_frame(pair: SymmetricPair, x: np.ndarray | None = None,
-                     ip: np.ndarray | None = None) -> RestrictedFrame:
+def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     """Extract the restricted-root frame from the spectrum of ad_X^2."""
-    if x is None or ip is None:
-        x, ip = choose_cartan_vector(pair)
+    x, ip = choose_cartan_vector(pair)
     alg = pair.alg
     ad = alg.ad(x)
     sq = ad @ ad
@@ -381,21 +376,6 @@ def verify_bracket_laws(frame: RestrictedFrame,
         float(np.max(np.abs(br(ze, xh) + br(xe, zh)), initial=0.0)))
     passed = all(tol.is_zero(v) for v in checks.values())
     return {"checks": checks, "passed": passed}
-
-
-def center_of_h(frame: RestrictedFrame) -> np.ndarray:
-    """Basis (columns) of the center of h via null-space extraction of ad|_h."""
-    alg, ip, hb = frame.alg, frame.ip, frame.h_basis
-    nh = hb.shape[1]
-    if nh == 0:
-        return hb
-    # column i = flattened ad_{h_i} restricted to h, rows (p, j) = <h_p, [h_i, h_j]>
-    mat = (alg.bracket_table(hb, hb) @ ip @ hb).transpose(2, 1, 0).reshape(nh * nh, nh)
-    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
-    null = [vt[k] for k in range(nh) if k >= len(sv) or sv[k] < 1e-9]
-    if not null:
-        return np.zeros((alg.dim, 0))
-    return hb @ np.column_stack(null)
 
 
 def fixture_check_cp2_brackets(frame: RestrictedFrame,

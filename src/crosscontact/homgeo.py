@@ -53,9 +53,6 @@ class InvariantMetric:
             raise GeometryError("invariant metric Gram matrix must be diagonal "
                                 "in the restricted-root frame")
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u) @ self.gram @ np.asarray(v))
-
 
 def gram_diagonal(frame: RestrictedFrame, coeffs: np.ndarray) -> np.ndarray:
     """Gram diagonal: a^2 on the Cartan line and a_l, b_l on each block.

@@ -9,7 +9,7 @@ extraspecial-pair sign convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class PairTables:
     diff_index[p, q] are the positions of alpha_p + alpha_q and of
     alpha_p - alpha_q among the positive roots, -1 where that is no positive
     root. n_sum[p, q] = N(alpha_p, alpha_q) and n_diff[p, q] =
-    N(-alpha_p, alpha_q), read through RootSystem.signed_n.
+    N(-alpha_p, alpha_q) are blocks of RootSystem.n.
     """
 
     coeffs: np.ndarray
@@ -132,15 +132,22 @@ class PairTables:
 
 @dataclass
 class RootSystem:
-    """Positive roots plus inner products and signed structure constants."""
+    """Positive roots plus inner products and signed structure constants.
+
+    The signed roots are numbered by rows: row p is alpha_p, the p-th
+    positive root, and row P + p is -alpha_p, with P positive roots.
+    n[i, j] = N(root i, root j), 0 where their sum is no root.
+    """
 
     basis: SimpleBasis
     positive_roots: list[Root]
     gram: np.ndarray | None = None
-    structure_signs: dict[tuple[Coeffs, Coeffs], float] = field(default_factory=dict)
+    n: np.ndarray | None = None
 
     def __post_init__(self):
-        self._pos_set = {r.coeffs for r in self.positive_roots}
+        size = len(self.positive_roots)
+        self._row = {r.coeffs: p for p, r in enumerate(self.positive_roots)}
+        self._row.update({(-r).coeffs: size + p for p, r in enumerate(self.positive_roots)})
 
     @property
     def rank(self) -> int:
@@ -151,7 +158,7 @@ class RootSystem:
         return self.positive_roots[-1]
 
     def is_root(self, r: Root) -> bool:
-        return r.coeffs in self._pos_set or (-r).coeffs in self._pos_set
+        return r.coeffs in self._row
 
     def inner(self, alpha: Root, beta: Root) -> float:
         """Killing-normalized <alpha, beta> = B(t_alpha, t_beta)."""
@@ -161,34 +168,22 @@ class RootSystem:
         b = np.array(beta.coeffs)
         return float(a @ self.gram @ b)
 
-    @property
-    def has_signs(self) -> bool:
-        return bool(self.structure_signs)
-
     def signed_n(self, a: Root, b: Root) -> float:
-        """N for arbitrary-sign roots, reduced to the positive table via (*), (**)."""
-        table = self.structure_signs
-        s = a + b
-        if not self.is_root(s):
-            return 0.0
-        apos, bpos = a.is_positive(), b.is_positive()
-        if apos and bpos:
-            return table[(a.coeffs, b.coeffs)]
-        if not apos and not bpos:
-            return -table[((-a).coeffs, (-b).coeffs)]
-        if not apos:  # reduce to the (positive, negative) case
-            return -self.signed_n(b, a)
-        # a > 0, b < 0; cycle (a, b, -s): N(a,b) = N(b,-s) = N(-s,a)
-        if s.is_positive():
-            return -table[((-b).coeffs, s.coeffs)]
-        return table[((-s).coeffs, a.coeffs)]
+        """N(a, b) for roots a, b of either sign."""
+        if self.n is None:
+            raise RootSystemError("structure constants not assigned")
+        try:
+            return float(self.n[self._row[a.coeffs], self._row[b.coeffs]])
+        except KeyError as exc:
+            raise RootSystemError(f"{exc.args[0]} is not a root") from None
 
     def pair_tables(self) -> PairTables:
         """The positive roots and their pairwise data as arrays, by position."""
-        if self.gram is None or not self.has_signs:
+        if self.gram is None or self.n is None:
             raise RootSystemError("Gram matrix and structure constants needed")
         pos = self.positive_roots
-        coeffs = np.array([r.coeffs for r in pos], dtype=int).reshape(len(pos), self.rank)
+        size = len(pos)
+        coeffs = np.array([r.coeffs for r in pos], dtype=int).reshape(size, self.rank)
 
         def position(vecs: np.ndarray) -> np.ndarray:
             hit = (vecs[..., None, :] == coeffs).all(axis=-1)
@@ -196,18 +191,13 @@ class RootSystem:
 
         sum_index = position(coeffs[:, None, :] + coeffs[None, :, :])
         diff_index = position(coeffs[:, None, :] - coeffs[None, :, :])
-        n_sum = np.zeros(sum_index.shape)
-        for p, q in zip(*np.nonzero(sum_index >= 0)):
-            n_sum[p, q] = self.signed_n(pos[p], pos[q])
-        n_diff = np.zeros(diff_index.shape)
-        for p, q in zip(*np.nonzero((diff_index >= 0) | (diff_index.T >= 0))):
-            n_diff[p, q] = self.signed_n(-pos[p], pos[q])
         # one dot per entry: a matrix product sums in another order and can
         # differ in the last bit
         float_coeffs = coeffs.astype(float)
         pairing = np.array([[float(row @ self.gram[:, k]) for k in range(self.rank)]
                             for row in float_coeffs]).reshape(coeffs.shape)
-        return PairTables(coeffs, pairing, sum_index, diff_index, n_sum, n_diff)
+        return PairTables(coeffs, pairing, sum_index, diff_index,
+                          self.n[:size, :size], self.n[size:, :size])
 
 
 def _cartan_pairing(basis: SimpleBasis, beta: Root, j: int) -> int:
@@ -309,20 +299,26 @@ def _n_magnitude(rs: RootSystem, alpha: Root, beta: Root) -> float:
 
 
 def assign_structure_constants(rs: RootSystem) -> RootSystem:
-    """Fill the signed table N(a,b) for positive pairs, extraspecial pairs positive.
+    """Fill the table rs.n of N(a, b), extraspecial pairs positive.
 
     For each positive non-simple gamma the extraspecial pair (a1, gamma - a1),
     a1 minimal in the (height, lex) order, gets a positive sign; every other
-    special pair is forced by the Jacobi identity.
+    special pair is forced by the Jacobi identity. Each value is written with
+    the eleven that the rules tie to it: with c = -(a + b),
+    (*) N(a, b) = N(b, c) = N(c, a) = -N(b, a), and (**) N(-a, -b) = -N(a, b).
     """
     if rs.gram is None:
         killing_gram(rs)
-    order = {r.coeffs: i for i, r in enumerate(rs.positive_roots)}
-    table = rs.structure_signs = {}
+    row = rs._row
+    size = len(rs.positive_roots)
+    table = rs.n = np.zeros((2 * size, 2 * size))
 
     def put(a: Root, b: Root, val: float):
-        table[(a.coeffs, b.coeffs)] = val
-        table[(b.coeffs, a.coeffs)] = -val
+        i, j, k = (row[r.coeffs] for r in (a, b, -(a + b)))
+        for x, y in ((i, j), (j, k), (k, i)):
+            nx, ny = (x + size) % (2 * size), (y + size) % (2 * size)
+            table[x, y] = table[ny, nx] = val
+            table[y, x] = table[nx, ny] = -val
 
     for gamma in rs.positive_roots:
         if gamma.height < 2:
@@ -331,8 +327,8 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
         for alpha in rs.positive_roots:
             if alpha.sort_key() >= gamma.sort_key():
                 break
-            beta = gamma - alpha
-            if beta.coeffs in order and order[alpha.coeffs] <= order[beta.coeffs]:
+            beta = gamma - alpha  # of positive height, so a root beta is positive
+            if beta.coeffs in row and row[alpha.coeffs] <= row[beta.coeffs]:
                 pairs.append((alpha, beta))
         pairs.sort(key=lambda ab: ab[0].sort_key())
         a1, b1 = pairs[0]  # extraspecial: minimal alpha (always simple)
@@ -345,6 +341,7 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
             t2 = rs.signed_n(beta, -a1)
             t2 = t2 * rs.signed_n(beta - a1, alpha) if t2 else 0.0
             val = -(t1 + t2) / denom
+            # an orbit entry not yet written reads as zero and fails here
             want = _n_magnitude(rs, alpha, beta)
             if abs(abs(val) - want) > 1e-9 * max(1.0, want):
                 raise RootSystemError(
@@ -353,10 +350,3 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
             put(alpha, beta, val)
 
     return rs
-
-
-def n_constant(rs: RootSystem, alpha: Root, beta: Root) -> float:
-    """Signed N(alpha, beta) for any pair of (possibly negative) roots."""
-    if not rs.has_signs:
-        raise RootSystemError("structure constants not assigned")
-    return rs.signed_n(alpha, beta)

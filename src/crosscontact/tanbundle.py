@@ -13,7 +13,7 @@ import numpy as np
 from . import contact
 from .compactform import DEFAULT_TOL, ToleranceConfig
 from .crossmodel import RestrictedFrame
-from .homgeo import MetricParams
+from .homgeo import MetricParams, gram_diagonal
 
 RadialFunction = Callable[[float], float]
 
@@ -34,18 +34,13 @@ def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
     """J^q at (o, t) on frame-plus-radial coordinates."""
     qe, qh = q_values(q, t)
+    if min(qe, qh) <= 0:
+        raise BundleError("q must be positive on the sampled domain")
     n = frame.dim_mbar
     j = np.zeros((n + 1, n + 1))
+    j[:n, :n] = contact.phi_matrix(frame, qe, qh)
     j[n, 0] = 1.0  # X -> d/dt
     j[0, n] = -1.0  # d/dt -> -X
-    s = frame.slices()
-    for block, qv in (("eps", qe), ("half", qh)):
-        if qv <= 0:
-            raise BundleError("q must be positive on the sampled domain")
-        xi, ze = s[f"m_{block}"], s[f"k_{block}"]
-        for a, b in zip(range(xi.start, xi.stop), range(ze.start, ze.stop)):
-            j[b, a] = -1.0 / qv
-            j[a, b] = qv
     return j
 
 
@@ -57,15 +52,9 @@ def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
     vals = {k: float(fns[k](t)) for k in FNS_KEYS}
     if min(vals.values()) <= 0:
         raise BundleError("metric functions must be positive at the sample")
-    diag = np.empty(frame.dim_mbar + 1)
-    s = frame.slices()
-    diag[s["a"]] = vals["a"] ** 2
-    diag[s["m_eps"]] = vals["a_eps"]
-    diag[s["m_half"]] = vals["a_half"]
-    diag[s["k_eps"]] = vals["b_eps"]
-    diag[s["k_half"]] = vals["b_half"]
-    diag[frame.dim_mbar] = vals["b"] ** 2
-    return np.diag(diag)
+    coeffs = [vals[k] for k in ("a", "a_eps", "a_half", "b_eps", "b_half")]
+    # np.square is x * x, as in gram_diagonal: the a^2 and b^2 slots round alike
+    return np.diag(np.append(gram_diagonal(frame, coeffs), np.square(vals["b"])))
 
 
 def sasaki_fns() -> dict[str, RadialFunction]:

@@ -71,7 +71,7 @@ def test_structure_constant_magnitudes(tag, n):
                 continue
             p, q = rootsys.root_string(rs, a, b)
             want = math.sqrt(q * (1 - p) / 2.0 * rs.inner(a, a))
-            assert abs(rootsys.n_constant(rs, a, b)) == pytest.approx(want)
+            assert abs(rs.signed_n(a, b)) == pytest.approx(want)
 
 
 def test_structure_constant_symmetries():
@@ -82,12 +82,12 @@ def test_structure_constant_symmetries():
         for b in rs.positive_roots:
             if a.coeffs == b.coeffs or not rs.is_root(a + b):
                 continue
-            nab = rootsys.n_constant(rs, a, b)
-            assert rootsys.n_constant(rs, b, a) == pytest.approx(-nab)
-            assert rootsys.n_constant(rs, -a, -b) == pytest.approx(-nab)
+            nab = rs.signed_n(a, b)
+            assert rs.signed_n(b, a) == pytest.approx(-nab)
+            assert rs.signed_n(-a, -b) == pytest.approx(-nab)
             c = -(a + b)  # a + b + c = 0: N(a,b) = N(b,c) = N(c,a)
-            assert rootsys.n_constant(rs, b, c) == pytest.approx(nab)
-            assert rootsys.n_constant(rs, c, a) == pytest.approx(nab)
+            assert rs.signed_n(b, c) == pytest.approx(nab)
+            assert rs.signed_n(c, a) == pytest.approx(nab)
 
 
 def test_extraspecial_pairs_positive():
@@ -100,7 +100,83 @@ def test_extraspecial_pairs_positive():
                  if (gamma - a).is_positive() and rs.is_root(gamma - a)
                  and a.sort_key() < (gamma - a).sort_key()]
         a1, b1 = min(pairs, key=lambda ab: ab[0].sort_key())
-        assert rootsys.n_constant(rs, a1, b1) > 0
+        assert rs.signed_n(a1, b1) > 0
+
+
+def recursive_signed_n(rs: rootsys.RootSystem):
+    """N(a, b) from a dict of positive pairs, read through (*) and (**).
+
+    This is the assignment that RootSystem.n replaced: the Jacobi sign
+    propagation fills the dict for positive pairs only, and every other
+    pair is reduced to it recursively, N(a, b) = -N(b, a) = -N(-a, -b) and
+    N(a, b) = N(b, c) = N(c, a) for c = -(a + b).
+    """
+    table = {}
+
+    def signed_n(a: Root, b: Root) -> float:
+        s = a + b
+        if not rs.is_root(s):
+            return 0.0
+        apos, bpos = a.is_positive(), b.is_positive()
+        if apos and bpos:
+            return table[(a.coeffs, b.coeffs)]
+        if not apos and not bpos:
+            return -table[((-a).coeffs, (-b).coeffs)]
+        if not apos:  # reduce to the (positive, negative) case
+            return -signed_n(b, a)
+        # a > 0, b < 0; cycle (a, b, -s): N(a,b) = N(b,-s) = N(-s,a)
+        if s.is_positive():
+            return -table[((-b).coeffs, s.coeffs)]
+        return table[((-s).coeffs, a.coeffs)]
+
+    def put(a: Root, b: Root, val: float):
+        table[(a.coeffs, b.coeffs)] = val
+        table[(b.coeffs, a.coeffs)] = -val
+
+    order = {r.coeffs: i for i, r in enumerate(rs.positive_roots)}
+    for gamma in rs.positive_roots:
+        if gamma.height < 2:
+            continue
+        pairs = sorted(((a, gamma - a) for a in rs.positive_roots
+                        if a.sort_key() < gamma.sort_key()
+                        and (gamma - a).coeffs in order
+                        and order[a.coeffs] <= order[(gamma - a).coeffs]),
+                       key=lambda ab: ab[0].sort_key())
+        a1, b1 = pairs[0]
+        put(a1, b1, rootsys._n_magnitude(rs, a1, b1))
+        for alpha, beta in pairs[1:]:
+            denom = signed_n(gamma, -a1)
+            t1 = signed_n(-a1, alpha)
+            t1 = t1 * signed_n(alpha - a1, beta) if t1 else 0.0
+            t2 = signed_n(beta, -a1)
+            t2 = t2 * signed_n(beta - a1, alpha) if t2 else 0.0
+            put(alpha, beta, -(t1 + t2) / denom)
+    return signed_n
+
+
+@pytest.mark.parametrize("tag,n", [("A", n) for n in range(2, 7)]
+                         + [("C", n) for n in range(2, 6)] + [("F4", 4)])
+def test_signed_table_matches_recursive_reduction(tag, n):
+    """RootSystem.n equals the recursive reduction bit for bit on all signed pairs."""
+    rs = build(tag, n)
+    rootsys.assign_structure_constants(rs)
+    oracle = recursive_signed_n(rs)
+    signed = rs.positive_roots + [-r for r in rs.positive_roots]
+    for a in signed:
+        for b in signed:
+            assert rs.signed_n(a, b) == oracle(a, b), (a.coeffs, b.coeffs)
+
+
+def test_signed_n_rejects_unassigned_and_non_roots():
+    rs = build("A", 3)
+    a, b = rs.positive_roots[:2]
+    with pytest.raises(RootSystemError, match="not assigned"):
+        rs.signed_n(a, b)
+    rootsys.assign_structure_constants(rs)
+    with pytest.raises(RootSystemError, match="not a root"):
+        rs.signed_n(a + a, b)
+    with pytest.raises(RootSystemError, match="not a root"):
+        rs.signed_n(a, a - a)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=6))
