@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 
@@ -15,6 +17,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _positive(value: float) -> bool:
+    """True for a finite number above zero; inf and nan are not."""
+    return math.isfinite(value) and value > 0
+
+
 def _default_tol() -> float:
     env = os.environ.get("CROSS_TOL")
     if env is None:
@@ -23,11 +30,12 @@ def _default_tol() -> float:
         val = float(env)
     except ValueError:
         val = -1.0
-    if val <= 0:
-        raise ValueError(f"CROSS_TOL must be a positive number, got {env!r}")
+    if not _positive(val):
+        raise ValueError(f"CROSS_TOL must be a positive finite number, got {env!r}")
     return val
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crosscontact",
@@ -75,8 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         tol_value = args.tol if args.tol is not None else _default_tol()
-        if tol_value <= 0:
-            raise ValueError("tolerance must be positive")
+        if not _positive(tol_value):
+            raise ValueError(f"tolerance must be a positive finite number, got {tol_value}")
         tol = ToleranceConfig(absolute=tol_value, relative=tol_value)
         if args.command == "acceptance":
             report = acceptance_report(tol, grid=args.grid)
@@ -94,8 +102,8 @@ def main(argv: list[str] | None = None) -> int:
                 "command": "run", "space": space.label(), "suite": args.suite,
                 "radius": args.radius, "kappa": args.kappa,
                 "tol": tol_value, "grid": args.grid})
-            if args.radius <= 0 or args.kappa <= 0:
-                raise ValueError("radius and kappa must be positive")
+            if not (_positive(args.radius) and _positive(args.kappa)):
+                raise ValueError("radius and kappa must be positive finite numbers")
             run_suite(space, args.suite, args.radius, args.kappa, args.grid,
                       report, tol)
             report.finalize()

@@ -91,25 +91,49 @@ class SymmetricPair:
     ip: np.ndarray  # inner product in use (rescaled later by the frame)
 
     @property
-    def dim_k(self) -> int:
-        return self.k_basis.shape[1]
-
-    @property
     def dim_m(self) -> int:
         return self.m_basis.shape[1]
 
 
+def _coupled_groups(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
+    """Group of each column, labelled by the group's first column.
+
+    Columns i and j are coupled when ip[r, s] != 0 for some r in the support
+    of column i and s in that of column j; a group is a class of the
+    transitive closure. A vector of one group and a vector of another have an
+    inner product that is a sum of exact zeros.
+    """
+    nz = (cols != 0).astype(float)
+    coupled = (nz.T @ (ip != 0) @ nz) > 0
+    # each pass hands every column the least label among its neighbours
+    group = np.arange(cols.shape[1])
+    while True:
+        least = np.min(np.where(coupled, group, group.size), axis=1, initial=group.size)
+        least = np.minimum(group, least)
+        if np.array_equal(least, group):
+            return group
+        group = least
+
+
 def _orthonormalize(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
-    """Deterministic modified Gram-Schmidt of the columns w.r.t. ip."""
+    """Deterministic modified Gram-Schmidt of the columns w.r.t. ip.
+
+    Each column is projected off the earlier columns of its coupled group
+    only: the projection onto a column of another group has an exact zero
+    coefficient.
+    """
+    done: dict[int, list[np.ndarray]] = {}
     out = []
-    for j in range(cols.shape[1]):
+    for j, g in enumerate(_coupled_groups(cols, ip)):
         v = cols[:, j].astype(float).copy()
-        for u in out:
+        earlier = done.setdefault(g, [])
+        for u in earlier:
             v -= (u @ ip @ v) * u
         nrm = np.sqrt(v @ ip @ v)
         if nrm < 1e-12:
             raise ModelError("dependent vectors in orthonormalization")
-        out.append(v / nrm)
+        earlier.append(v / nrm)
+        out.append(earlier[-1])
     return np.column_stack(out)
 
 
@@ -363,17 +387,22 @@ def verify_bracket_laws(frame: RestrictedFrame,
         ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
         ("k_half", "k_half", ("h", "k_eps")),
     ]
-    br = alg.bracket_table
+    # alg.bracket_table, with one right factor ys.T @ c per right-hand block
+    right = {n: sub[n].T @ alg.bracket_tensor
+             for n in ("m_eps", "m_half", "k_eps", "k_half")}
+
+    def br(s1: str, s2: str) -> np.ndarray:
+        return np.tensordot(sub[s1], right[s2], axes=(0, 0))
+
     checks = {}
     for s1, s2, tgt in inclusions:
-        vecs = br(sub[s1], sub[s2]).reshape(-1, alg.dim)
+        vecs = br(s1, s2).reshape(-1, alg.dim)
         checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = _proj_residual(ip, vecs, span(*tgt))
 
     # pairing identities between the eps and half blocks
-    xe, ze, xh, zh = frame.xi_eps, frame.zeta_eps, frame.xi_half, frame.zeta_half
     checks["eps_half_pairing"] = max(
-        float(np.max(np.abs(br(xe, xh) - br(ze, zh)), initial=0.0)),
-        float(np.max(np.abs(br(ze, xh) + br(xe, zh)), initial=0.0)))
+        float(np.max(np.abs(br("m_eps", "m_half") - br("k_eps", "k_half")), initial=0.0)),
+        float(np.max(np.abs(br("k_eps", "m_half") + br("m_eps", "k_half")), initial=0.0)))
     passed = all(tol.is_zero(v) for v in checks.values())
     return {"checks": checks, "passed": passed}
 

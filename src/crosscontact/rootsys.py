@@ -185,9 +185,21 @@ class RootSystem:
         size = len(pos)
         coeffs = np.array([r.coeffs for r in pos], dtype=int).reshape(size, self.rank)
 
+        # a coefficient vector inside the box 0 <= v <= top (every positive root
+        # is) has the integer key v @ radix, and no two such vectors share one
+        top = coeffs.max(axis=0)
+        if math.prod(int(t) + 1 for t in top) > 2 ** 62:
+            raise RootSystemError("root coefficients too large for an integer key")
+        radix = np.cumprod(np.concatenate(([1], top[:-1] + 1)))
+        keys = coeffs @ radix
+        order = np.argsort(keys)
+        keys = keys[order]
+
         def position(vecs: np.ndarray) -> np.ndarray:
-            hit = (vecs[..., None, :] == coeffs).all(axis=-1)
-            return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+            inside = ((vecs >= 0) & (vecs <= top)).all(axis=-1)
+            key = vecs @ radix
+            at = np.minimum(np.searchsorted(keys, key), size - 1)
+            return np.where(inside & (keys[at] == key), order[at], -1)
 
         sum_index = position(coeffs[:, None, :] + coeffs[None, :, :])
         diff_index = position(coeffs[:, None, :] - coeffs[None, :, :])

@@ -182,38 +182,39 @@ def _suite_checks(suite, tol: ToleranceConfig, spaces, grid: int = 5,
 
 def lemma_u_closed_forms_residual(frame: RestrictedFrame,
                                   params: MetricParams) -> float:
-    """Worst deviation of the solved U-map from its closed-form expressions."""
+    """Worst deviation of the solved U-map from its closed-form expressions.
+
+    Each row below holds the deviations U(e_p, e_q) - closed form for a set of
+    index pairs (p, q), as vectors over the frame.
+    """
     u = homgeo.u_tensor(frame, homgeo.metric_from_params(frame, params))
     c = frame.cbar
     e = np.eye(frame.dim_mbar)
     a, ae, ah, be, bh = params.as_tuple()
     a2 = a * a
     s = frame.slices()
-    eps = list(zip(range(s["m_eps"].start, s["m_eps"].stop),
-                   range(s["k_eps"].start, s["k_eps"].stop)))
-    half = list(zip(range(s["m_half"].start, s["m_half"].stop),
-                    range(s["k_half"].start, s["k_half"].stop)))
-    devs = [u[0, 0]]
-    for xi, ze in eps:
-        devs += [u[0, xi] - (a2 - ae) / (2 * be) * e[ze],
-                 u[0, ze] - (be - a2) / (2 * ae) * e[xi],
-                 u[xi, ze] - (ae - be) / (2 * a2) * e[0]]
-        devs += [u[xi, xk] for xk, _ in eps]
-        devs += [u[xi, zk] for _, zk in eps if zk != ze]
-    for xh, zh in half:
-        devs += [u[0, xh] - (a2 - ah) / (4 * bh) * e[zh],
-                 u[0, zh] - (bh - a2) / (4 * ah) * e[xh]]
-        for xi, ze in eps:
-            devs += [u[xi, xh] - (ah - ae) / (2 * bh) * c[xi, xh],
-                     u[xi, zh] - (bh - ae) / (2 * ah) * c[xi, zh],
-                     u[xh, ze] - (be - ah) / (2 * ah) * c[xh, ze],
-                     u[ze, zh] - (bh - be) / (2 * bh) * c[ze, zh]]
-        for _, zq in half:
-            m_eps_part = np.zeros(frame.dim_mbar)
-            m_eps_part[s["m_eps"]] = c[xh, zq, s["m_eps"]]
-            delta = e[0] / (2 * a2) if zq == zh else 0.0
-            devs.append(u[xh, zq] - (ah - bh) / 2 * (delta - m_eps_part / ae))
-    return max(float(np.max(np.abs(d))) for d in devs)
+    xi, ze, xh, zh = (np.arange(s[k].start, s[k].stop)
+                      for k in ("m_eps", "k_eps", "m_half", "k_half"))
+    i, k = np.nonzero(~np.eye(len(xi), dtype=bool))  # eps pairs i != k
+    hi, ei = np.indices((len(xh), len(xi))).reshape(2, -1)  # every (half, eps) pair
+    hp, hq = np.indices((len(xh), len(xh))).reshape(2, -1)  # every (half, half) pair
+    m_eps_part = np.zeros((len(hp), frame.dim_mbar))
+    m_eps_part[:, s["m_eps"]] = c[xh[hp], zh[hq], s["m_eps"]]
+    delta = np.where((hp == hq)[:, None], e[0] / (2 * a2), 0.0)
+    devs = [u[0, :1],
+            u[0, xi] - (a2 - ae) / (2 * be) * e[ze],
+            u[0, ze] - (be - a2) / (2 * ae) * e[xi],
+            u[xi, ze] - (ae - be) / (2 * a2) * e[0],
+            u[np.ix_(xi, xi)].reshape(-1, frame.dim_mbar),
+            u[xi[i], ze[k]],
+            u[0, xh] - (a2 - ah) / (4 * bh) * e[zh],
+            u[0, zh] - (bh - a2) / (4 * ah) * e[xh],
+            u[xi[ei], xh[hi]] - (ah - ae) / (2 * bh) * c[xi[ei], xh[hi]],
+            u[xi[ei], zh[hi]] - (bh - ae) / (2 * ah) * c[xi[ei], zh[hi]],
+            u[xh[hi], ze[ei]] - (be - ah) / (2 * ah) * c[xh[hi], ze[ei]],
+            u[ze[ei], zh[hi]] - (bh - be) / (2 * bh) * c[ze[ei], zh[hi]],
+            u[xh[hp], zh[hq]] - (ah - bh) / 2 * (delta - m_eps_part / ae)]
+    return float(np.max(np.abs(np.concatenate(devs))))
 
 
 def criterion_01_table1_reproduction(tol: ToleranceConfig, grid: int) -> Check:

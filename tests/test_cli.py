@@ -83,6 +83,19 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"),
+                                        ("--radius", "nan"), ("--radius", "inf"),
+                                        ("--kappa", "nan"), ("--kappa", "inf")])
+def test_non_finite_inputs_rejected(capsys, monkeypatch, flag, value):
+    """inf and nan are usage errors, never a vacuous pass or a failed check."""
+    code, out, err = run_cli(capsys, "run", "--space", "cp", "--suite", "sasakian",
+                             flag, value)
+    assert code == 2 and "error:" in err and out == ""
+    monkeypatch.setenv("CROSS_TOL", value)
+    code, out, err = run_cli(capsys, "run", "--space", "cp", "--suite", "sasakian")
+    assert code == 2 and "error:" in err and "CROSS_TOL" in err and out == ""
+
+
 def test_cross_tol_environment(capsys, monkeypatch):
     monkeypatch.setenv("CROSS_TOL", "1e-6")
     code, out, _ = run_cli(capsys, "run", "--space", "cp", "--n", "2",

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from crosscontact import compactform, contact, crossmodel, homgeo
+from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import MetricParams
 
@@ -210,3 +210,49 @@ def test_uniqueness_scan_matches_pointwise(frames, label):
             assert pt["residual"] == pytest.approx(want, rel=RTOL, abs=0.0)
             assert pt["passed"] == (want <= 1e-9)
             assert pt["theorem_point"] == (p == (len(combos) - 1) // 2)
+
+
+def pointwise_lemma_u_residual(frame, params):
+    """The closed-form deviations of the U-map, one index pair at a time."""
+    u = homgeo.u_tensor(frame, homgeo.metric_from_params(frame, params))
+    c = frame.cbar
+    e = np.eye(frame.dim_mbar)
+    a, ae, ah, be, bh = params.as_tuple()
+    a2 = a * a
+    s = frame.slices()
+    eps = list(zip(range(s["m_eps"].start, s["m_eps"].stop),
+                   range(s["k_eps"].start, s["k_eps"].stop)))
+    half = list(zip(range(s["m_half"].start, s["m_half"].stop),
+                    range(s["k_half"].start, s["k_half"].stop)))
+    devs = [u[0, 0]]
+    for xi, ze in eps:
+        devs += [u[0, xi] - (a2 - ae) / (2 * be) * e[ze],
+                 u[0, ze] - (be - a2) / (2 * ae) * e[xi],
+                 u[xi, ze] - (ae - be) / (2 * a2) * e[0]]
+        devs += [u[xi, xk] for xk, _ in eps]
+        devs += [u[xi, zk] for _, zk in eps if zk != ze]
+    for xh, zh in half:
+        devs += [u[0, xh] - (a2 - ah) / (4 * bh) * e[zh],
+                 u[0, zh] - (bh - a2) / (4 * ah) * e[xh]]
+        for xi, ze in eps:
+            devs += [u[xi, xh] - (ah - ae) / (2 * bh) * c[xi, xh],
+                     u[xi, zh] - (bh - ae) / (2 * ah) * c[xi, zh],
+                     u[xh, ze] - (be - ah) / (2 * ah) * c[xh, ze],
+                     u[ze, zh] - (bh - be) / (2 * bh) * c[ze, zh]]
+        for _, zq in half:
+            m_eps_part = np.zeros(frame.dim_mbar)
+            m_eps_part[s["m_eps"]] = c[xh, zq, s["m_eps"]]
+            delta = e[0] / (2 * a2) if zq == zh else 0.0
+            devs.append(u[xh, zq] - (ah - bh) / 2 * (delta - m_eps_part / ae))
+    return max(float(np.max(np.abs(d))) for d in devs)
+
+
+@pytest.mark.parametrize("label", ["cp3", "hp2", "sphere4", "CaP2"])
+def test_lemma_u_residual_matches_pointwise(frames, label):
+    """The array-built closed-form residual equals the pointwise loop exactly."""
+    rng = np.random.default_rng(5)
+    frame = frames[label]
+    for _ in range(20):
+        params = MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5)))
+        got = suites.lemma_u_closed_forms_residual(frame, params)
+        assert got == pointwise_lemma_u_residual(frame, params)

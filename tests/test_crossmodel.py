@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crosscontact import crossmodel
+from crosscontact import contact, crossmodel
 from crosscontact.crossmodel import Family, ModelError, SpaceId
 
 ALL_TABLE_SPACES = (
@@ -29,6 +29,101 @@ def test_table_row(fam, n):
     assert (frame.m_eps, frame.m_half) == (me, mh)
     assert frame.dim_mbar == 2 * space.base_dim - 1
     assert frame.h_basis.shape[1] == crossmodel.table1_h_dim(space)
+
+
+LADDER_SPACES = ([("sphere", n) for n in range(2, 10)] + [("rp", n) for n in range(2, 7)]
+                 + [("cp", n) for n in range(2, 7)] + [("hp", n) for n in range(1, 5)]
+                 + [("cayley", 2)])
+
+
+def full_gram_schmidt(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt against every earlier column, as the frame used to be built."""
+    out = []
+    for j in range(cols.shape[1]):
+        v = cols[:, j].astype(float).copy()
+        for u in out:
+            v -= (u @ ip @ v) * u
+        nrm = np.sqrt(v @ ip @ v)
+        if nrm < 1e-12:
+            raise ModelError("dependent vectors in orthonormalization")
+        out.append(v / nrm)
+    return np.column_stack(out)
+
+
+def assert_bytes_equal(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam,n", sorted(set(ALL_TABLE_SPACES) | set(LADDER_SPACES)))
+def test_orthonormalize_matches_full_gram_schmidt(monkeypatch, fam, n):
+    """Every input that build_pair and restricted_frame orthonormalize, bit for bit."""
+    calls = []
+    grouped = crossmodel._orthonormalize
+
+    def record(cols, ip):
+        calls.append((cols, ip, grouped(cols, ip)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(crossmodel, "_orthonormalize", record)
+    crossmodel.restricted_frame(crossmodel.build_pair(SpaceId(FAMILY[fam], n)))
+    assert len(calls) >= 3
+    for cols, ip, got in calls:
+        assert_bytes_equal(got, full_gram_schmidt(cols, ip))
+
+
+def test_orthonormalize_dense_columns_match():
+    """Dense columns under a random SPD form are one group: plain Gram-Schmidt."""
+    rng = np.random.default_rng(11)
+    for dim, ncols in ((5, 5), (12, 7), (30, 30)):
+        a = rng.normal(size=(dim, dim))
+        ip = a @ a.T + dim * np.eye(dim)
+        cols = rng.normal(size=(dim, ncols))
+        assert np.all(crossmodel._coupled_groups(cols, ip) == 0)
+        assert_bytes_equal(crossmodel._orthonormalize(cols, ip), full_gram_schmidt(cols, ip))
+
+
+def test_orthonormalize_interleaved_groups_match():
+    """A block-diagonal form whose blocks' columns interleave in column order."""
+    rng = np.random.default_rng(12)
+    blocks = [3, 1, 4, 2]
+    dim = sum(blocks)
+    owner = rng.permutation(np.repeat(np.arange(len(blocks)), blocks))  # block of each row
+    ip = np.zeros((dim, dim))
+    for b in range(len(blocks)):
+        rows = np.flatnonzero(owner == b)
+        a = rng.normal(size=(len(rows), len(rows)))
+        ip[np.ix_(rows, rows)] = a @ a.T + len(rows) * np.eye(len(rows))
+    col_block = rng.permutation(np.repeat(np.arange(len(blocks)), blocks))
+    cols = np.zeros((dim, dim))
+    for j, b in enumerate(col_block):
+        rows = np.flatnonzero(owner == b)
+        cols[rows, j] = rng.normal(size=len(rows))
+    groups = crossmodel._coupled_groups(cols, ip)
+    assert len(set(groups.tolist())) == len(blocks)
+    assert all(len(set(groups[col_block == b].tolist())) == 1 for b in range(len(blocks)))
+    assert_bytes_equal(crossmodel._orthonormalize(cols, ip), full_gram_schmidt(cols, ip))
+
+
+def test_orthonormalize_groups_close_over_chains():
+    """Columns joined only through a chain of couplings form one group."""
+    n = 6
+    ip = 2.0 * np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))  # a path 0-1-...-5
+    cols = np.eye(n)[:, [0, 2, 4, 1, 3, 5]]
+    assert np.all(crossmodel._coupled_groups(cols, ip) == 0)
+    got = crossmodel._orthonormalize(cols, ip)
+    assert_bytes_equal(got, full_gram_schmidt(cols, ip))
+    assert np.max(np.abs(got.T @ ip @ got - np.eye(n))) < 1e-12
+
+
+def test_orthonormalize_rejects_dependent_columns():
+    ip = np.diag([1.0, 2.0, 3.0, 4.0])
+    dependent = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0],
+                          [0.0, 0.0, 0.0]])
+    zero = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    for cols in (dependent, zero):
+        with pytest.raises(ModelError):
+            crossmodel._orthonormalize(cols, ip)
 
 
 def test_frames_built_once(frames):
@@ -183,6 +278,31 @@ def test_frame_summary_fields(cp2):
     assert summary["space"] == "cp2"
     assert summary["m_eps"] == 1 and summary["m_half"] == 2
     assert summary["dim_mbar"] == 7
+
+
+def test_hp1_and_s4_agree_on_invariants(frames):
+    """sp(2) = so(5): the C_2 root model of HP^1 and the matrix model of S^4 agree.
+
+    The two frames share no construction code past the bracket tensor, so the
+    frame-independent invariants below check the root model's signs.
+    """
+    tol = 1e-12
+    hp1, s4 = frames["hp1"], frames["sphere4"]
+
+    def same_set(a, b):
+        return (np.max(np.min(np.abs(a[:, None] - b[None]), axis=1)) < tol
+                and np.max(np.min(np.abs(b[:, None] - a[None]), axis=1)) < tol)
+
+    for frame in (hp1, s4):
+        assert same_set(frame.spectrum_m, s4.spectrum_m)
+        assert same_set(frame.spectrum_k, s4.spectrum_k)
+        sv = np.linalg.svd(frame.cbar.reshape(frame.dim_mbar, -1), compute_uv=False)
+        assert sv == pytest.approx([np.sqrt(6.0)] + [np.sqrt(2.0)] * 6, abs=tol)
+        st = contact.standard_structure(frame, 0.5)
+        nijenhuis = float(np.max(np.abs(contact.nijenhuis_tensor(st))))
+        assert nijenhuis == pytest.approx(3.0, abs=tol)
+        scan = contact.uniqueness_scan(frame, 1.0, 1.0)
+        assert scan["min_failing_residual"] == pytest.approx(0.17677669529663684, abs=tol)
 
 
 @pytest.mark.parametrize("fam,n", [("sphere", 1), ("cp", 1), ("hp", 0), ("rp", 0)])

@@ -194,3 +194,31 @@ def test_invalid_cartan_matrix_rejected():
         SimpleBasis(2, np.array([[2, -1], [0, 2]]), "bad")
     with pytest.raises(RootSystemError):
         rootsys.cartan_matrix_C(1)
+
+
+@pytest.mark.parametrize("tag,n", [("A", n) for n in range(2, 7)]
+                         + [("C", n) for n in range(2, 6)] + [("F4", 4), ("A", 20)])
+def test_pair_table_positions_match_broadcast_search(tag, n):
+    """sum_index and diff_index equal a search of every root for every candidate."""
+    rs = build(tag, n)
+    rootsys.assign_structure_constants(rs)
+    t = rs.pair_tables()
+    coeffs = t.coeffs
+
+    def position(vecs):  # the all-pairs comparison the sorted keys replaced
+        hit = (vecs[..., None, :] == coeffs).all(axis=-1)
+        return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+
+    for got, vecs in ((t.sum_index, coeffs[:, None] + coeffs[None]),
+                      (t.diff_index, coeffs[:, None] - coeffs[None])):
+        want = np.array([position(row) for row in vecs])  # a row at a time: small memory
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+        assert (want >= 0).any() and (want < 0).any()
+
+
+def test_pair_tables_reject_keys_beyond_int64():
+    """Coefficients whose box of keys does not fit in an int64 raise, not wrap."""
+    rs = rootsys.RootSystem(SimpleBasis.A(3), [Root((1 << 21,) * 3)])
+    rs.gram, rs.n = np.eye(3), np.zeros((2, 2))
+    with pytest.raises(RootSystemError, match="integer key"):
+        rs.pair_tables()
