@@ -111,7 +111,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _emit(report, args.format, args.output)
+    try:
+        _emit(report, args.format, args.output)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -6,7 +6,6 @@ root-built algebras (su, sp, f4) and the skew-matrix model for so(n+1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +59,6 @@ class CompactLieAlgebra:
         if not (np.isfinite(self.bracket_tensor).all() and np.isfinite(self.inv_form).all()):
             raise AlgebraError("bracket tensor and invariant form must be finite")
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise AlgebraError("vector length does not match algebra dimension")
-        return y @ np.tensordot(x, self.bracket_tensor, axes=1)
-
     def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys."""
         return np.tensordot(xs, ys.T @ self.bracket_tensor, axes=(0, 0))
@@ -74,15 +66,6 @@ class CompactLieAlgebra:
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad_x acting on coordinate columns."""
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.bracket_tensor)
-
-    def dump_tensor(self, path) -> None:
-        """Portable JSON dump of the nonzero bracket entries for cross-diffing."""
-        c = self.bracket_tensor
-        idx = np.argwhere(np.abs(c) > 0)
-        entries = [[int(i), int(j), int(k), float(c[i, j, k])] for i, j, k in idx]
-        with open(path, "w") as fh:
-            json.dump({"dim": self.dim, "labels": self.basis_labels,
-                       "entries": entries}, fh)
 
 
 def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:

@@ -23,7 +23,7 @@ class ContactError(ValueError):
 
 @dataclass
 class AlmostContactStructure:
-    """(phi, char, eta, g) data at the origin plus the defining scalars."""
+    """(phi, char, eta, g) data at the origin on the radius-r slice."""
 
     frame: RestrictedFrame
     r: float
@@ -31,8 +31,6 @@ class AlmostContactStructure:
     char: np.ndarray  # characteristic vector, frame coordinates
     eta: np.ndarray  # contact covector, frame coordinates
     metric: InvariantMetric
-    q_eps: float
-    q_half: float
 
     @property
     def a_scalar(self) -> float:
@@ -66,33 +64,38 @@ def phi_matrix(frame: RestrictedFrame, q_eps: float, q_half: float) -> np.ndarra
     return phi
 
 
+def _char_eta(n: int, a_scalar: float) -> tuple[np.ndarray, np.ndarray]:
+    """The characteristic vector X/a and the contact covector a<X,.>."""
+    char, eta = np.zeros(n), np.zeros(n)
+    char[0], eta[0] = 1.0 / a_scalar, a_scalar
+    return char, eta
+
+
 def phi_q_structure(frame: RestrictedFrame, r: float, q_eps: float, q_half: float,
                     a_scalar: float, params: MetricParams,
-                    induced: bool = False,
                     tol: ToleranceConfig = DEFAULT_TOL) -> AlmostContactStructure:
-    """Assemble (phi^q, X/a, a<X,.>, g) from the q scalars and metric parameters."""
+    """Assemble (phi^q, X/a, a<X,.>, g) from the q scalars and metric parameters.
+
+    The structure is induced from an ambient Hermitian pair, so the metric
+    must satisfy b_l = q_l^2 a_l.
+    """
     if r <= 0 or a_scalar <= 0:
         raise ContactError("radius and scale must be positive")
-    if induced:
-        # structure induced from an ambient Hermitian pair: b_l = q_l^2 a_l
-        for b, q, a in ((params.b_eps, q_eps, params.a_eps),
-                        (params.b_half, q_half, params.a_half)):
-            if not tol.is_zero(b - q * q * a, scale=b):
-                raise ContactError("parameters violate the Hermitian pairing b_l = q_l^2 a_l")
+    for b, q, a in ((params.b_eps, q_eps, params.a_eps),
+                    (params.b_half, q_half, params.a_half)):
+        if not tol.is_zero(b - q * q * a, scale=b):
+            raise ContactError("parameters violate the Hermitian pairing b_l = q_l^2 a_l")
     metric = homgeo.metric_from_params(frame, params)
     phi = phi_matrix(frame, q_eps, q_half)
-    char = np.zeros(frame.dim_mbar)
-    char[0] = 1.0 / a_scalar
-    eta = np.zeros(frame.dim_mbar)
-    eta[0] = a_scalar
-    return AlmostContactStructure(frame, r, phi, char, eta, metric, q_eps, q_half)
+    return AlmostContactStructure(frame, r, phi, *_char_eta(frame.dim_mbar, a_scalar),
+                                  metric)
 
 
 def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
     """The structure induced by the Sasaki metric on the radius-r sphere bundle."""
     le, lh = lambda_r(r)
     params = MetricParams(1.0, 1.0, 1.0, le * le, lh * lh)
-    return phi_q_structure(frame, r, le, lh, 1.0, params, induced=True)
+    return phi_q_structure(frame, r, le, lh, 1.0, params)
 
 
 def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
@@ -100,7 +103,7 @@ def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStruct
     le, lh = lambda_r(r)
     s = 1.0 / (2.0 * r)
     params = MetricParams(s, s * s, s * s, 0.25, 1.0 / 16.0)
-    return phi_q_structure(frame, r, le, lh, s, params, induced=True)
+    return phi_q_structure(frame, r, le, lh, s, params)
 
 
 def theorem_main_structure(frame: RestrictedFrame, r: float,
@@ -109,25 +112,29 @@ def theorem_main_structure(frame: RestrictedFrame, r: float,
     if kappa <= 0:
         raise ContactError("kappa must be positive")
     params = MetricParams(kappa, kappa / 2.0, kappa / 4.0, kappa / 2.0, kappa / 4.0)
-    return phi_q_structure(frame, r, 1.0, 1.0, kappa, params, induced=True)
+    return phi_q_structure(frame, r, 1.0, 1.0, kappa, params)
 
 
-def d_eta_matrix(structure: AlmostContactStructure) -> np.ndarray:
-    """Matrix of the scaled d eta: a(r) * (-1/2) <X, [e_i, e_j]>."""
-    return -0.5 * structure.a_scalar * structure.frame.cbar[:, :, 0]
+def d_eta_matrix(frame: RestrictedFrame) -> np.ndarray:
+    """Matrix of d<X,.>: (-1/2) <X, [e_i, e_j]>; d eta is a(r) times it."""
+    return -0.5 * frame.cbar[:, :, 0]
 
 
-def axiom_residuals(structure: AlmostContactStructure) -> dict[str, float]:
-    """Residuals of the almost contact metric axioms."""
-    phi, char, eta = structure.phi, structure.char, structure.eta
-    g = structure.metric.gram
+def axiom_residuals(phi: np.ndarray, gram: np.ndarray, char: np.ndarray,
+                    eta: np.ndarray) -> dict[str, np.ndarray]:
+    """Residuals of the almost contact metric axioms.
+
+    Leading axes of phi and gram stack several structures; each residual has
+    those axes.
+    """
     eye = np.eye(len(char))
     return {
-        "phi_squared": float(np.max(np.abs(phi @ phi + eye - np.outer(char, eta)))),
+        "phi_squared": np.max(np.abs(phi @ phi + eye - np.outer(char, eta)), axis=(-2, -1)),
         "eta_char": abs(float(eta @ char) - 1.0),
-        "phi_char": float(np.max(np.abs(phi @ char))),
-        "eta_phi": float(np.max(np.abs(eta @ phi))),
-        "compatibility": float(np.max(np.abs(phi.T @ g @ phi - g + np.outer(eta, eta)))),
+        "phi_char": np.max(np.abs(phi @ char), axis=-1),
+        "eta_phi": np.max(np.abs(eta @ phi), axis=-1),
+        "compatibility": np.max(np.abs(np.swapaxes(phi, -2, -1) @ gram @ phi - gram
+                                       + np.outer(eta, eta)), axis=(-2, -1)),
     }
 
 
@@ -155,15 +162,15 @@ def nabla_phi_residual(structure: AlmostContactStructure) -> float:
 def classify(structure: AlmostContactStructure,
              tol: ToleranceConfig = DEFAULT_TOL) -> StructureClass:
     """Contact / K-contact / Sasakian flags from explicit residuals."""
-    frame = structure.frame
-    residuals = dict(axiom_residuals(structure))
+    frame, g = structure.frame, structure.metric.gram
+    residuals = {k: float(v) for k, v in axiom_residuals(
+        structure.phi, g, structure.char, structure.eta).items()}
     axioms = max(residuals.values())
     residuals["axioms"] = axioms
-    g = structure.metric.gram
-    residuals["contact"] = float(np.max(np.abs(g @ structure.phi
-                                               - d_eta_matrix(structure))))
-    residuals["killing"] = homgeo.killing_residual(
-        frame, structure.metric, structure.a_scalar * structure.char)
+    residuals["contact"] = float(np.max(np.abs(
+        g @ structure.phi - structure.a_scalar * d_eta_matrix(frame))))
+    residuals["killing"] = float(homgeo.killing_residual(
+        frame, np.diagonal(g), structure.a_scalar * structure.char))
     residuals["nijenhuis"] = float(np.max(np.abs(nijenhuis_tensor(structure))))
     residuals["nabla_phi"] = nabla_phi_residual(structure)
 
@@ -216,27 +223,13 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
     candidate satisfies the almost-contact axioms and X is Killing. Every
     temporary holds one dim_mbar^2 matrix per metric.
     """
-    n = frame.dim_mbar
-    eye = np.eye(n)
-    gram = diags[:, :, None] * eye
-    d_eta_unscaled = -0.5 * frame.cbar[:, :, 0]
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
-    phi = -kappa * (d_eta_unscaled / diags[:, :, None])
-    char = np.zeros(n)
-    char[0] = 1.0 / kappa
-    eta = np.zeros(n)
-    eta[0] = kappa
-    phi_t = phi.transpose(0, 2, 1)
-    axioms = np.maximum(
-        np.max(np.abs(phi @ phi + eye - np.outer(char, eta)), axis=(1, 2)),
-        np.max(np.abs(phi_t @ gram @ phi - gram + np.outer(eta, eta)), axis=(1, 2)))
-    # xi = kappa char is Killing iff <U(e_i, e_j), xi> = 0. The U-map identity
-    # at w = xi gives 2<U(e_i,e_j), xi> = <[xi,e_i],e_j> + <[xi,e_j],e_i>
-    # = ad[i,j] g_j + ad[j,i] g_i, with ad[i,j] the e_j-coefficient of [xi, e_i]
-    # and g_j the Gram diagonal.
-    ad = np.tensordot(kappa * char, frame.cbar, axes=1)
-    killing = 0.5 * (ad * diags[:, None, :] + ad.T * diags[:, :, None])
-    return np.maximum(axioms, np.max(np.abs(killing), axis=(1, 2)))
+    phi = -kappa * (d_eta_matrix(frame) / diags[:, :, None])
+    char, eta = _char_eta(frame.dim_mbar, kappa)
+    axioms = axiom_residuals(phi, diags[:, :, None] * np.eye(frame.dim_mbar), char, eta)
+    # phi X = 0 and eta phi = 0 by the form of phi, so two axioms decide
+    return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]),
+                      homgeo.killing_residual(frame, diags, kappa * char))
 
 
 # each scanned parameter runs over [target / SCAN_SPAN, target * SCAN_SPAN]

@@ -199,30 +199,28 @@ def sigma_automorphism_residual(pair: SymmetricPair) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _seed_vector(pair: SymmetricPair) -> np.ndarray:
-    """Paper's seed direction for the Cartan line, as an algebra coordinate vector."""
+def _seed_index(pair: SymmetricPair) -> int:
+    """Basis index of the paper's seed direction for the Cartan line."""
     alg = pair.alg
-    v = np.zeros(alg.dim)
     if pair.space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
-        v[alg.basis_labels.index("A12")] = 1.0
-        return v
-    rs = alg.rootsystem
+        return alg.basis_labels.index("A12")
     if pair.space.family is Family.CAYLEY_PLANE:
         coeffs = (0, 0, 0, 1)
     else:
-        coeffs = tuple(int(i == 0) for i in range(rs.rank))
-    v[alg.u_index[(coeffs, 0)]] = 1.0  # U0 of the simple root
-    return v
+        coeffs = tuple(int(i == 0) for i in range(alg.rootsystem.rank))
+    return alg.u_index[(coeffs, 0)]  # U0 of the simple root
 
 
-def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized Cartan vector X and the rescaled inner product.
+def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized Cartan vector X, the matrix of ad_X and the rescaled inner product.
 
     X is the paper's seed direction scaled so that -ad_X^2 has top eigenvalue 1
     on m, and the inner product is rescaled so <X, X> = 1.
     """
     alg = pair.alg
-    seed = _seed_vector(pair)
+    s = _seed_index(pair)
+    seed = np.zeros(alg.dim)
+    seed[s] = 1.0
     ad = alg.ad(seed)
     sq = -(ad @ ad)
     # restrict to m in the orthonormal m-frame
@@ -233,8 +231,8 @@ def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray]:
         raise ModelError("seed direction has no negative ad^2 eigenvalue on m")
     x = seed / np.sqrt(top)
     xx = float(x @ pair.ip @ x)
-    ip = pair.ip / xx
-    return x, ip
+    # the seed is the basis vector e_s, so x[s] ad_seed is alg.ad(x) bit for bit
+    return x, x[s] * ad, pair.ip / xx
 
 
 @dataclass
@@ -275,19 +273,6 @@ class RestrictedFrame:
                 "k_eps": slice(1 + me + mh, 1 + 2 * me + mh),
                 "k_half": slice(1 + 2 * me + mh, 1 + 2 * me + 2 * mh)}
 
-    def bracket_mbar(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """mbar-projection of the bracket, in frame coordinates."""
-        return np.einsum("i,j,ijk->k", u, v, self.cbar)
-
-    def summary(self) -> dict:
-        return {"space": self.space.label(),
-                "dim_base": self.space.base_dim,
-                "dim_mbar": self.dim_mbar,
-                "m_eps": self.m_eps, "m_half": self.m_half,
-                "dim_h": self.h_basis.shape[1],
-                "spectrum_m": sorted(set(np.round(self.spectrum_m, 6))),
-                "spectrum_k": sorted(set(np.round(self.spectrum_k, 6)))}
-
 
 def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
                  targets: tuple[float, ...]) -> tuple[dict[float, np.ndarray], np.ndarray]:
@@ -311,9 +296,8 @@ def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
 
 def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     """Extract the restricted-root frame from the spectrum of ad_X^2."""
-    x, ip = choose_cartan_vector(pair)
+    x, ad, ip = choose_cartan_vector(pair)
     alg = pair.alg
-    ad = alg.ad(x)
     sq = ad @ ad
     mb = _orthonormalize(pair.m_basis, ip)
     kb = _orthonormalize(pair.k_basis, ip)

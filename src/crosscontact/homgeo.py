@@ -76,20 +76,10 @@ def u_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
 
     The Gram system is diagonal (see InvariantMetric), so it is solved by division.
     """
-    cg = np.einsum("wil,lj->wij", frame.cbar, metric.gram)
+    g = np.diagonal(metric.gram)
+    cg = frame.cbar * g  # cg[w,i,j] = g([e_w,e_i], e_j)
     rhs = cg + cg.transpose(0, 2, 1)  # rhs[w,i,j]
-    ginv = 1.0 / np.diag(metric.gram)
-    return 0.5 * np.einsum("wij,w->ijw", rhs, ginv)
-
-
-def u_map(frame: RestrictedFrame, metric: InvariantMetric,
-          u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The symmetric bilinear U-map evaluated on frame-coordinate vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (frame.dim_mbar,) or v.shape != (frame.dim_mbar,):
-        raise GeometryError("vectors must be in frame coordinates")
-    return np.einsum("i,j,ijk->k", u, v, u_tensor(frame, metric))
+    return 0.5 * (rhs * (1.0 / g)[:, None, None]).transpose(1, 2, 0)
 
 
 def alpha_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
@@ -97,16 +87,23 @@ def alpha_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
     return 0.5 * frame.cbar + u_tensor(frame, metric)
 
 
-def killing_residual(frame: RestrictedFrame, metric: InvariantMetric,
-                     xi: np.ndarray) -> float:
-    """Max over basis pairs of |<U(e_i,e_j), xi>| (zero iff xi is Killing)."""
-    vals = u_tensor(frame, metric) @ (metric.gram @ np.asarray(xi, float))
-    return float(np.max(np.abs(vals)))
+def killing_residual(frame: RestrictedFrame, gram_diag: np.ndarray,
+                     xi: np.ndarray) -> np.ndarray:
+    """Max over basis pairs of |<U(e_i,e_j), xi>| (zero iff xi is Killing).
+
+    The U-map identity at w = xi gives 2<U(e_i,e_j), xi> = <[xi,e_i],e_j> +
+    <[xi,e_j],e_i> = ad[i,j] g_j + ad[j,i] g_i, with ad[i,j] the
+    e_j-coefficient of [xi, e_i] and g the Gram diagonal. Leading axes of
+    gram_diag stack several metrics; the result has those axes.
+    """
+    ad = np.tensordot(xi, frame.cbar, axes=1)
+    vals = 0.5 * (ad * gram_diag[..., None, :] + ad.T * gram_diag[..., :, None])
+    return np.max(np.abs(vals), axis=(-2, -1))
 
 
 def is_killing(frame: RestrictedFrame, metric: InvariantMetric, xi: np.ndarray,
                tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    res = killing_residual(frame, metric, xi)
+    res = float(killing_residual(frame, np.diagonal(metric.gram), xi))
     return tol.is_zero(res), res
 
 
@@ -114,9 +111,3 @@ def is_naturally_reductive(frame: RestrictedFrame, metric: InvariantMetric,
                            tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff the U-map vanishes identically."""
     return tol.is_zero(float(np.max(np.abs(u_tensor(frame, metric)))))
-
-
-def is_submersion_metric(params: MetricParams,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the metric projects isometrically onto the base (a = a_eps = a_half = 1)."""
-    return all(tol.is_zero(p - 1.0) for p in (params.a, params.a_eps, params.a_half))

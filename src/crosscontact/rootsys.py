@@ -57,7 +57,6 @@ class SimpleBasis:
 
     rank: int
     cartan_matrix: np.ndarray
-    family_tag: str
 
     def __post_init__(self):
         c = np.asarray(self.cartan_matrix)
@@ -73,15 +72,15 @@ class SimpleBasis:
 
     @classmethod
     def A(cls, n: int) -> "SimpleBasis":
-        return cls(n, cartan_matrix_A(n), "A")
+        return cls(n, cartan_matrix_A(n))
 
     @classmethod
     def C(cls, n: int) -> "SimpleBasis":
-        return cls(n, cartan_matrix_C(n), "C")
+        return cls(n, cartan_matrix_C(n))
 
     @classmethod
     def F4(cls) -> "SimpleBasis":
-        return cls(4, cartan_matrix_F4(), "F4")
+        return cls(4, cartan_matrix_F4())
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-    @property
-    def max_root(self) -> Root:
-        return self.positive_roots[-1]
 
     def is_root(self, r: Root) -> bool:
         return r.coeffs in self._row

@@ -269,7 +269,7 @@ def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
         else:
             ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        st = contact.phi_q_structure(frame, r, qe, qh, a, params, induced=True)
+        st = contact.phi_q_structure(frame, r, qe, qh, a, params)
         flag = contact.classify(st, tol).flags["contact_metric"]
         want = (abs(ae - a * le / (2 * r * qe)) < 1e-9
                 and abs(ah - a * lh / (2 * r * qh)) < 1e-9)

@@ -114,5 +114,4 @@ def induce_slice_structure(frame: RestrictedFrame, fns: dict[str, RadialFunction
     params = MetricParams(float(fns["a"](r)), float(fns["a_eps"](r)),
                           float(fns["a_half"](r)), float(fns["b_eps"](r)),
                           float(fns["b_half"](r)))
-    return contact.phi_q_structure(frame, r, qe, qh, params.a, params,
-                                   induced=True, tol=tol)
+    return contact.phi_q_structure(frame, r, qe, qh, params.a, params, tol=tol)

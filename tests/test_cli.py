@@ -64,6 +64,16 @@ def test_output_file(tmp_path, capsys):
     assert data["summary"]["failed"] == 0
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    """A report that cannot be written is a usage error, not a failed check."""
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "run", "--space", "sphere", "--n", "2",
+                             "--suite", "table1", "--output", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_acceptance_gate(capsys):
     code, out, _ = run_cli(capsys, "acceptance", "--grid", "3")
     assert code == 0

@@ -1,6 +1,5 @@
 """Compact real forms: bracket tensors, invariant forms, the matrix model."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -46,7 +45,7 @@ def test_cartan_u_pair_bracket():
         u1 = np.zeros(alg.dim)
         u0[alg.u_index[(alpha.coeffs, 0)]] = 1.0
         u1[alg.u_index[(alpha.coeffs, 1)]] = 1.0
-        out = alg.bracket(u0, u1)
+        out = np.einsum("i,j,ijk->k", u0, u1, alg.bracket_tensor)
         want = np.zeros(alg.dim)
         want[:rs.rank] = 2.0 * np.array(alpha.coeffs, dtype=float)
         assert np.max(np.abs(out - want)) < 1e-12
@@ -66,7 +65,8 @@ def test_cartan_action_rotates_u_pair():
             u[alg.u_index[(alpha.coeffs, a)]] = 1.0
             want = np.zeros(alg.dim)
             want[alg.u_index[(alpha.coeffs, 1 - a)]] = (-1) ** (a + 1) * inner
-            assert np.max(np.abs(alg.bracket(u, t) - want)) < 1e-12
+            out = np.einsum("i,j,ijk->k", u, t, alg.bracket_tensor)
+            assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_invariant_form_structure():
@@ -78,29 +78,11 @@ def test_invariant_form_structure():
     assert np.min(np.linalg.eigvalsh(g)) > 0
 
 
-def test_dump_tensor_roundtrip(tmp_path):
-    alg = root_built("A", 2)
-    path = tmp_path / "tensor.json"
-    alg.dump_tensor(path)
-    data = json.loads(path.read_text())
-    rebuilt = np.zeros((data["dim"],) * 3)
-    for i, j, k, c in data["entries"]:
-        rebuilt[i, j, k] = c
-    assert np.array_equal(rebuilt, alg.bracket_tensor)
-    assert data["labels"] == alg.basis_labels
-
-
 def test_tolerance_config():
     tol = ToleranceConfig(absolute=1e-9, relative=1e-6)
     assert tol.is_zero(5e-10)
     assert tol.is_zero(5e-7, scale=1.0)
     assert not tol.is_zero(1e-3, scale=1.0)
-
-
-def test_bracket_shape_validation():
-    alg = compactform.build_so_matrix_model(2)
-    with pytest.raises(compactform.AlgebraError):
-        alg.bracket(np.zeros(2), np.zeros(alg.dim))
 
 
 def test_malformed_algebra_rejected():

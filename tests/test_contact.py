@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from crosscontact import contact, fixtures
+from crosscontact import contact, crossmodel, fixtures, suites
 from crosscontact.contact import ContactError
+from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import MetricParams
 
 RADII = (0.5, 1.0, 2.0)
@@ -15,6 +16,11 @@ def basis_vec(frame, i):
     v = np.zeros(frame.dim_mbar)
     v[i] = 1.0
     return v
+
+
+def bracket_mbar(frame, u, v):
+    """mbar-projection of the bracket of two frame-coordinate vectors."""
+    return np.einsum("i,j,ijk->k", u, v, frame.cbar)
 
 
 def all_structures(frame):
@@ -28,7 +34,7 @@ def test_axiom_suite_on_constructed_structures(frames):
     """phi^2, eta/char pairing and metric compatibility hold on every structure."""
     for frame in frames.values():
         for st in all_structures(frame):
-            res = contact.axiom_residuals(st)
+            res = contact.axiom_residuals(st.phi, st.metric.gram, st.char, st.eta)
             assert max(res.values()) < 1e-9, res
 
 
@@ -39,7 +45,7 @@ def test_d_eta_values(cp2):
     x = basis_vec(cp2, 0)
     xi_e, ze_e = basis_vec(cp2, s["m_eps"].start), basis_vec(cp2, s["k_eps"].start)
     xi_h, ze_h = basis_vec(cp2, s["m_half"].start), basis_vec(cp2, s["k_half"].start)
-    d_eta = contact.d_eta_matrix(st)
+    d_eta = st.a_scalar * contact.d_eta_matrix(cp2)
     assert xi_e @ d_eta @ ze_e == pytest.approx(0.5)
     assert xi_h @ d_eta @ ze_h == pytest.approx(0.25)
     for u in (xi_e, ze_e, xi_h, ze_h):
@@ -147,8 +153,8 @@ def test_eps_block_bracket_identities(cp2):
         u[idx] = rng.normal(size=len(idx))
         v[idx] = rng.normal(size=len(idx))
         pu, pv = st.phi @ u, st.phi @ v
-        assert np.max(np.abs(cp2.bracket_mbar(pu, v) + cp2.bracket_mbar(u, pv))) < 1e-9
-        assert np.max(np.abs(cp2.bracket_mbar(pu, pv) - cp2.bracket_mbar(u, v))) < 1e-9
+        assert np.max(np.abs(bracket_mbar(cp2, pu, v) + bracket_mbar(cp2, u, pv))) < 1e-9
+        assert np.max(np.abs(bracket_mbar(cp2, pu, pv) - bracket_mbar(cp2, u, v))) < 1e-9
 
 
 def test_half_block_bracket_identities(cp2):
@@ -166,10 +172,10 @@ def test_half_block_bracket_identities(cp2):
         u[idx] = rng.normal(size=len(idx))
         v[idx] = rng.normal(size=len(idx))
         pu, pv = st.phi @ u, st.phi @ v
-        lhs = cp2.bracket_mbar(u, v)[eps]
-        assert np.max(np.abs(lhs + cp2.bracket_mbar(pu, pv)[eps])) < 1e-9
-        assert np.max(np.abs(cp2.bracket_mbar(pu, v)[eps]
-                             - cp2.bracket_mbar(u, pv)[eps])) < 1e-9
+        lhs = bracket_mbar(cp2, u, v)[eps]
+        assert np.max(np.abs(lhs + bracket_mbar(cp2, pu, pv)[eps])) < 1e-9
+        assert np.max(np.abs(bracket_mbar(cp2, pu, v)[eps]
+                             - bracket_mbar(cp2, u, pv)[eps])) < 1e-9
 
 
 def test_mixed_block_bracket_identity(cp2):
@@ -184,8 +190,8 @@ def test_mixed_block_bracket_identity(cp2):
         v = np.zeros(cp2.dim_mbar)
         u[eps] = rng.normal(size=len(eps))
         v[s["m_half"]] = rng.normal(size=cp2.m_half)
-        assert np.max(np.abs(cp2.bracket_mbar(st.phi @ u, st.phi @ v)
-                             - cp2.bracket_mbar(u, v))) < 1e-9
+        assert np.max(np.abs(bracket_mbar(cp2, st.phi @ u, st.phi @ v)
+                             - bracket_mbar(cp2, u, v))) < 1e-9
 
 
 def test_nijenhuis_vanishes_on_char(frames):
@@ -235,7 +241,7 @@ def test_phi_q_reproduces_standard(cp2):
     r = 1.3
     std = contact.standard_structure(cp2, r)
     params = MetricParams(1, 1, 1, r * r, r * r / 4)
-    other = contact.phi_q_structure(cp2, r, r, r / 2, 1.0, params, induced=True)
+    other = contact.phi_q_structure(cp2, r, r, r / 2, 1.0, params)
     assert np.array_equal(std.phi, other.phi)
     assert np.array_equal(std.metric.gram, other.metric.gram)
 
@@ -243,7 +249,32 @@ def test_phi_q_reproduces_standard(cp2):
 def test_induced_mode_rejects_mismatched_params(cp2):
     params = MetricParams(1, 1, 1, 3.0, 1.0)  # b_eps != q_eps^2 a_eps
     with pytest.raises(ContactError):
-        contact.phi_q_structure(cp2, 1.0, 1.0, 0.5, 1.0, params, induced=True)
+        contact.phi_q_structure(cp2, 1.0, 1.0, 0.5, 1.0, params)
+
+
+@pytest.mark.parametrize(
+    "space", suites.REPRESENTATIVE_SPACES + (SpaceId(Family.QUATERNIONIC_PROJECTIVE, 1),),
+    ids=SpaceId.label)
+def test_k_contact_negative_control(space):
+    """Contact structures with q != 1 fail the Killing test; q = 1 is Sasakian.
+
+    With a_l = a lambda_l / (2 r q) the structure is contact for every q, and
+    b_l = q^2 a_l equals a_l only at q = 1.
+    """
+    frame = crossmodel.build_frame(space)
+    a = 1.3
+    for r in RADII:
+        le, lh = contact.lambda_r(r)
+        for q in (0.5, 1.0, 2.0):
+            ae, ah = a * le / (2 * r * q), a * lh / (2 * r * q)
+            params = MetricParams(a, ae, ah, q * q * ae, q * q * ah)
+            cls = contact.classify(contact.phi_q_structure(frame, r, q, q, a, params))
+            if q == 1.0:
+                assert cls.flags["sasakian"], (r, cls.residuals)
+            else:
+                assert cls.flags["contact_metric"], (r, q, cls.residuals)
+                assert not cls.flags["k_contact"], (r, q)
+                assert cls.residuals["killing"] > 1e-3, (r, q)
 
 
 def test_invalid_inputs(cp2):

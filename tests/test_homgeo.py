@@ -20,6 +20,16 @@ def basis_vec(frame, i):
     return v
 
 
+def bracket_mbar(frame, u, v):
+    """mbar-projection of the bracket of two frame-coordinate vectors."""
+    return np.einsum("i,j,ijk->k", u, v, frame.cbar)
+
+
+def u_map(frame, metric, u, v):
+    """U(u, v) for two frame-coordinate vectors."""
+    return np.einsum("i,j,ijk->k", u, v, homgeo.u_tensor(frame, metric))
+
+
 def closed_form_u(frame, params, i, j):
     """Independent closed-form oracle for U on frame basis pairs.
 
@@ -41,7 +51,10 @@ def closed_form_u(frame, params, i, j):
     if BLOCK_ORDER.index(bi) > BLOCK_ORDER.index(bj):
         (bi, oi, u), (bj, oj, v) = (bj, oj, v), (bi, oi, u)
     zero = np.zeros(frame.dim_mbar)
-    br = frame.bracket_mbar
+
+    def br(x, y):
+        return bracket_mbar(frame, x, y)
+
     if bi == bj:
         if bi in ("a", "m_eps", "k_eps"):
             return zero
@@ -85,8 +98,7 @@ def test_u_map_matches_closed_forms(frames, label):
                 want = closed_form_u(frame, params, i, j)
                 if want is None:
                     continue
-                got = homgeo.u_map(frame, metric,
-                                   basis_vec(frame, i), basis_vec(frame, j))
+                got = u_map(frame, metric, basis_vec(frame, i), basis_vec(frame, j))
                 worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-9
 
@@ -99,8 +111,8 @@ def test_u_defining_identity(cp2):
     g = metric.gram
     for _ in range(20):
         u, v, w = rng.normal(size=(3, cp2.dim_mbar))
-        lhs = 2.0 * homgeo.u_map(cp2, metric, u, v) @ g @ w
-        rhs = cp2.bracket_mbar(w, u) @ g @ v + cp2.bracket_mbar(w, v) @ g @ u
+        lhs = 2.0 * u_map(cp2, metric, u, v) @ g @ w
+        rhs = bracket_mbar(cp2, w, u) @ g @ v + bracket_mbar(cp2, w, v) @ g @ u
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -109,8 +121,7 @@ def test_u_map_symmetric(hp2):
     metric = homgeo.metric_from_params(hp2, MetricParams(2, 0.5, 3, 1, 0.2))
     for _ in range(10):
         u, v = rng.normal(size=(2, hp2.dim_mbar))
-        assert np.allclose(homgeo.u_map(hp2, metric, u, v),
-                           homgeo.u_map(hp2, metric, v, u))
+        assert np.allclose(u_map(hp2, metric, u, v), u_map(hp2, metric, v, u))
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,19 +151,13 @@ def test_naturally_reductive_iff_proportional(cp2):
         cp2, homgeo.metric_from_params(cp2, MetricParams(1, 1, 1, 4, 0.25)))
 
 
-def test_submersion_predicate():
-    assert homgeo.is_submersion_metric(MetricParams(1, 1, 1, 5, 7))
-    assert homgeo.is_submersion_metric(MetricParams(1, 1, 1, 4, 1))
-    assert not homgeo.is_submersion_metric(MetricParams(2, 1, 1, 1, 1))
-
-
 def test_alpha_unit_params_is_half_bracket(cp2):
     metric = homgeo.metric_from_params(cp2, MetricParams(1, 1, 1, 1, 1))
     rng = np.random.default_rng(8)
     u, v = rng.normal(size=(2, cp2.dim_mbar))
     alpha = homgeo.alpha_tensor(cp2, metric)
     assert np.allclose(np.einsum("i,j,ijk->k", u, v, alpha),
-                       0.5 * cp2.bracket_mbar(u, v))
+                       0.5 * bracket_mbar(cp2, u, v))
 
 
 def test_alpha_torsion_free(cp2):
@@ -166,7 +171,7 @@ def test_alpha_torsion_free(cp2):
         - np.einsum("i,j,ijk->k", xi, x, alpha)
     want = -basis_vec(cp2, s["k_eps"].start)
     assert np.allclose(diff, want)
-    assert np.allclose(cp2.bracket_mbar(x, xi), want)
+    assert np.allclose(bracket_mbar(cp2, x, xi), want)
 
 
 def test_alpha_metric_compatible(hp2):
@@ -187,12 +192,6 @@ def test_params_must_be_positive():
         MetricParams(1, -1, 1, 1, 1)
     with pytest.raises(GeometryError):
         MetricParams(0, 1, 1, 1, 1)
-
-
-def test_u_map_dimension_check(cp2):
-    metric = homgeo.metric_from_params(cp2, MetricParams(1, 1, 1, 1, 1))
-    with pytest.raises(GeometryError):
-        homgeo.u_map(cp2, metric, np.zeros(3), np.zeros(cp2.dim_mbar))
 
 
 def test_non_diagonal_gram_rejected(cp2):

@@ -1,0 +1,54 @@
+"""Every public function and method of the package has a caller in the package or demos.
+
+A public name that only tests call is surface with no user: this test walks
+``src/crosscontact`` with ``ast`` and requires each public module-level
+function and each public method of a module-level class to be named (as a
+bare name or an attribute) somewhere in ``src/`` or ``demos/`` outside its own
+``def``. Names are matched as identifiers, not resolved to their owners.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "crosscontact"
+
+ALLOWED = {
+    # the sigma-automorphism check is to be reported by a suite (ROADMAP item 3)
+    "crossmodel.sigma_automorphism_residual",
+}
+
+
+def public_defs(tree: ast.Module, module: str):
+    """(qualified name, bare name, def node) of the public functions and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def named_outside(trees: list[ast.Module], name: str, own: ast.FunctionDef) -> bool:
+    inside = {id(n) for n in ast.walk(own)}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (isinstance(node, ast.Name) and node.id == name) or \
+                    (isinstance(node, ast.Attribute) and node.attr == name):
+                return True
+    return False
+
+
+def test_every_public_function_has_a_caller():
+    """The uncalled names are exactly the allowlist, so a stale entry fails too."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    unused = {qualified
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name, node in public_defs(trees[path], path.stem)
+              if not named_outside(list(trees.values()), name, node)}
+    assert sorted(unused - ALLOWED) == []
+    assert sorted(ALLOWED - unused) == []

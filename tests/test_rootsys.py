@@ -31,13 +31,13 @@ def test_positive_root_count(tag, n, alg_dim):
 
 def test_f4_maximal_root():
     rs = build("F4")
-    assert rs.max_root.coeffs == (2, 3, 4, 2)
+    assert rs.positive_roots[-1].coeffs == (2, 3, 4, 2)
 
 
 @pytest.mark.parametrize("tag,n", [("A", 3), ("C", 3), ("F4", 4)])
 def test_maximal_root_dominates(tag, n):
     rs = build(tag, n)
-    mu = rs.max_root
+    mu = rs.positive_roots[-1]
     assert all(m >= c for r in rs.positive_roots
                for m, c in zip(mu.coeffs, r.coeffs))
 
@@ -189,9 +189,9 @@ def test_root_negation_involution(coeffs):
 
 def test_invalid_cartan_matrix_rejected():
     with pytest.raises(RootSystemError):
-        SimpleBasis(2, np.array([[2, 1], [1, 2]]), "bad")
+        SimpleBasis(2, np.array([[2, 1], [1, 2]]))
     with pytest.raises(RootSystemError):
-        SimpleBasis(2, np.array([[2, -1], [0, 2]]), "bad")
+        SimpleBasis(2, np.array([[2, -1], [0, 2]]))
     with pytest.raises(RootSystemError):
         rootsys.cartan_matrix_C(1)
 
