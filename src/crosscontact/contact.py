@@ -7,6 +7,7 @@ Classification (contact / K-contact / Sasakian) is by explicit residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,13 @@ from .homgeo import InvariantMetric, MetricParams
 
 class ContactError(ValueError):
     pass
+
+
+def _require_positive(**values: float) -> None:
+    """ContactError unless every value is a finite number above zero."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ContactError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass
@@ -54,13 +62,13 @@ def phi_matrix(frame: RestrictedFrame, q_eps: float, q_half: float) -> np.ndarra
     """phi: X -> 0, xi -> -(1/q_l) zeta, zeta -> q_l xi, per restricted root."""
     if q_eps <= 0 or (frame.m_half and q_half <= 0):
         raise ContactError("q values must be positive")
+    s, p = frame.slices(), frame.partner()
+    q = np.zeros(frame.dim_mbar)  # q_l on the xi of each block
+    q[s["m_eps"]], q[s["m_half"]] = q_eps, q_half
+    xi = np.flatnonzero(q)
     phi = np.zeros((frame.dim_mbar, frame.dim_mbar))
-    s = frame.slices()
-    for block, q in (("eps", q_eps), ("half", q_half)):
-        xi, ze = s[f"m_{block}"], s[f"k_{block}"]
-        for i, j in zip(range(xi.start, xi.stop), range(ze.start, ze.stop)):
-            phi[j, i] = -1.0 / q
-            phi[i, j] = q
+    phi[p[xi], xi] = -1.0 / q[xi]
+    phi[xi, p[xi]] = q[xi]
     return phi
 
 
@@ -79,8 +87,7 @@ def phi_q_structure(frame: RestrictedFrame, r: float, q_eps: float, q_half: floa
     The structure is induced from an ambient Hermitian pair, so the metric
     must satisfy b_l = q_l^2 a_l.
     """
-    if r <= 0 or a_scalar <= 0:
-        raise ContactError("radius and scale must be positive")
+    _require_positive(r=r, a_scalar=a_scalar)
     for b, q, a in ((params.b_eps, q_eps, params.a_eps),
                     (params.b_half, q_half, params.a_half)):
         if not tol.is_zero(b - q * q * a, scale=b):
@@ -93,6 +100,7 @@ def phi_q_structure(frame: RestrictedFrame, r: float, q_eps: float, q_half: floa
 
 def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
     """The structure induced by the Sasaki metric on the radius-r sphere bundle."""
+    _require_positive(r=r)
     le, lh = lambda_r(r)
     params = MetricParams(1.0, 1.0, 1.0, le * le, lh * lh)
     return phi_q_structure(frame, r, le, lh, 1.0, params)
@@ -100,6 +108,7 @@ def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructu
 
 def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
     """Standard structure rescaled (char 2r X, metric /(4r^2)) to a contact candidate."""
+    _require_positive(r=r)
     le, lh = lambda_r(r)
     s = 1.0 / (2.0 * r)
     params = MetricParams(s, s * s, s * s, 0.25, 1.0 / 16.0)
@@ -109,8 +118,7 @@ def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStruct
 def theorem_main_structure(frame: RestrictedFrame, r: float,
                            kappa: float) -> AlmostContactStructure:
     """The K-contact structure with characteristic vector X/kappa (q identically 1)."""
-    if kappa <= 0:
-        raise ContactError("kappa must be positive")
+    _require_positive(kappa=kappa)
     params = MetricParams(kappa, kappa / 2.0, kappa / 4.0, kappa / 2.0, kappa / 4.0)
     return phi_q_structure(frame, r, 1.0, 1.0, kappa, params)
 
@@ -213,23 +221,42 @@ def tashiro_suite(frame: RestrictedFrame, radii: list[float],
     return {"space": frame.space.label(), "entries": entries, "passed": all_ok}
 
 
+def _on_pairing(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The entries m[i, p[i]]; ContactError if m has a nonzero anywhere else."""
+    paired = m[np.arange(len(p)), p]
+    if np.count_nonzero(m) != np.count_nonzero(paired):
+        raise ContactError("d eta or ad_X has a nonzero entry off the xi/zeta pairing")
+    return paired
+
+
 def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
                                    diags: np.ndarray) -> np.ndarray:
     """Worst axiom/Killing residual of the unique contact candidate phi, per metric.
 
-    Row p of diags is the diagonal of one invariant Gram matrix g. The
+    Each row of diags is the diagonal of one invariant Gram matrix g. The
     candidate is forced by g(phi u, v) = kappa * d eta(u, v); the metric
     carries a K-contact structure with characteristic vector X/kappa iff the
-    candidate satisfies the almost-contact axioms and X is Killing. Every
-    temporary holds one dim_mbar^2 matrix per metric.
+    candidate satisfies the almost-contact axioms and X is Killing.
+
+    d eta and ad_X are nonzero only on the pairing i <-> p[i] (X with X, xi_k
+    with zeta_k; checked here), so phi, phi^2, phi^T G phi and the Killing
+    form each have one nonzero per row, at (i, p[i]) or (i, i). They are
+    evaluated as per-metric vectors of length dim_mbar, in O(P dim_mbar) time
+    and memory. Each dense product they replace sums exactly one nonzero
+    term, and ((phi^T G) phi) keeps its association, so the residuals are
+    those of axiom_residuals and homgeo.killing_residual bit for bit.
     """
+    p = frame.partner()
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
-    phi = -kappa * (d_eta_matrix(frame) / diags[:, :, None])
+    phi = -kappa * (_on_pairing(d_eta_matrix(frame), p) / diags)  # phi[i, p[i]]
+    phi_p, g_p = phi[:, p], diags[:, p]
     char, eta = _char_eta(frame.dim_mbar, kappa)
-    axioms = axiom_residuals(phi, diags[:, :, None] * np.eye(frame.dim_mbar), char, eta)
     # phi X = 0 and eta phi = 0 by the form of phi, so two axioms decide
-    return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]),
-                      homgeo.killing_residual(frame, diags, kappa * char))
+    phi_squared = np.max(np.abs(phi * phi_p + 1.0 - char * eta), axis=-1)
+    compatibility = np.max(np.abs(phi_p * g_p * phi_p - diags + eta * eta), axis=-1)
+    ad = (kappa * char[0]) * _on_pairing(frame.cbar[0], p)  # ad_X[i, p[i]]
+    killing = np.max(np.abs(0.5 * (ad * g_p + ad[p] * diags)), axis=-1)
+    return np.maximum(np.maximum(phi_squared, compatibility), killing)
 
 
 # each scanned parameter runs over [target / SCAN_SPAN, target * SCAN_SPAN]
@@ -241,8 +268,7 @@ def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
     """Log-grid scan showing only the theorem parameters admit a K-contact structure."""
     if grid_size < 3:
         raise ContactError("grid needs at least 3 points per axis")
-    if kappa <= 0:
-        raise ContactError("kappa must be positive")
+    _require_positive(r=r, kappa=kappa)
     le, lh = lambda_r(r)
     target = {"a_eps": kappa * le / (2 * r), "a_half": kappa * lh / (2 * r),
               "b_eps": kappa * le / (2 * r), "b_half": kappa * lh / (2 * r)}
@@ -262,13 +288,13 @@ def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
                        vals["b_eps"], vals.get("b_half", ones)], axis=-1)
     residuals = _k_contact_candidate_residuals(
         frame, kappa, homgeo.gram_diagonal(frame, coeffs))
-    is_target = np.all(index == center, axis=1)
+    is_target = np.all(index == center, axis=1).tolist()
 
-    points = []
-    for p, res in enumerate(residuals.tolist()):
-        points.append({"params": {k: float(vals[k][p]) for k in axes},
-                       "residual": res, "passed": tol.is_zero(res),
-                       "theorem_point": bool(is_target[p])})
+    columns = [(k, vals[k].tolist()) for k in axes]
+    points = [{"params": {k: col[p] for k, col in columns},
+               "residual": res, "passed": tol.is_zero(res),
+               "theorem_point": is_target[p]}
+              for p, res in enumerate(residuals.tolist())]
     passing = [pt["residual"] for pt in points if pt["passed"]]
     failing = [pt["residual"] for pt in points if not pt["passed"]]
     theorem_passed = any(pt["passed"] and pt["theorem_point"] for pt in points)

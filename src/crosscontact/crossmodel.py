@@ -273,6 +273,12 @@ class RestrictedFrame:
                 "k_eps": slice(1 + me + mh, 1 + 2 * me + mh),
                 "k_half": slice(1 + 2 * me + mh, 1 + 2 * me + 2 * mh)}
 
+    def partner(self) -> np.ndarray:
+        """Index array p pairing X with itself and each xi_k with its zeta_k."""
+        s = self.slices()
+        xi = np.arange(s["m_eps"].start, s["m_half"].stop)  # the zetas follow in this order
+        return np.concatenate(([0], xi + len(xi), xi))
+
 
 def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
                  targets: tuple[float, ...]) -> tuple[dict[float, np.ndarray], np.ndarray]:

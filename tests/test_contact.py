@@ -1,5 +1,8 @@
 """Almost contact metric structures: axioms, classification, main theorem."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -286,3 +289,58 @@ def test_invalid_inputs(cp2):
         contact.uniqueness_scan(cp2, 1.0, 1.0, grid_size=2)
     with pytest.raises(ContactError):
         contact.uniqueness_scan(cp2, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("r, kappa", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                      (1.0, 0.0), (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_radius_and_kappa_must_be_positive_finite(cp2, r, kappa):
+    """r = 0 used to divide by zero, r = -1 to report a unique scan, and a NaN
+    or inf to give a non-unique scan with a NaN margin or a Sasakian verdict."""
+    if kappa == 1.0:
+        for build in (contact.standard_structure, contact.rectified_structure):
+            with pytest.raises(ContactError, match="positive finite"):
+                build(cp2, r)
+    with pytest.raises(ContactError, match="positive finite"):
+        contact.uniqueness_scan(cp2, r, kappa)
+    with pytest.raises(ContactError, match="positive finite"):
+        contact.classify(contact.theorem_main_structure(cp2, r, kappa))
+    with pytest.raises(ContactError, match="positive finite"):
+        contact.phi_q_structure(cp2, r, 1.0, 1.0, kappa, MetricParams(1, 1, 1, 1, 1))
+
+
+PAIRING_SPACES = suites.TABLE1_SPACES + [
+    SpaceId(Family.SPHERE, 10), SpaceId(Family.COMPLEX_PROJECTIVE, 6),
+    SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4)]
+
+
+@pytest.mark.parametrize("space", PAIRING_SPACES, ids=SpaceId.label)
+def test_d_eta_and_ad_x_live_on_the_pairing(space):
+    """The nonzeros of d eta and ad_X are exactly the pairs (xi_k, zeta_k), (zeta_k, xi_k)."""
+    frame = crossmodel.build_frame(space)
+    p = frame.partner()
+    assert np.array_equal(p[p], np.arange(frame.dim_mbar)) and p[0] == 0
+    pairs = {(i, int(p[i])) for i in range(1, frame.dim_mbar)}
+    for m in (contact.d_eta_matrix(frame), frame.cbar[0]):
+        assert set(zip(*np.nonzero(m))) == pairs
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 2), (1, 2, 0)], ids=["ad_x", "d_eta"])
+def test_off_pairing_entry_rejected(cp2, entry):
+    """One nonzero of ad_X or d eta off the pairing makes the scan refuse the frame."""
+    assert cp2.partner()[1] != 2
+    cbar = cp2.cbar.copy()
+    cbar[entry] = 1e-3
+    with pytest.raises(ContactError, match="pairing"):
+        contact.uniqueness_scan(dataclasses.replace(cp2, cbar=cbar), 1.0, 1.0)
+
+
+def test_uniqueness_scan_peak_memory(frames):
+    """The CaP2 scan holds per-metric vectors, not 625 dim_mbar^2 matrices (19.5 MB)."""
+    frame = frames["CaP2"]
+    tracemalloc.start()
+    try:
+        contact.uniqueness_scan(frame, 1.0, 1.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -255,6 +255,62 @@ def test_uniqueness_scan_matches_pointwise(frames, label):
             assert pt["theorem_point"] == (p == (len(combos) - 1) // 2)
 
 
+def dense_candidate_residuals(frame, kappa, diags):
+    """The scan's residuals as dense products over one dim_mbar^2 matrix per metric."""
+    phi = -kappa * (contact.d_eta_matrix(frame) / diags[:, :, None])
+    char, eta = np.zeros((2, frame.dim_mbar))
+    char[0], eta[0] = 1.0 / kappa, kappa
+    axioms = contact.axiom_residuals(phi, diags[:, :, None] * np.eye(frame.dim_mbar),
+                                     char, eta)
+    return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]),
+                      homgeo.killing_residual(frame, diags, kappa * char))
+
+
+# the (radius, kappa) pairs of the benchmark's cayley workload
+CAYLEY_PARAMS = ((0.37, 2.3), (1.7, 0.6), (0.8, 1.9), (1.25, 0.75),
+                 (0.6, 0.45), (2.0, 3.0), (1.0, 1.5), (0.45, 1.2))
+
+
+@pytest.mark.parametrize("space", suites.TABLE1_SPACES + [SpaceId(Family.SPHERE, 10)],
+                         ids=SpaceId.label)
+def test_scan_residuals_equal_dense(space, monkeypatch):
+    """The pairing-vector residuals equal the dense products bit for bit."""
+    frame = crossmodel.build_frame(space)
+    pairing = contact._k_contact_candidate_residuals
+    equal = []
+
+    def both(frame, kappa, diags):
+        got = pairing(frame, kappa, diags)
+        equal.append(np.array_equal(got, dense_candidate_residuals(frame, kappa, diags)))
+        return got
+
+    monkeypatch.setattr(contact, "_k_contact_candidate_residuals", both)
+    for r, kappa in CAYLEY_PARAMS:
+        for grid in (3, 5):
+            contact.uniqueness_scan(frame, r, kappa, grid)
+    assert equal == [True] * 2 * len(CAYLEY_PARAMS)
+
+
+def loop_phi_matrix(frame, q_eps, q_half):
+    """phi filled one xi/zeta pair at a time."""
+    phi = np.zeros((frame.dim_mbar, frame.dim_mbar))
+    s = frame.slices()
+    for block, q in (("eps", q_eps), ("half", q_half)):
+        xi, ze = s[f"m_{block}"], s[f"k_{block}"]
+        for i, j in zip(range(xi.start, xi.stop), range(ze.start, ze.stop)):
+            phi[j, i] = -1.0 / q
+            phi[i, j] = q
+    return phi
+
+
+@pytest.mark.parametrize("label", ["sphere3", "sphere4", "rp3", "cp3", "hp1", "CaP2"])
+def test_phi_matrix_equals_loop(frames, label):
+    frame = frames[label]
+    for q_eps, q_half in ((1.0, 1.0), (0.37, 0.185), (3.0, 0.7), (1 / 3, 7.0)):
+        assert np.array_equal(contact.phi_matrix(frame, q_eps, q_half),
+                              loop_phi_matrix(frame, q_eps, q_half))
+
+
 def pointwise_lemma_u_residual(frame, params):
     """The closed-form deviations of the U-map, one index pair at a time."""
     u = homgeo.u_tensor(frame, homgeo.metric_from_params(frame, params))
