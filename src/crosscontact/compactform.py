@@ -33,39 +33,74 @@ DEFAULT_TOL = ToleranceConfig()
 
 @dataclass
 class CompactLieAlgebra:
-    """A real compact Lie algebra: bracket tensor plus ad-invariant form.
+    """A real compact Lie algebra: nonzero structure constants plus ad-invariant form.
 
-    bracket_tensor c satisfies [e_i, e_j] = sum_k c[i,j,k] e_k and inv_form
-    is a positive multiple of -B (for so(n+1), the trace form).
+    [e_i, e_j] = sum_k c[i,j,k] e_k, with the nonzero c[i,j,k] stored as the
+    rows (i, j, k) of index, in strictly increasing row-major order, and
+    values[n] = c[index[n]]. inv_form is a positive multiple of -B (for
+    so(n+1), the trace form).
     """
 
     dim: int
     basis_labels: list[str]
-    bracket_tensor: np.ndarray
+    index: np.ndarray  # (nnz, 3) integers
+    values: np.ndarray  # (nnz,) floats, none zero
     inv_form: np.ndarray
     rootsystem: RootSystem | None = None
     u_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dim = self.dim
-        if np.shape(self.bracket_tensor) != (dim, dim, dim):
-            raise AlgebraError(f"bracket tensor shape {np.shape(self.bracket_tensor)} "
-                               f"does not match dim {dim}")
+        dim, index, values = self.dim, self.index, self.values
+        if (np.ndim(index) != 2 or np.shape(index)[1] != 3
+                or not np.issubdtype(np.asarray(index).dtype, np.integer)
+                or np.shape(values) != (len(index),)):
+            raise AlgebraError(f"bracket entries need an (nnz, 3) integer index and nnz "
+                               f"values, got shapes {np.shape(index)} and {np.shape(values)}")
+        if len(index) and (np.min(index) < 0 or np.max(index) >= dim):
+            raise AlgebraError(f"bracket entry index out of range for dim {dim}")
+        if np.any(np.diff(_flat_key(index, dim)) <= 0):
+            raise AlgebraError("bracket entries must be in strictly increasing (i, j, k) order")
         if np.shape(self.inv_form) != (dim, dim):
             raise AlgebraError(f"invariant form shape {np.shape(self.inv_form)} "
                                f"does not match dim {dim}")
         if len(self.basis_labels) != dim:
             raise AlgebraError(f"{len(self.basis_labels)} basis labels for dim {dim}")
-        if not (np.isfinite(self.bracket_tensor).all() and np.isfinite(self.inv_form).all()):
+        if not (np.isfinite(values).all() and np.isfinite(self.inv_form).all()):
             raise AlgebraError("bracket tensor and invariant form must be finite")
+        if np.any(values == 0):
+            raise AlgebraError("bracket entries must be nonzero")
 
-    def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys."""
-        return np.tensordot(xs, ys.T @ self.bracket_tensor, axes=(0, 0))
+    def dense(self) -> np.ndarray:
+        """The dim^3 bracket tensor c, built anew on each call; keep it no longer than a call."""
+        c = np.zeros((self.dim,) * 3)
+        c[tuple(self.index.T)] = self.values
+        return c
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad_x acting on coordinate columns."""
-        return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.bracket_tensor)
+        """Matrix of ad_x acting on coordinate columns: ad_x[k, j] = sum_i x_i c[i,j,k]."""
+        i, j, k = self.index.T
+        w = np.asarray(x, dtype=float)[i] * self.values
+        return np.bincount(k * self.dim + j, weights=w,
+                           minlength=self.dim ** 2).reshape(self.dim, self.dim)
+
+
+def bracket_table(c: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys, c the dense tensor."""
+    return np.tensordot(xs, ys.T @ c, axes=(0, 0))
+
+
+def _flat_key(index: np.ndarray, dim: int) -> np.ndarray:
+    """Row-major position (i * dim + j) * dim + k of each entry (i, j, k)."""
+    i, j, k = np.asarray(index).T
+    return (i * dim + j) * dim + k
+
+
+def _entries(dim: int, parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """(index, values) in row-major order from (i, j, k, value) array tuples."""
+    i, j, k, v = (np.concatenate(a) for a in zip(*parts))
+    index = np.stack((i, j, k), axis=1)
+    order = np.argsort(_flat_key(index, dim))
+    return index[order], v[order].astype(float)
 
 
 def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
@@ -86,18 +121,17 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
         """Basis index of U^a at positive-root positions p."""
         return rank + 2 * p + a
 
-    # every entry below is written once, so assignment equals accumulation
-    c = np.zeros((dim, dim, dim))
+    # (i, j, k, c[i,j,k]) of every nonzero; each position occurs once
+    parts = []
     # [U^a_alpha, i t_{a_k}] = (-1)^{a+1} <alpha, a_k> U^{a+1}_alpha
     p, k = np.nonzero(t.pairing)
     for a in (0, 1):
         val = (-1) ** (a + 1) * t.pairing[p, k]
-        c[u(p, a), k, u(p, 1 - a)] = val
-        c[k, u(p, a), u(p, 1 - a)] = -val
+        parts += [(u(p, a), k, u(p, 1 - a), val), (k, u(p, a), u(p, 1 - a), -val)]
     # [U0_a, U1_a] = 2 i t_a with t_a = sum n_k(a) t_{a_k}
     p, k = np.nonzero(t.coeffs)
-    c[u(p, 0), u(p, 1), k] = 2.0 * t.coeffs[p, k]
-    c[u(p, 1), u(p, 0), k] = -2.0 * t.coeffs[p, k]
+    parts += [(u(p, 0), u(p, 1), k, 2.0 * t.coeffs[p, k]),
+              (u(p, 1), u(p, 0), k, -2.0 * t.coeffs[p, k])]
 
     # [U^a_alpha, U^b_beta] for a <= b by the two-term N-formula
     #   (-1)^{ab} N(alpha, beta) U^{a+b}_{alpha+beta}
@@ -115,14 +149,15 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
                   np.where(diff_pos, t.diff_index[p, q], t.diff_index[q, p])))
         for coef, gamma in terms:
             hit = coef != 0.0
-            c[u(p[hit], a), u(q[hit], b), u(gamma[hit], sup)] = coef[hit]
-            c[u(q[hit], b), u(p[hit], a), u(gamma[hit], sup)] = -coef[hit]
+            parts += [(u(p[hit], a), u(q[hit], b), u(gamma[hit], sup), coef[hit]),
+                      (u(q[hit], b), u(p[hit], a), u(gamma[hit], sup), -coef[hit])]
 
     inv_form = np.zeros((dim, dim))
     inv_form[:rank, :rank] = rs.gram  # -B(it_j, it_k) = B(t_j, t_k)
     inv_form[rank:, rank:] = 2.0 * np.eye(dim - rank)  # -B(U^a, U^a) = 2
 
-    return CompactLieAlgebra(dim, labels, c, inv_form, rootsystem=rs, u_index=u_index)
+    return CompactLieAlgebra(dim, labels, *_entries(dim, parts), inv_form,
+                             rootsystem=rs, u_index=u_index)
 
 
 def build_so_matrix_model(n: int) -> CompactLieAlgebra:
@@ -139,13 +174,14 @@ def build_so_matrix_model(n: int) -> CompactLieAlgebra:
     # A_xy = -A_yx = sign(y - x) A_index[x, y]
     left, right = (g.ravel() for g in np.indices((dim, dim)))
     a, b, cc, d = j[left], k[left], j[right], k[right]
-    c = np.zeros((dim, dim, dim))
+    parts = []
     for p, q, coef, x, y in ((b, cc, 1.0, a, d), (a, cc, -1.0, b, d),
                              (b, d, -1.0, a, cc), (a, d, 1.0, b, cc)):
         hit = (p == q) & (x != y)
-        c[left[hit], right[hit], index[x[hit], y[hit]]] = coef * np.sign(y - x)[hit]
+        parts.append((left[hit], right[hit], index[x[hit], y[hit]],
+                      coef * np.sign(y - x)[hit]))
     labels = [f"A{p + 1}{q + 1}" for p, q in zip(j, k)]
-    return CompactLieAlgebra(dim, labels, c, np.eye(dim))
+    return CompactLieAlgebra(dim, labels, *_entries(dim, parts), np.eye(dim))
 
 
 # The Jacobi join below makes T = sum_m nnz(c[:, :, m]) nnz(c[m]) products,
@@ -170,7 +206,7 @@ def _jacobi_dense(c: np.ndarray) -> float:
     return float(np.max(worst))  # np.max keeps a NaN that max() would drop
 
 
-def _jacobi_max(c: np.ndarray) -> float:
+def _jacobi_max(alg: CompactLieAlgebra) -> float:
     """max |cc[a,b,k,l] + cc[b,k,a,l] + cc[k,a,b,l]|, cc[a,b,k,l] = c[a,b,m] c[m,k,l].
 
     The sum is cyclic in (a, b, k), so it is one value per rotation orbit:
@@ -178,17 +214,18 @@ def _jacobi_max(c: np.ndarray) -> float:
     terms c[a,b,m] c[m,k,l] come from joining the nonzero entries on m and
     are summed per (orbit, l), for a block of whole l at a time.
     """
-    dim = c.shape[0]
-    # nonzero entries (i, j, m) of c, ordered by m
-    m, i, j = np.nonzero(c.transpose(2, 0, 1))
-    v = c[i, j, m]
+    dim = alg.dim
+    # nonzero entries (i, j, m) of c, ordered by m, then row-major in (i, j)
+    order = np.argsort(alg.index[:, 2], kind="stable")
+    i, j, m = alg.index[order].T
+    v = alg.values[order]
     per_m = np.bincount(m, minlength=dim)
     start = np.cumsum(per_m) - per_m
     # entry c[i, j, m], as the right factor c[m', k, l] = c[i, j, m], meets the
     # per_m[i] left factors c[:, :, i]
     fan = per_m[i]
     if _JOIN_FILL * int(fan.sum()) > dim ** 5:
-        return _jacobi_dense(c)
+        return _jacobi_dense(alg.dense())
     # blocks of whole l with about dim^3 / 8 terms keep the join's arrays
     # near dim^3 floats, below the ad-invariance check's three
     terms_l = np.bincount(m, weights=fan, minlength=dim)
@@ -218,14 +255,18 @@ def _jacobi_max(c: np.ndarray) -> float:
 
 def verify_algebra(alg: CompactLieAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Max residuals for antisymmetry, Jacobi, ad-invariance and form positivity."""
-    c = alg.bracket_tensor
-    g = alg.inv_form
-    scale = max(1.0, float(np.max(np.abs(c))))
-    antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2)))))
+    g, vals = alg.inv_form, alg.values
+    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    # c[i,j,k] + c[j,i,k] at the stored entries; it is zero everywhere else
+    key = _flat_key(alg.index, alg.dim)
+    swapped = _flat_key(alg.index[:, [1, 0, 2]], alg.dim)
+    at = np.searchsorted(key, swapped)  # where c[j,i,k] is stored, if it is
+    partner = np.where(np.append(key, -1)[at] == swapped, np.append(vals, 0.0)[at], 0.0)
+    antisym = float(np.max(np.abs(vals + partner), initial=0.0))
     # Jacobi [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0
-    jacobi = _jacobi_max(c)
+    jacobi = _jacobi_max(alg)
     # <[x,y],z> + <y,[x,z]> = 0 on basis triples
-    t = c @ g
+    t = alg.dense() @ g
     adinv = float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
     eigmin = float(np.min(np.linalg.eigvalsh(g)))
     checks = {

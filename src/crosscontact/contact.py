@@ -150,9 +150,10 @@ def nijenhuis_tensor(structure: AlmostContactStructure) -> np.ndarray:
     """Normality tensor N(e_i, e_j) (Nijenhuis torsion plus the 2 d eta term)."""
     c = structure.frame.cbar
     phi = structure.phi
-    t2 = np.tensordot(phi, phi.T @ c, axes=(0, 0))  # [phi e_i, phi e_j]
+    phi_c = phi.T @ c
+    t2 = np.tensordot(phi, phi_c, axes=(0, 0))  # [phi e_i, phi e_j]
     t3 = np.tensordot(phi, c @ phi.T, axes=(0, 0))  # phi [phi e_i, e_j]
-    t4 = phi.T @ c @ phi.T  # phi [e_i, phi e_j]
+    t4 = phi_c @ phi.T  # phi [e_i, phi e_j]
     return -c + t2 - t3 - t4
 
 
@@ -288,16 +289,17 @@ def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
                        vals["b_eps"], vals.get("b_half", ones)], axis=-1)
     residuals = _k_contact_candidate_residuals(
         frame, kappa, homgeo.gram_diagonal(frame, coeffs))
-    is_target = np.all(index == center, axis=1).tolist()
+    is_target = np.all(index == center, axis=1)
+    passed = np.abs(residuals) <= max(tol.absolute, tol.relative)  # tol.is_zero, per point
 
-    columns = [(k, vals[k].tolist()) for k in axes]
-    points = [{"params": {k: col[p] for k, col in columns},
-               "residual": res, "passed": tol.is_zero(res),
-               "theorem_point": is_target[p]}
-              for p, res in enumerate(residuals.tolist())]
-    passing = [pt["residual"] for pt in points if pt["passed"]]
-    failing = [pt["residual"] for pt in points if not pt["passed"]]
-    theorem_passed = any(pt["passed"] and pt["theorem_point"] for pt in points)
+    columns = zip(*(vals[k].tolist() for k in axes))
+    points = [{"params": dict(zip(axes, params)), "residual": res, "passed": ok,
+               "theorem_point": at}
+              for params, res, ok, at in zip(columns, residuals.tolist(), passed.tolist(),
+                                             is_target.tolist())]
+    passing = residuals[passed].tolist()
+    failing = residuals[~passed].tolist()
+    theorem_passed = bool(np.any(passed & is_target))
     return {"space": frame.space.label(), "r": r, "kappa": kappa,
             "axes": axes, "grid_size": grid_size,
             "n_points": len(points), "n_passed": len(passing),

@@ -193,9 +193,9 @@ def build_pair(space: SpaceId) -> SymmetricPair:
 
 def sigma_automorphism_residual(pair: SymmetricPair) -> float:
     """Max |sigma[x,y] - [sigma x, sigma y]| over basis pairs."""
-    s = pair.sigma
-    lhs = pair.alg.bracket_tensor @ s.T
-    rhs = pair.alg.bracket_table(s, s)
+    s, c = pair.sigma, pair.alg.dense()
+    lhs = c @ s.T
+    rhs = compactform.bracket_table(c, s, s)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -328,7 +328,7 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
         raise ModelError("mbar frame is not orthonormal")
 
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>
-    cbar = alg.bracket_table(mbar, mbar) @ (ip @ mbar)
+    cbar = compactform.bracket_table(alg.dense(), mbar, mbar) @ (ip @ mbar)
 
     frame = RestrictedFrame(pair.space, alg, ip, x, xi_eps, xi_half,
                             zeta_eps, zeta_half, h_basis, mbar, cbar,
@@ -377,9 +377,9 @@ def verify_bracket_laws(frame: RestrictedFrame,
         ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
         ("k_half", "k_half", ("h", "k_eps")),
     ]
-    # alg.bracket_table, with one right factor ys.T @ c per right-hand block
-    right = {n: sub[n].T @ alg.bracket_tensor
-             for n in ("m_eps", "m_half", "k_eps", "k_half")}
+    # compactform.bracket_table, with one right factor ys.T @ c per right-hand block
+    c = alg.dense()
+    right = {n: sub[n].T @ c for n in ("m_eps", "m_half", "k_eps", "k_half")}
 
     def br(s1: str, s2: str) -> np.ndarray:
         return np.tensordot(sub[s1], right[s2], axes=(0, 0))
@@ -402,7 +402,8 @@ def fixture_check_cp2_brackets(frame: RestrictedFrame,
     """Basis-independent scalar checks of the complex-projective bracket table."""
     if frame.space.family is not Family.COMPLEX_PROJECTIVE:
         raise ModelError("fixture applies to complex projective spaces only")
-    br, ip = frame.alg.bracket_table, frame.ip
+    br = functools.partial(compactform.bracket_table, frame.alg.dense())
+    ip = frame.ip
     xe, ze, xh, zh = frame.xi_eps[:, :1], frame.zeta_eps[:, :1], frame.xi_half, frame.zeta_half
     checks = {}
     checks["[xi_eps,zeta_eps]=-X"] = float(np.max(np.abs(br(xe, ze)[0, 0] + frame.x)))

@@ -7,6 +7,7 @@ alpha(u, v) = [u, v]/2 + U(u, v), obtained from the Gram linear system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,10 @@ class MetricParams:
     b_half: float
 
     def __post_init__(self):
-        if min(self.a, self.a_eps, self.a_half, self.b_eps, self.b_half) <= 0:
-            raise GeometryError("metric parameters must be strictly positive")
+        # math.isfinite first: every comparison with a NaN is False
+        if not all(math.isfinite(v) and v > 0 for v in self.as_tuple()):
+            raise GeometryError(f"metric parameters must be positive finite numbers, "
+                                f"got {self.as_tuple()!r}")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a, self.a_eps, self.a_half, self.b_eps, self.b_half)

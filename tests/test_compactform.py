@@ -1,5 +1,6 @@
 """Compact real forms: bracket tensors, invariant forms, the matrix model."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_cartan_u_pair_bracket():
         u1 = np.zeros(alg.dim)
         u0[alg.u_index[(alpha.coeffs, 0)]] = 1.0
         u1[alg.u_index[(alpha.coeffs, 1)]] = 1.0
-        out = np.einsum("i,j,ijk->k", u0, u1, alg.bracket_tensor)
+        out = np.einsum("i,j,ijk->k", u0, u1, alg.dense())
         want = np.zeros(alg.dim)
         want[:rs.rank] = 2.0 * np.array(alpha.coeffs, dtype=float)
         assert np.max(np.abs(out - want)) < 1e-12
@@ -65,7 +66,7 @@ def test_cartan_action_rotates_u_pair():
             u[alg.u_index[(alpha.coeffs, a)]] = 1.0
             want = np.zeros(alg.dim)
             want[alg.u_index[(alpha.coeffs, 1 - a)]] = (-1) ** (a + 1) * inner
-            out = np.einsum("i,j,ijk->k", u, t, alg.bracket_tensor)
+            out = np.einsum("i,j,ijk->k", u, t, alg.dense())
             assert np.max(np.abs(out - want)) < 1e-12
 
 
@@ -86,31 +87,47 @@ def test_tolerance_config():
 
 
 def test_malformed_algebra_rejected():
-    """Shapes that disagree with dim, and non-finite entries, raise AlgebraError."""
+    """Entries, shapes and labels that disagree with dim, and non-finite or zero
+    entries, raise AlgebraError."""
     alg = compactform.build_so_matrix_model(3)
-    c, g, labels = alg.bracket_tensor, alg.inv_form, alg.basis_labels
+    idx, v, g, labels = alg.index, alg.values, alg.inv_form, alg.basis_labels
+    past_end, negative, zero, inf = idx.copy(), idx.copy(), v.copy(), v.copy()
+    past_end[-1, 2] = alg.dim
+    negative[0, 0] = -1
+    zero[3] = 0.0
+    inf[3] = np.inf
     bad = [
-        (alg.dim + 1, labels, c, g),
-        (alg.dim, labels, c[:, :, :-1], g),
-        (alg.dim, labels, c, g[:-1]),
-        (alg.dim, labels[:-1], c, g),
-        (alg.dim, labels, np.full_like(c, np.nan), g),
-        (alg.dim, labels, c, np.where(np.eye(alg.dim) > 0, np.inf, 0.0)),
+        (alg.dim + 1, labels, idx, v, g),
+        (alg.dim, labels, past_end, v, g),
+        (alg.dim, labels, idx, v, g[:-1]),
+        (alg.dim, labels[:-1], idx, v, g),
+        (alg.dim, labels, idx, np.full_like(v, np.nan), g),
+        (alg.dim, labels, idx, v, np.where(np.eye(alg.dim) > 0, np.inf, 0.0)),
+        (alg.dim, labels, negative, v, g),
+        (alg.dim, labels, idx[:, :2], v, g),
+        (alg.dim, labels, idx.astype(float), v, g),
+        (alg.dim, labels, idx, v[:-1], g),
+        (alg.dim, labels, idx[::-1], v[::-1], g),  # not in row-major order
+        (alg.dim, labels, np.repeat(idx, 2, axis=0), np.repeat(v, 2), g),  # repeated
+        (alg.dim, labels, idx, zero, g),
+        (alg.dim, labels, idx, inf, g),
     ]
-    for dim, lab, cc, gg in bad:
+    for dim, lab, ii, vv, gg in bad:
         with pytest.raises(compactform.AlgebraError):
-            compactform.CompactLieAlgebra(dim, lab, cc, gg)
+            compactform.CompactLieAlgebra(dim, lab, ii, vv, gg)
 
 
 def test_nan_tensor_fails_verification():
-    """A NaN written into a built algebra propagates to the Jacobi residual."""
+    """A NaN written into a built algebra's values propagates to the Jacobi residual."""
     alg = compactform.build_so_matrix_model(3)
-    alg.bracket_tensor[...] = np.nan  # dense: the per-slice path
+    full = np.argwhere(np.ones((alg.dim,) * 3))
+    alg = dataclasses.replace(alg, index=full, values=np.ones(len(full)))
+    alg.values[...] = np.nan  # every entry stored: the per-slice path
     out = compactform.verify_algebra(alg)
     assert np.isnan(out["residuals"]["jacobi"])
     assert not out["passed"]
     alg = compactform.build_so_matrix_model(3)
-    alg.bracket_tensor[0, 1, 2] = np.nan  # sparse: the nonzero join
+    alg.values[0] = np.nan  # one stored entry: the nonzero join
     out = compactform.verify_algebra(alg)
     assert np.isnan(out["residuals"]["jacobi"])
     assert not out["passed"]

@@ -37,6 +37,16 @@ def dense_nijenhuis(structure):
     return -c + t2 - t3 - t4
 
 
+def two_product_nijenhuis(structure):
+    """nijenhuis_tensor as it was, with phi.T @ c formed once for t2 and again for t4."""
+    c = structure.frame.cbar
+    phi = structure.phi
+    t2 = np.tensordot(phi, phi.T @ c, axes=(0, 0))
+    t3 = np.tensordot(phi, c @ phi.T, axes=(0, 0))
+    t4 = phi.T @ c @ phi.T
+    return -c + t2 - t3 - t4
+
+
 def dense_nabla_phi_lhs(structure):
     alpha = homgeo.alpha_tensor(structure.frame, structure.metric)
     phi = structure.phi
@@ -44,7 +54,7 @@ def dense_nabla_phi_lhs(structure):
 
 
 def dense_cbar(frame):
-    amb = np.einsum("ai,bj,abc->ijc", frame.mbar, frame.mbar, frame.alg.bracket_tensor)
+    amb = np.einsum("ai,bj,abc->ijc", frame.mbar, frame.mbar, frame.alg.dense())
     return np.einsum("ijc,cd,dk->ijk", amb, frame.ip, frame.mbar)
 
 
@@ -64,6 +74,62 @@ def dense_jacobi(c):
     cc = np.einsum("ijm,mkl->ijkl", c, c)
     return float(np.max(np.abs(cc + np.transpose(cc, (1, 2, 0, 3))
                                + np.transpose(cc, (2, 0, 1, 3)))))
+
+
+def with_tensor(alg, c):
+    """alg with its structure constants replaced by the nonzeros of the dense tensor c."""
+    index = np.argwhere(c)
+    return dataclasses.replace(alg, index=index, values=c[tuple(index.T)])
+
+
+def dense_jacobi_join(c):
+    """The Jacobi join of the nonzeros of a dense c, found by a scan of c."""
+    dim = c.shape[0]
+    m, i, j = np.nonzero(c.transpose(2, 0, 1))
+    v = c[i, j, m]
+    per_m = np.bincount(m, minlength=dim)
+    start = np.cumsum(per_m) - per_m
+    fan = per_m[i]
+    if compactform._JOIN_FILL * int(fan.sum()) > dim ** 5:
+        return compactform._jacobi_dense(c)
+    terms_l = np.bincount(m, weights=fan, minlength=dim)
+    block = (np.cumsum(terms_l) - terms_l) // max(1, dim ** 3 // 8)
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
+    worst = [0.0]
+    for lo, hi in zip(start[edges[:-1]], np.append(start, len(m))[edges[1:]]):
+        right = np.arange(lo, hi)
+        n = fan[right]
+        if not n.any():
+            continue
+        first = np.cumsum(n) - n
+        left = np.repeat(start[i[right]] - first, n) + np.arange(int(n.sum()))
+        right = np.repeat(right, n)
+        a, b, k = i[left], j[left], j[right]
+        orbit = np.minimum(np.minimum((a * dim + b) * dim + k, (b * dim + k) * dim + a),
+                           (k * dim + a) * dim + b)
+        key = orbit * dim + m[right]
+        w = v[left] * v[right]
+        w[(a == b) & (b == k)] *= 3.0
+        order = np.argsort(key)
+        key = key[order]
+        runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        worst.append(np.max(np.abs(np.add.reduceat(w[order], runs))))
+    return float(np.max(worst))
+
+
+def dense_verify_algebra(c, g, tol=compactform.DEFAULT_TOL):
+    """verify_algebra as a scan of the dense tensor c, the form that kept c stored."""
+    scale = max(1.0, float(np.max(np.abs(c))))
+    antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2)))))
+    jacobi = dense_jacobi_join(c)
+    t = c @ g
+    adinv = float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
+    eigmin = float(np.min(np.linalg.eigvalsh(g)))
+    checks = {"antisymmetry": antisym, "jacobi": jacobi, "ad_invariance": adinv,
+              "form_positive": -min(eigmin, 0.0)}
+    passed = all(tol.is_zero(v, scale * scale if k == "jacobi" else scale)
+                 for k, v in checks.items())
+    return {"residuals": checks, "scale": scale, "passed": passed}
 
 
 def k_contact_candidate_residual(frame, kappa, params):
@@ -92,6 +158,19 @@ def test_nijenhuis_matches_dense(frames, label):
     for _ in range(3):
         st = dataclasses.replace(base, phi=rng.normal(size=base.phi.shape))
         assert_rel_close(contact.nijenhuis_tensor(st), dense_nijenhuis(st))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_nijenhuis_equals_two_product_form(frames, label):
+    """Reusing phi.T @ c for t4 leaves the tensor unchanged bit for bit."""
+    frame = frames[label]
+    rng = np.random.default_rng(47)
+    structures = [contact.theorem_main_structure(frame, 0.37, 2.3),
+                  contact.standard_structure(frame, 1.0)]
+    structures += [dataclasses.replace(structures[0], phi=rng.normal(size=(frame.dim_mbar,) * 2))
+                   for _ in range(3)]
+    for st in structures:
+        assert np.array_equal(contact.nijenhuis_tensor(st), two_product_nijenhuis(st))
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -166,15 +245,28 @@ def test_u_tensor_equals_einsum(frames, label):
         assert np.array_equal(homgeo.u_tensor(frame, metric), einsum_u_tensor(frame, metric))
 
 
+def noisy_tensor(alg):
+    """alg's tensor plus 1e-3 noise on every entry."""
+    rng = np.random.default_rng(42)
+    return alg.dense() + 1e-3 * rng.normal(size=(alg.dim,) * 3)
+
+
+def sparsely_broken_tensor(alg):
+    """alg's tensor with six antisymmetric pairs moved by 1e-3."""
+    rng = np.random.default_rng(44)
+    c = alg.dense()
+    for i, j, k in rng.integers(alg.dim, size=(6, 3)):
+        c[i, j, k] += 1e-3
+        c[j, i, k] -= 1e-3
+    return c
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_jacobi_matches_dense(frames, label):
     """Per-slice Jacobi maximum equals the dense one, also on a broken tensor."""
     alg = frames[label].alg
-    rng = np.random.default_rng(42)
-    noisy = alg.bracket_tensor + 1e-3 * rng.normal(size=alg.bracket_tensor.shape)
-    for c in (alg.bracket_tensor, noisy):
-        got = compactform.verify_algebra(
-            dataclasses.replace(alg, bracket_tensor=c))["residuals"]["jacobi"]
+    for c in (alg.dense(), noisy_tensor(alg)):
+        got = compactform.verify_algebra(with_tensor(alg, c))["residuals"]["jacobi"]
         want = dense_jacobi(c)
         assert got == pytest.approx(want, rel=RTOL, abs=1e-15)
     assert want > 1e-4
@@ -185,18 +277,13 @@ def test_jacobi_matches_dense(frames, label):
 def test_jacobi_join_matches_dense(space, monkeypatch):
     """A sparse broken tensor takes the nonzero join, which equals the dense maximum."""
     alg = crossmodel.build_frame(space).alg
-    rng = np.random.default_rng(44)
-    c = alg.bracket_tensor.copy()
-    for i, j, k in rng.integers(alg.dim, size=(6, 3)):
-        c[i, j, k] += 1e-3
-        c[j, i, k] -= 1e-3
+    c = sparsely_broken_tensor(alg)
 
     def no_dense(_):
         raise AssertionError("per-slice path taken on a sparse tensor")
 
     monkeypatch.setattr(compactform, "_jacobi_dense", no_dense)
-    got = compactform.verify_algebra(
-        dataclasses.replace(alg, bracket_tensor=c))["residuals"]["jacobi"]
+    got = compactform.verify_algebra(with_tensor(alg, c))["residuals"]["jacobi"]
     want = dense_jacobi(c)
     assert got == pytest.approx(want, rel=RTOL, abs=0.0)
     assert want > 1e-4
@@ -206,10 +293,11 @@ def test_jacobi_join_fixed_points():
     """The cyclic sum is three times cc on a fixed point (a, a, a) of the rotation,
     and the join of an all-zero (abelian) tensor is empty."""
     c = np.zeros((3, 3, 3))
-    alg = compactform.CompactLieAlgebra(3, ["x", "y", "z"], c, np.eye(3))
+    alg = compactform.CompactLieAlgebra(3, ["x", "y", "z"], np.zeros((0, 3), dtype=int),
+                                        np.zeros(0), np.eye(3))
     assert compactform.verify_algebra(alg)["residuals"]["jacobi"] == 0.0
     c[0, 0, 0], c[1, 1, 1], c[2, 0, 1] = 1.0, 2.0, 0.5
-    got = compactform.verify_algebra(alg)["residuals"]["jacobi"]
+    got = compactform.verify_algebra(with_tensor(alg, c))["residuals"]["jacobi"]
     assert got == pytest.approx(dense_jacobi(c), rel=RTOL, abs=0.0)
     assert got == 12.0
 
@@ -220,13 +308,46 @@ def test_jacobi_negative_control():
                 crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2)).alg):
         for i, j in itertools.combinations(range(alg.dim), 2):
             for k in range(alg.dim):
-                c = alg.bracket_tensor.copy()
+                c = alg.dense()
                 c[i, j, k] += 1e-3
                 c[j, i, k] -= 1e-3
-                out = compactform.verify_algebra(dataclasses.replace(alg, bracket_tensor=c))
+                out = compactform.verify_algebra(with_tensor(alg, c))
                 assert not out["passed"], (alg.dim, i, j, k)
                 assert out["residuals"]["jacobi"] > 1e-4, (alg.dim, i, j, k)
                 assert out["residuals"]["antisymmetry"] == 0.0
+
+
+LADDER = ([SpaceId(Family.SPHERE, n) for n in range(2, 11)]
+          + [SpaceId(Family.REAL_PROJECTIVE, n) for n in range(2, 7)]
+          + [SpaceId(Family.COMPLEX_PROJECTIVE, n) for n in range(2, 7)]
+          + [SpaceId(Family.QUATERNIONIC_PROJECTIVE, n) for n in range(1, 5)]
+          + [SpaceId(Family.CAYLEY_PLANE)])
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_verify_algebra_equals_dense_scan(space):
+    """The residuals from the entries equal the dense scan's on every ladder algebra."""
+    alg = crossmodel.build_frame(space).alg
+    np.testing.assert_equal(compactform.verify_algebra(alg),
+                            dense_verify_algebra(alg.dense(), alg.inv_form))
+
+
+def test_verify_algebra_equals_dense_scan_when_broken(frames):
+    """... and on the noisy, sparsely broken and NaN tensors above."""
+    algs = [with_tensor(frames[label].alg, noisy_tensor(frames[label].alg)) for label in LABELS]
+    algs += [with_tensor(alg, sparsely_broken_tensor(alg))
+             for alg in (frames["CaP2"].alg,
+                         crossmodel.build_frame(SpaceId(Family.SPHERE, 9)).alg)]
+    full = np.argwhere(np.ones((6, 6, 6)))
+    algs += [dataclasses.replace(compactform.build_so_matrix_model(3), index=full,
+                                 values=np.ones(len(full))),
+             compactform.build_so_matrix_model(3)]
+    algs[-2].values[...] = np.nan
+    algs[-1].values[0] = np.nan
+    for alg in algs:
+        got = compactform.verify_algebra(alg)
+        np.testing.assert_equal(got, dense_verify_algebra(alg.dense(), alg.inv_form))
+        assert not got["passed"]
 
 
 @pytest.mark.parametrize("label", ["cp2", "hp1"])

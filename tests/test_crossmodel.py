@@ -1,9 +1,11 @@
 """Symmetric pairs and restricted-root frames against the classification table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from crosscontact import contact, crossmodel
+from crosscontact import compactform, contact, crossmodel
 from crosscontact.crossmodel import Family, ModelError, SpaceId
 
 ALL_TABLE_SPACES = (
@@ -29,6 +31,22 @@ def test_table_row(fam, n):
     assert (frame.m_eps, frame.m_half) == (me, mh)
     assert frame.dim_mbar == 2 * space.base_dim - 1
     assert frame.h_basis.shape[1] == crossmodel.table1_h_dim(space)
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.CAYLEY_PLANE),
+                                   SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4)],
+                         ids=SpaceId.label)
+def test_frame_keeps_no_dense_tensor(space):
+    """What one frame build leaves allocated is below half of one dim^3 float tensor."""
+    build = crossmodel.build_frame.__wrapped__  # past the cache, so each call builds
+    build(space)  # allocations of a first call that outlive it are not the frame's
+    tracemalloc.start()
+    try:
+        frame = build(space)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < frame.alg.dim ** 3 * 8 / 2
 
 
 LADDER_SPACES = ([("sphere", n) for n in range(2, 10)] + [("rp", n) for n in range(2, 7)]
@@ -169,7 +187,7 @@ def test_bracket_laws(frames):
 
 def bracket(alg, x, y):
     """The pointwise bracket [x, y] of two algebra coordinate vectors."""
-    return y @ np.tensordot(x, alg.bracket_tensor, axes=1)
+    return y @ np.tensordot(x, alg.dense(), axes=1)
 
 
 def test_h_preserves_blocks(frames):
@@ -205,7 +223,7 @@ def center_of_h(frame) -> np.ndarray:
     if nh == 0:
         return hb
     # column i = flattened ad_{h_i} restricted to h, rows (p, j) = <h_p, [h_i, h_j]>
-    mat = (alg.bracket_table(hb, hb) @ ip @ hb).transpose(2, 1, 0).reshape(nh * nh, nh)
+    mat = (compactform.bracket_table(alg.dense(), hb, hb) @ ip @ hb).transpose(2, 1, 0).reshape(nh * nh, nh)
     _, sv, vt = np.linalg.svd(mat, full_matrices=True)
     null = [vt[k] for k in range(nh) if k >= len(sv) or sv[k] < 1e-9]
     if not null:

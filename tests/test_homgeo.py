@@ -194,6 +194,16 @@ def test_params_must_be_positive():
         MetricParams(0, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", range(5))
+def test_params_must_be_finite(bad, slot):
+    """A NaN compares False with everything, so it must not pass as positive."""
+    values = [1.0] * 5
+    values[slot] = bad
+    with pytest.raises(GeometryError):
+        MetricParams(*values)
+
+
 def test_non_diagonal_gram_rejected(cp2):
     """The U-map divides by the Gram diagonal, so off-diagonal entries must fail loudly."""
     params = MetricParams(1, 2, 0.5, 2, 0.5)
