@@ -60,8 +60,9 @@ def lambda_r(r: float) -> tuple[float, float]:
 
 def phi_matrix(frame: RestrictedFrame, q_eps: float, q_half: float) -> np.ndarray:
     """phi: X -> 0, xi -> -(1/q_l) zeta, zeta -> q_l xi, per restricted root."""
-    if q_eps <= 0 or (frame.m_half and q_half <= 0):
-        raise ContactError("q values must be positive")
+    _require_positive(q_eps=q_eps)
+    if frame.m_half:
+        _require_positive(q_half=q_half)
     s, p = frame.slices(), frame.partner()
     q = np.zeros(frame.dim_mbar)  # q_l on the xi of each block
     q[s["m_eps"]], q[s["m_half"]] = q_eps, q_half
@@ -132,17 +133,19 @@ def axiom_residuals(phi: np.ndarray, gram: np.ndarray, char: np.ndarray,
                     eta: np.ndarray) -> dict[str, np.ndarray]:
     """Residuals of the almost contact metric axioms.
 
-    Leading axes of phi and gram stack several structures; each residual has
-    those axes.
+    Leading axes of phi, gram, char and eta stack several structures; each
+    residual has the broadcast of those axes.
     """
-    eye = np.eye(len(char))
+    eye = np.eye(char.shape[-1])
+    outer = char[..., :, None] * eta[..., None, :]
     return {
-        "phi_squared": np.max(np.abs(phi @ phi + eye - np.outer(char, eta)), axis=(-2, -1)),
-        "eta_char": abs(float(eta @ char) - 1.0),
-        "phi_char": np.max(np.abs(phi @ char), axis=-1),
-        "eta_phi": np.max(np.abs(eta @ phi), axis=-1),
+        "phi_squared": np.max(np.abs(phi @ phi + eye - outer), axis=(-2, -1)),
+        "eta_char": np.abs(np.sum(eta * char, axis=-1) - 1.0),
+        "phi_char": np.max(np.abs(np.sum(phi * char[..., None, :], axis=-1)), axis=-1),
+        "eta_phi": np.max(np.abs(np.sum(eta[..., :, None] * phi, axis=-2)), axis=-1),
         "compatibility": np.max(np.abs(np.swapaxes(phi, -2, -1) @ gram @ phi - gram
-                                       + np.outer(eta, eta)), axis=(-2, -1)),
+                                       + eta[..., :, None] * eta[..., None, :]),
+                                axis=(-2, -1)),
     }
 
 
@@ -157,41 +160,100 @@ def nijenhuis_tensor(structure: AlmostContactStructure) -> np.ndarray:
     return -c + t2 - t3 - t4
 
 
-def nabla_phi_residual(structure: AlmostContactStructure) -> float:
-    """Max deviation of alpha(u, phi v) - phi alpha(u, v) = g(u,v) char - eta(v) u."""
-    frame, phi = structure.frame, structure.phi
-    alpha = homgeo.alpha_tensor(frame, structure.metric)
-    lhs = phi.T @ alpha - alpha @ phi.T  # alpha(e_i, phi e_j) - phi alpha(e_i, e_j)
-    g = structure.metric.gram
-    rhs = np.einsum("ij,k->ijk", g, structure.char) \
-        - np.einsum("j,ik->ijk", structure.eta, np.eye(frame.dim_mbar))
-    return float(np.max(np.abs(lhs - rhs)))
+def _nijenhuis_on_support(frame: RestrictedFrame, f: np.ndarray) -> np.ndarray:
+    """N at the entries frame.paired_support["nijenhuis"], per structure.
+
+    f[:, j] = phi[p[j], j]. Each dense product of nijenhuis_tensor sums one
+    nonzero term, taken here in the same association, so the entries are
+    those of the dense tensor bit for bit, and it is zero everywhere else.
+    """
+    c, p = frame.cbar, frame.partner()
+    i, j, k = frame.paired_support["nijenhuis"]
+    pi, pj, pk = p[i], p[j], p[k]
+    fi, fj, fpk = f[:, i], f[:, j], f[:, pk]
+    t2 = fi * (fj * c[pi, pj, k])
+    t3 = fi * (c[pi, j, pk] * fpk)
+    t4 = (fj * c[i, pj, pk]) * fpk
+    return -c[i, j, k] + t2 - t3 - t4
+
+
+def _nabla_phi_on_support(frame: RestrictedFrame, f: np.ndarray, gram: np.ndarray,
+                          char: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Deviation of alpha(u, phi v) - phi alpha(u, v) from g(u,v) char - eta(v) u.
+
+    alpha = cbar/2 + U is the Levi-Civita bilinear, with U formed as
+    homgeo.u_tensor forms it. The deviation is evaluated per structure at the
+    entries frame.paired_support["nabla_phi"], with f as in
+    _nijenhuis_on_support, and is zero everywhere else.
+    """
+    c, p = frame.cbar, frame.partner()
+    i, j, k = frame.paired_support["nabla_phi"]
+    g = np.diagonal(gram, axis1=-2, axis2=-1)
+    inv_g = 1.0 / g
+
+    def alpha(i, j, k):
+        u = 0.5 * ((c[k, i, j] * g[:, j] + c[k, j, i] * g[:, i]) * inv_g[:, k])
+        return 0.5 * c[i, j, k] + u
+
+    lhs = f[:, j] * alpha(i, p[j], k) - alpha(i, j, p[k]) * f[:, p[k]]
+    rhs = gram[:, i, j] * char[:, k] - eta[:, j] * (i == k)
+    return lhs - rhs
+
+
+def classify_all(structures: list[AlmostContactStructure],
+                 tol: ToleranceConfig = DEFAULT_TOL) -> list[StructureClass]:
+    """Contact / K-contact / Sasakian flags from explicit residuals, per structure.
+
+    The structures are classified together and must share one frame. Each phi
+    must lie on the pairing p = frame.partner(), as phi_matrix builds it, and
+    char and eta on the Cartan line X. The normality and nabla phi residuals
+    are then evaluated only where they can be nonzero (paired_support).
+    """
+    if not structures:
+        return []
+    frame = structures[0].frame
+    if any(s.frame is not frame for s in structures):
+        raise ContactError("classify_all needs structures on one frame")
+    phi = np.stack([s.phi for s in structures])
+    gram = np.stack([s.metric.gram for s in structures])
+    char = np.stack([s.char for s in structures])
+    eta = np.stack([s.eta for s in structures])
+    a = np.array([s.a_scalar for s in structures])
+    f = _on_pairing(np.swapaxes(phi, -2, -1), frame.partner(), "phi")
+    if not np.all(np.isfinite(f)):
+        raise ContactError("phi must be finite")
+    if np.any(char[:, 1:]) or np.any(eta[:, 1:]):
+        raise ContactError("char and eta must lie on the Cartan line X")
+
+    columns = axiom_residuals(phi, gram, char, eta)
+    columns["axioms"] = np.max(np.stack(list(columns.values())), axis=0)
+    columns["contact"] = np.max(np.abs(gram @ phi - a[:, None, None] * d_eta_matrix(frame)),
+                                axis=(-2, -1))
+    columns["killing"] = homgeo.killing_residual(
+        frame, np.diagonal(gram, axis1=-2, axis2=-1), a[:, None] * char)
+    for name, values in (("nijenhuis", _nijenhuis_on_support(frame, f)),
+                         ("nabla_phi", _nabla_phi_on_support(frame, f, gram, char, eta))):
+        columns[name] = np.max(np.abs(values), axis=-1, initial=0.0)  # 0 off the support
+
+    out = []
+    for row in zip(*(v.tolist() for v in columns.values())):
+        residuals = dict(zip(columns, row))
+        acm = tol.is_zero(residuals["axioms"])
+        contact = acm and tol.is_zero(residuals["contact"])
+        k_contact = contact and tol.is_zero(residuals["killing"])
+        sasakian = k_contact and tol.is_zero(residuals["nijenhuis"]) \
+            and tol.is_zero(residuals["nabla_phi"])
+        out.append(StructureClass(
+            flags={"almost_contact_metric": acm, "contact_metric": contact,
+                   "k_contact": k_contact, "sasakian": sasakian},
+            residuals=residuals))
+    return out
 
 
 def classify(structure: AlmostContactStructure,
              tol: ToleranceConfig = DEFAULT_TOL) -> StructureClass:
-    """Contact / K-contact / Sasakian flags from explicit residuals."""
-    frame, g = structure.frame, structure.metric.gram
-    residuals = {k: float(v) for k, v in axiom_residuals(
-        structure.phi, g, structure.char, structure.eta).items()}
-    axioms = max(residuals.values())
-    residuals["axioms"] = axioms
-    residuals["contact"] = float(np.max(np.abs(
-        g @ structure.phi - structure.a_scalar * d_eta_matrix(frame))))
-    residuals["killing"] = float(homgeo.killing_residual(
-        frame, np.diagonal(g), structure.a_scalar * structure.char))
-    residuals["nijenhuis"] = float(np.max(np.abs(nijenhuis_tensor(structure))))
-    residuals["nabla_phi"] = nabla_phi_residual(structure)
-
-    acm = tol.is_zero(axioms)
-    contact = acm and tol.is_zero(residuals["contact"])
-    k_contact = contact and tol.is_zero(residuals["killing"])
-    sasakian = k_contact and tol.is_zero(residuals["nijenhuis"]) \
-        and tol.is_zero(residuals["nabla_phi"])
-    return StructureClass(
-        flags={"almost_contact_metric": acm, "contact_metric": contact,
-               "k_contact": k_contact, "sasakian": sasakian},
-        residuals=residuals)
+    """Contact / K-contact / Sasakian flags of one structure (see classify_all)."""
+    return classify_all([structure], tol)[0]
 
 
 def tashiro_suite(frame: RestrictedFrame, radii: list[float],
@@ -199,9 +261,9 @@ def tashiro_suite(frame: RestrictedFrame, radii: list[float],
     """Contact behaviour of the standard and rectified structures over radii."""
     entries = []
     all_ok = True
-    for r in radii:
-        std = classify(standard_structure(frame, r), tol)
-        rect = classify(rectified_structure(frame, r), tol)
+    classes = classify_all([standard_structure(frame, r) for r in radii]
+                           + [rectified_structure(frame, r) for r in radii], tol)
+    for r, std, rect in zip(radii, classes, classes[len(radii):]):
         expect_std_contact = abs(r - 0.5) < 1e-12
         expect_rect_k = abs(r - 1.0) < 1e-12 and frame.m_half == 0
         ok = (std.flags["contact_metric"] == expect_std_contact
@@ -222,11 +284,11 @@ def tashiro_suite(frame: RestrictedFrame, radii: list[float],
     return {"space": frame.space.label(), "entries": entries, "passed": all_ok}
 
 
-def _on_pairing(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The entries m[i, p[i]]; ContactError if m has a nonzero anywhere else."""
-    paired = m[np.arange(len(p)), p]
+def _on_pairing(m: np.ndarray, p: np.ndarray, name: str) -> np.ndarray:
+    """The entries m[..., i, p[i]]; ContactError if m has a nonzero anywhere else."""
+    paired = m[..., np.arange(len(p)), p]
     if np.count_nonzero(m) != np.count_nonzero(paired):
-        raise ContactError("d eta or ad_X has a nonzero entry off the xi/zeta pairing")
+        raise ContactError(f"{name} has a nonzero entry off the xi/zeta pairing")
     return paired
 
 
@@ -249,13 +311,13 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
     """
     p = frame.partner()
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
-    phi = -kappa * (_on_pairing(d_eta_matrix(frame), p) / diags)  # phi[i, p[i]]
+    phi = -kappa * (_on_pairing(d_eta_matrix(frame), p, "d eta") / diags)  # phi[i, p[i]]
     phi_p, g_p = phi[:, p], diags[:, p]
     char, eta = _char_eta(frame.dim_mbar, kappa)
     # phi X = 0 and eta phi = 0 by the form of phi, so two axioms decide
     phi_squared = np.max(np.abs(phi * phi_p + 1.0 - char * eta), axis=-1)
     compatibility = np.max(np.abs(phi_p * g_p * phi_p - diags + eta * eta), axis=-1)
-    ad = (kappa * char[0]) * _on_pairing(frame.cbar[0], p)  # ad_X[i, p[i]]
+    ad = (kappa * char[0]) * _on_pairing(frame.cbar[0], p, "ad_X")  # ad_X[i, p[i]]
     killing = np.max(np.abs(0.5 * (ad * g_p + ad[p] * diags)), axis=-1)
     return np.maximum(np.maximum(phi_squared, compatibility), killing)
 

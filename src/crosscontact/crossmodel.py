@@ -279,6 +279,39 @@ class RestrictedFrame:
         xi = np.arange(s["m_eps"].start, s["m_half"].stop)  # the zetas follow in this order
         return np.concatenate(([0], xi + len(xi), xi))
 
+    @functools.cached_property
+    def paired_support(self) -> dict[str, np.ndarray]:
+        """Entries (i, j, k) where the normality and nabla phi residuals can be nonzero.
+
+        For a phi on the pairing p = partner() (column j nonzero only at row
+        p[j]), each product of phi with cbar reads cbar at one position, which
+        is (i, j, k) with p applied to some of the indices. An entry is kept
+        when one of the positions it reads holds a nonzero of cbar; nabla phi
+        also keeps the (i, i, 0) and (i, 0, i) of its right-hand side. Each
+        value is a (3, size) index array in row-major order. Derived once per
+        frame, on first use: a frame made by dataclasses.replace derives its own.
+        """
+        n, p = self.dim_mbar, self.partner()
+        i, j, k = np.nonzero(self.cbar)
+        # alpha = cbar/2 + U reads cbar at (i, j, k), (k, i, j) and (k, j, i)
+        alpha = [(i, j, k), (j, k, i), (k, j, i)]
+        diag = np.arange(n)
+        zero = np.zeros(n, dtype=int)
+        reads = {
+            # N = -c + phi c(phi, phi) - phi c(phi, .) phi - c(., phi) phi
+            "nijenhuis": [(i, j, k), (p[i], p[j], k), (p[i], j, p[k]), (i, p[j], p[k])],
+            # alpha(e_i, phi e_j) - alpha(e_i, e_j) phi, minus g(e_i, e_j) char - eta(e_j) e_i
+            "nabla_phi": [(a, p[b], c) for a, b, c in alpha] + [(a, b, p[c]) for a, b, c in alpha]
+                         + [(diag, diag, zero), (diag, zero, diag)],
+        }
+        out = {}
+        for name, positions in reads.items():
+            mask = np.zeros(n ** 3, dtype=bool)  # np.unique would import numpy.ma
+            for a, b, c in positions:
+                mask[(a * n + b) * n + c] = True
+            out[name] = np.array(np.unravel_index(np.flatnonzero(mask), (n,) * 3))
+        return out
+
 
 def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
                  targets: tuple[float, ...]) -> tuple[dict[float, np.ndarray], np.ndarray]:

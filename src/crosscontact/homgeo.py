@@ -85,11 +85,6 @@ def u_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
     return 0.5 * (rhs * (1.0 / g)[:, None, None]).transpose(1, 2, 0)
 
 
-def alpha_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
-    """alpha(e_i, e_j) = [e_i, e_j]_mbar / 2 + U(e_i, e_j), the Levi-Civita bilinear."""
-    return 0.5 * frame.cbar + u_tensor(frame, metric)
-
-
 def killing_residual(frame: RestrictedFrame, gram_diag: np.ndarray,
                      xi: np.ndarray) -> np.ndarray:
     """Max over basis pairs of |<U(e_i,e_j), xi>| (zero iff xi is Killing).
@@ -97,10 +92,12 @@ def killing_residual(frame: RestrictedFrame, gram_diag: np.ndarray,
     The U-map identity at w = xi gives 2<U(e_i,e_j), xi> = <[xi,e_i],e_j> +
     <[xi,e_j],e_i> = ad[i,j] g_j + ad[j,i] g_i, with ad[i,j] the
     e_j-coefficient of [xi, e_i] and g the Gram diagonal. Leading axes of
-    gram_diag stack several metrics; the result has those axes.
+    gram_diag and xi stack several metrics and vectors; the result has the
+    broadcast of those axes.
     """
     ad = np.tensordot(xi, frame.cbar, axes=1)
-    vals = 0.5 * (ad * gram_diag[..., None, :] + ad.T * gram_diag[..., :, None])
+    vals = 0.5 * (ad * gram_diag[..., None, :]
+                  + np.swapaxes(ad, -2, -1) * gram_diag[..., :, None])
     return np.max(np.abs(vals), axis=(-2, -1))
 
 

@@ -171,12 +171,11 @@ REPRESENTATIVE_SPACES = (
 )
 
 
-def _suite_checks(suite, tol: ToleranceConfig, spaces, grid: int = 5,
-                  radii=(1.0,), kappas=(1.0,)) -> list[Check]:
-    """The checks one per-space suite adds over spaces x radii x kappas."""
+def _suite_checks(suite, tol: ToleranceConfig, spaces, grid: int = 5) -> list[Check]:
+    """The checks one per-space suite adds over spaces, at r = kappa = 1."""
     rep = VerificationReport(config={})
-    for space, r, kappa in itertools.product(spaces, radii, kappas):
-        suite(space, r, kappa, grid, rep, tol)
+    for space in spaces:
+        suite(space, 1.0, 1.0, grid, rep, tol)
     return rep.checks
 
 
@@ -258,7 +257,7 @@ def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
     """contact_metric flag holds exactly when a_l = a lambda(r) / (2 r q_l)."""
     frame = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
     rng = np.random.default_rng(21)
-    ok = True
+    structures, wants = [], []
     for trial in range(60):
         r = float(np.exp(rng.uniform(-1, 1)))
         a = float(np.exp(rng.uniform(-1, 1)))
@@ -269,14 +268,13 @@ def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
         else:
             ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        st = contact.phi_q_structure(frame, r, qe, qh, a, params)
-        flag = contact.classify(st, tol).flags["contact_metric"]
-        want = (abs(ae - a * le / (2 * r * qe)) < 1e-9
-                and abs(ah - a * lh / (2 * r * qh)) < 1e-9)
-        ok = ok and (flag == want)
+        structures.append(contact.phi_q_structure(frame, r, qe, qh, a, params))
+        wants.append(abs(ae - a * le / (2 * r * qe)) < 1e-9
+                     and abs(ah - a * lh / (2 * r * qh)) < 1e-9)
+    flags = [cls.flags["contact_metric"] for cls in contact.classify_all(structures, tol)]
     return Check("criterion-04/contact_criterion",
                  "contact flag is equivalent to the closed-form condition on a_l",
-                 ok)
+                 flags == wants)
 
 
 def criterion_05_tashiro_radius_sweep(tol: ToleranceConfig, grid: int) -> Check:
@@ -291,12 +289,17 @@ def criterion_05_tashiro_radius_sweep(tol: ToleranceConfig, grid: int) -> Check:
 def criterion_06_main_theorem_matrix(tol: ToleranceConfig, grid: int) -> Check:
     """Sasakian over 5 spaces x r in {1/2,1,2} x kappa in {1/2,1,3}, with both
     normality residuals below 1e-8 (so the two checks agree)."""
-    checks = _suite_checks(suite_sasakian, tol, REPRESENTATIVE_SPACES,
-                           radii=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 3.0))
-    worst = max(c.residual for c in checks)
+    ok, worst = True, 0.0
+    for space in REPRESENTATIVE_SPACES:
+        frame = crossmodel.build_frame(space)
+        for cls in contact.classify_all(
+                [contact.theorem_main_structure(frame, r, kappa) for r, kappa
+                 in itertools.product((0.5, 1.0, 2.0), (0.5, 1.0, 3.0))], tol):
+            ok = ok and cls.flags["sasakian"]
+            worst = max(worst, cls.residuals["nijenhuis"], cls.residuals["nabla_phi"])
     return Check("criterion-06/main_theorem",
                  "both normality checks pass and agree over the full matrix",
-                 all(c.passed for c in checks) and worst < 1e-8, residual=worst)
+                 ok and worst < 1e-8, residual=worst)
 
 
 def criterion_07_uniqueness_scan(tol: ToleranceConfig, grid: int) -> Check:

@@ -34,8 +34,9 @@ def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
     """J^q at (o, t) on frame-plus-radial coordinates."""
     qe, qh = q_values(q, t)
-    if min(qe, qh) <= 0:
-        raise BundleError("q must be positive on the sampled domain")
+    if not all(0 < v < np.inf for v in (qe, qh)):  # a NaN fails every comparison
+        raise BundleError(f"q must be positive and finite on the sampled domain, "
+                          f"got {(qe, qh)!r}")
     n = frame.dim_mbar
     j = np.zeros((n + 1, n + 1))
     j[:n, :n] = contact.phi_matrix(frame, qe, qh)

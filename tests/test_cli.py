@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, report formats, environment overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,18 @@ def test_report_roundtrip():
     data = json.loads(report.to_json())
     assert data["checks"][0]["residual"] == 0.5
     assert data["config"] == {"x": 1}
+
+
+def test_gate_and_cayley_leave_numpy_ma_unimported():
+    """np.unique imports numpy.ma, about 1 MB of peak RSS; no verdict needs it."""
+    code = ("import contextlib, io, sys\n"
+            "from crosscontact import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['acceptance', '--grid', '5']) == 0\n"
+            "    assert cli.main(['run', '--space', 'cayley', '--suite', 'all']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -308,6 +308,15 @@ def test_radius_and_kappa_must_be_positive_finite(cp2, r, kappa):
         contact.phi_q_structure(cp2, r, 1.0, 1.0, kappa, MetricParams(1, 1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", ["q_eps", "q_half"])
+def test_phi_matrix_q_must_be_positive_finite(cp2, slot, bad):
+    """A NaN compares False with 0, so q <= 0 let it through into phi."""
+    q = {"q_eps": 1.0, "q_half": 1.0, slot: bad}
+    with pytest.raises(ContactError, match=f"{slot} must be a positive finite"):
+        contact.phi_matrix(cp2, **q)
+
+
 PAIRING_SPACES = suites.TABLE1_SPACES + [
     SpaceId(Family.SPHERE, 10), SpaceId(Family.COMPLEX_PROJECTIVE, 6),
     SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4)]

@@ -11,8 +11,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
+from crosscontact.contact import ContactError
 from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import MetricParams
 
@@ -47,10 +50,80 @@ def two_product_nijenhuis(structure):
     return -c + t2 - t3 - t4
 
 
+def alpha_tensor(frame, metric):
+    """alpha(e_i, e_j) = [e_i, e_j]_mbar / 2 + U(e_i, e_j), the Levi-Civita bilinear."""
+    return 0.5 * frame.cbar + homgeo.u_tensor(frame, metric)
+
+
+def nabla_phi_rhs(structure):
+    """g(u, v) char - eta(v) u, the right-hand side of the nabla phi identity."""
+    return np.einsum("ij,k->ijk", structure.metric.gram, structure.char) \
+        - np.einsum("j,ik->ijk", structure.eta, np.eye(structure.frame.dim_mbar))
+
+
+def nabla_phi_deviation(structure):
+    """alpha(u, phi v) - phi alpha(u, v) minus its right-hand side, as dense
+    products: the form classify used before it worked on the support."""
+    phi, alpha = structure.phi, alpha_tensor(structure.frame, structure.metric)
+    lhs = phi.T @ alpha - alpha @ phi.T  # alpha(e_i, phi e_j) - phi alpha(e_i, e_j)
+    return lhs - nabla_phi_rhs(structure)
+
+
+def nabla_phi_residual(structure):
+    return float(np.max(np.abs(nabla_phi_deviation(structure))))
+
+
 def dense_nabla_phi_lhs(structure):
-    alpha = homgeo.alpha_tensor(structure.frame, structure.metric)
+    alpha = alpha_tensor(structure.frame, structure.metric)
     phi = structure.phi
     return np.einsum("bj,ibk->ijk", phi, alpha) - np.einsum("ijl,kl->ijk", alpha, phi)
+
+
+def dense_classify(structure, tol=compactform.DEFAULT_TOL):
+    """classify as one dense product per residual and structure, the form it had
+    before it worked on the support of cbar."""
+    frame, g = structure.frame, structure.metric.gram
+    residuals = {k: float(v) for k, v in contact.axiom_residuals(
+        structure.phi, g, structure.char, structure.eta).items()}
+    axioms = max(residuals.values())
+    residuals["axioms"] = axioms
+    residuals["contact"] = float(np.max(np.abs(
+        g @ structure.phi - structure.a_scalar * contact.d_eta_matrix(frame))))
+    residuals["killing"] = float(homgeo.killing_residual(
+        frame, np.diagonal(g), structure.a_scalar * structure.char))
+    residuals["nijenhuis"] = float(np.max(np.abs(contact.nijenhuis_tensor(structure))))
+    residuals["nabla_phi"] = nabla_phi_residual(structure)
+
+    acm = tol.is_zero(axioms)
+    contact_ = acm and tol.is_zero(residuals["contact"])
+    k_contact = contact_ and tol.is_zero(residuals["killing"])
+    sasakian = k_contact and tol.is_zero(residuals["nijenhuis"]) \
+        and tol.is_zero(residuals["nabla_phi"])
+    return contact.StructureClass(
+        flags={"almost_contact_metric": acm, "contact_metric": contact_,
+               "k_contact": k_contact, "sasakian": sasakian},
+        residuals=residuals)
+
+
+def oracle_structures(frame, seed):
+    """66 structures: 9 theorem, 6 standard, 6 rectified and 45 random phi^q ones,
+    15 of which satisfy the contact condition a_l = a lambda_l / (2 r q_l)."""
+    rng = np.random.default_rng(seed)
+    out = [contact.theorem_main_structure(frame, r, k)
+           for r in (0.5, 1.0, 2.0) for k in (0.5, 1.0, 3.0)]
+    radii = (0.25, 0.5, 1.0, 2.0, 0.37, 1.7)
+    out += [contact.standard_structure(frame, r) for r in radii]
+    out += [contact.rectified_structure(frame, r) for r in radii]
+    for trial in range(45):
+        r, a, qe, qh = (float(v) for v in np.exp(rng.uniform(-1, 1, 4)))
+        le, lh = contact.lambda_r(r)
+        if trial % 3 == 0:
+            ae, ah = a * le / (2 * r * qe), a * lh / (2 * r * qh)
+        else:
+            ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
+        params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
+        out.append(contact.phi_q_structure(frame, r, qe, qh, a, params))
+    return out
 
 
 def dense_cbar(frame):
@@ -175,19 +248,204 @@ def test_nijenhuis_equals_two_product_form(frames, label):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_nabla_phi_matches_dense(frames, label):
-    """With a random phi, nabla_phi_residual is the max of the dense lhs - rhs."""
+    """With random q and random metrics, classify's nabla_phi is the dense
+    residual bit for bit, and the max of the einsum lhs - rhs."""
     frame = frames[label]
     rng = np.random.default_rng(43)
     base = contact.theorem_main_structure(frame, 1.0, 1.0)
     for _ in range(3):
         params = MetricParams(*np.exp(rng.uniform(-1.5, 1.5, 5)))
-        st = dataclasses.replace(base, phi=rng.normal(size=base.phi.shape),
+        st = dataclasses.replace(base, phi=contact.phi_matrix(frame, *np.exp(rng.normal(size=2))),
                                  metric=homgeo.metric_from_params(frame, params))
-        g = st.metric.gram
-        rhs = np.einsum("ij,k->ijk", g, st.char) \
-            - np.einsum("j,ik->ijk", st.eta, np.eye(frame.dim_mbar))
-        want = float(np.max(np.abs(dense_nabla_phi_lhs(st) - rhs)))
-        assert contact.nabla_phi_residual(st) == pytest.approx(want, rel=RTOL)
+        got = contact.classify(st).residuals["nabla_phi"]
+        assert got == nabla_phi_residual(st)
+        want = float(np.max(np.abs(dense_nabla_phi_lhs(st) - nabla_phi_rhs(st))))
+        assert got == pytest.approx(want, rel=RTOL)
+        assert got > 1e-3
+
+
+ORACLE_SPACES = ([SpaceId(Family.SPHERE, n) for n in range(2, 8)]
+                 + [SpaceId(Family.REAL_PROJECTIVE, 3)]
+                 + [SpaceId(Family.COMPLEX_PROJECTIVE, n) for n in range(2, 6)]
+                 + [SpaceId(Family.QUATERNIONIC_PROJECTIVE, n) for n in range(1, 4)]
+                 + [SpaceId(Family.CAYLEY_PLANE)])
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=SpaceId.label)
+def test_classify_equals_dense(space):
+    """classify on the support of cbar gives the dense form's flags and residual
+    dicts bit for bit, on 66 structures per space (990 in all)."""
+    frame = crossmodel.build_frame(space)
+    for st in oracle_structures(frame, 11):
+        got, want = contact.classify(st), dense_classify(st)
+        assert got.flags == want.flags
+        assert list(got.residuals.items()) == list(want.residuals.items())
+
+
+@pytest.mark.parametrize("label", ["sphere3", "cp2", "hp1", "CaP2"])
+def test_classify_all_equals_single_calls(frames, label):
+    """A stack classifies as its structures one at a time, and as the dense form."""
+    structures = oracle_structures(frames[label], 12)
+    stacked = contact.classify_all(structures)
+    assert len(stacked) == len(structures)
+    for st, cls in zip(structures, stacked):
+        assert cls == contact.classify(st) == dense_classify(st)
+    assert {cls.flags["sasakian"] for cls in stacked} == {True, False}
+
+
+def without_x_brackets(frame):
+    """The frame with every bracket entry that involves X set to zero: d eta and
+    ad_X vanish, so only the right-hand side keeps nabla phi off zero."""
+    cbar = frame.cbar.copy()
+    cbar[0], cbar[:, 0], cbar[:, :, 0] = 0.0, 0.0, 0.0
+    return dataclasses.replace(frame, cbar=cbar)
+
+
+def sparsely_perturbed(frame, rng):
+    """The frame with six random entries of cbar moved by about 1e-3, so that its
+    nonzeros follow no pattern of the pairing."""
+    cbar = frame.cbar.copy()
+    cbar.flat[rng.choice(cbar.size, 6, replace=False)] += 1e-3 * rng.normal(size=6)
+    return dataclasses.replace(frame, cbar=cbar)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_support_entries_equal_dense(frames, label):
+    """On the support the Nijenhuis and nabla phi entries equal the dense tensors
+    bit for bit, and off it the dense tensors are exactly zero: on the frame, on
+    a rotated frame whose cbar is filled in, with the X brackets removed and
+    with a few entries of cbar moved."""
+    frame = frames[label]
+    rng = np.random.default_rng(48)
+    rotated = paired_change_of_frame(
+        frame, paired_blocks(frame, lambda m: np.linalg.qr(rng.normal(size=(m, m)))[0]))
+    for fr in (frame, rotated, without_x_brackets(frame), sparsely_perturbed(frame, rng)):
+        p = fr.partner()
+        base = contact.theorem_main_structure(fr, 1.0, 1.0)
+        for _ in range(3):
+            params = MetricParams(*np.exp(rng.uniform(-1.5, 1.5, 5)))
+            st = dataclasses.replace(
+                base, phi=contact.phi_matrix(fr, *np.exp(rng.normal(size=2))),
+                metric=homgeo.metric_from_params(fr, params))
+            f = st.phi[p, np.arange(fr.dim_mbar)][None]
+            got = {"nijenhuis": contact._nijenhuis_on_support(fr, f)[0],
+                   "nabla_phi": contact._nabla_phi_on_support(
+                       fr, f, st.metric.gram[None], st.char[None], st.eta[None])[0]}
+            want = {"nijenhuis": contact.nijenhuis_tensor(st), "nabla_phi": nabla_phi_deviation(st)}
+            for name, dense in want.items():
+                support = tuple(fr.paired_support[name])
+                assert np.array_equal(got[name], dense[support]), name
+                off = np.ones(dense.shape, dtype=bool)
+                off[support] = False
+                assert not np.any(dense[off]), name
+                assert np.max(np.abs(dense)) > 1e-3, name
+
+
+def test_classify_all_empty(cp2):
+    assert contact.classify_all([]) == []
+    assert contact.tashiro_suite(cp2, []) == {"space": "cp2", "entries": [], "passed": True}
+
+
+def test_classify_all_rejects_bad_stacks(frames):
+    """Structures on two frames, a phi off the pairing, a non-finite phi and a
+    characteristic vector off X all raise."""
+    cp2, hp1 = frames["cp2"], frames["hp1"]
+    st = contact.theorem_main_structure(cp2, 1.0, 1.0)
+    with pytest.raises(ContactError, match="one frame"):
+        contact.classify_all([st, contact.theorem_main_structure(hp1, 1.0, 1.0)])
+    copy = dataclasses.replace(cp2)  # equal, but another frame
+    with pytest.raises(ContactError, match="one frame"):
+        contact.classify_all([st, contact.theorem_main_structure(copy, 1.0, 1.0)])
+    phi = st.phi.copy()
+    phi[1, 2] = 1e-3
+    assert cp2.partner()[2] != 1
+    with pytest.raises(ContactError, match="pairing"):
+        contact.classify(dataclasses.replace(st, phi=phi))
+    with pytest.raises(ContactError, match="pairing"):
+        contact.classify_all([st, dataclasses.replace(st, phi=phi)])
+    phi = st.phi.copy()
+    phi[cp2.partner()[1], 1] = np.inf
+    with pytest.raises(ContactError, match="finite"):
+        contact.classify(dataclasses.replace(st, phi=phi))
+    char = st.char.copy()
+    char[1] = 1e-3
+    with pytest.raises(ContactError, match="Cartan line"):
+        contact.classify(dataclasses.replace(st, char=char))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_replaced_cbar_derives_a_fresh_support(frames, label):
+    """A frame made by dataclasses.replace with a perturbed cbar derives its own
+    support: the Nijenhuis residual moves by the perturbation, as the dense one does."""
+    frame = frames[label]
+    st = contact.theorem_main_structure(frame, 1.0, 1.0)
+    assert contact.classify(st).residuals["nijenhuis"] < 1e-12
+    outside = np.ones(frame.dim_mbar ** 3, dtype=bool)
+    outside[np.ravel_multi_index(frame.paired_support["nijenhuis"], frame.cbar.shape)] = False
+    position = np.unravel_index(np.flatnonzero(outside)[len(frame.cbar) // 2], frame.cbar.shape)
+    cbar = frame.cbar.copy()
+    cbar[position] = 1e-3
+    moved = dataclasses.replace(st, frame=dataclasses.replace(frame, cbar=cbar))
+    got = contact.classify(moved).residuals
+    assert got["nijenhuis"] == dense_classify(moved).residuals["nijenhuis"]
+    assert got["nijenhuis"] >= 1e-3
+    assert got["nabla_phi"] == nabla_phi_residual(moved)
+
+
+def paired_change_of_frame(frame, q):
+    """The frame with basis e'_j = sum_a q[a, j] e_a, for q orthogonal and block
+    diagonal with equal blocks on m_l and k_l (so the pairing is kept)."""
+    return dataclasses.replace(frame, mbar=frame.mbar @ q,
+                               cbar=np.einsum("ai,bj,ck,abc->ijk", q, q, q, frame.cbar,
+                                              optimize=True))
+
+
+def paired_blocks(frame, draw):
+    """q with draw(m) as the block on both m_l and k_l, and 1 on X."""
+    s, q = frame.slices(), np.eye(frame.dim_mbar)
+    for blk in ("eps", "half"):
+        m = frame.m_eps if blk == "eps" else frame.m_half
+        if m:
+            block = draw(m)
+            q[s[f"m_{blk}"], s[f"m_{blk}"]] = block
+            q[s[f"k_{blk}"], s[f"k_{blk}"]] = block
+    return q
+
+
+def invariance_structures(frame):
+    return [contact.theorem_main_structure(frame, 0.7, 1.3),
+            contact.standard_structure(frame, 0.5), contact.standard_structure(frame, 2.0),
+            contact.rectified_structure(frame, 1.0),
+            contact.phi_q_structure(frame, 1.3, 0.6, 1.7, 0.9,
+                                    MetricParams(0.9, 0.4, 1.1, 0.6 ** 2 * 0.4, 1.7 ** 2 * 1.1))]
+
+
+FRAME_LABELS = ("sphere4", "cp2", "cp3", "hp1", "hp2")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(label=st.sampled_from(FRAME_LABELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_classify_is_frame_independent(frames, label, seed):
+    """A paired signed permutation of each block leaves every residual dict bit for
+    bit; a paired rotation, which fills cbar in, keeps the flags and the dense values."""
+    frame = frames[label]
+    rng = np.random.default_rng(seed)
+
+    def signed_permutation(m):
+        return np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
+
+    def rotation(m):
+        return np.linalg.qr(rng.normal(size=(m, m)))[0]
+
+    ref = contact.classify_all(invariance_structures(frame))
+    permuted = paired_change_of_frame(frame, paired_blocks(frame, signed_permutation))
+    assert contact.classify_all(invariance_structures(permuted)) == ref
+    rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation))
+    assert np.count_nonzero(rotated.cbar) > np.count_nonzero(frame.cbar)
+    structures = invariance_structures(rotated)
+    for cls, want, st_ in zip(contact.classify_all(structures), ref, structures):
+        assert cls == dense_classify(st_)
+        assert cls.flags == want.flags
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -211,23 +469,29 @@ def test_killing_residual_matches_dense(frames, label):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_killing_and_axioms_stack_equal_single_calls(frames, label):
-    """A stack of Gram diagonals gives exactly the residuals of one call per metric."""
+    """A stack of Gram diagonals, vectors and phis gives exactly the residuals of
+    one call per entry, whether xi, char and eta are shared or stacked too."""
     frame = frames[label]
     rng = np.random.default_rng(46)
     diags = homgeo.gram_diagonal(frame, np.exp(rng.uniform(-1.5, 1.5, (7, 5))))
-    xi = rng.normal(size=frame.dim_mbar)
-    got = homgeo.killing_residual(frame, diags, xi)
-    assert got.shape == (7,)
-    assert np.array_equal(got, [homgeo.killing_residual(frame, d, xi) for d in diags])
+    xis = rng.normal(size=(7, frame.dim_mbar))
+    for xi in (xis[0], xis):
+        got = homgeo.killing_residual(frame, diags, xi)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [homgeo.killing_residual(frame, d, x)
+                                    for d, x in zip(diags, np.broadcast_to(xi, xis.shape))])
     phi = rng.normal(size=(7, frame.dim_mbar, frame.dim_mbar))
     grams = diags[:, :, None] * np.eye(frame.dim_mbar)
-    char, eta = rng.normal(size=(2, frame.dim_mbar))
-    stacked = contact.axiom_residuals(phi, grams, char, eta)
-    for p in range(7):
-        single = contact.axiom_residuals(phi[p], grams[p], char, eta)
-        for name, value in single.items():
-            assert np.shape(value) == ()
-            assert value == (stacked[name] if name == "eta_char" else stacked[name][p])
+    chars, etas = rng.normal(size=(2, 7, frame.dim_mbar))
+    for char, eta in ((chars[0], etas[0]), (chars, etas)):
+        stacked = contact.axiom_residuals(phi, grams, char, eta)
+        for p in range(7):
+            single = contact.axiom_residuals(phi[p], grams[p], chars[p] if char.ndim == 2 else char,
+                                             etas[p] if eta.ndim == 2 else eta)
+            for name, value in single.items():
+                assert np.shape(value) == ()
+                assert value == (stacked[name] if np.ndim(stacked[name]) == 0
+                                 else stacked[name][p])
 
 
 @pytest.mark.parametrize("label", LABELS + ("sphere4",))

@@ -25,6 +25,11 @@ def bracket_mbar(frame, u, v):
     return np.einsum("i,j,ijk->k", u, v, frame.cbar)
 
 
+def alpha_tensor(frame, metric):
+    """alpha(e_i, e_j) = [e_i, e_j]_mbar / 2 + U(e_i, e_j), the Levi-Civita bilinear."""
+    return 0.5 * frame.cbar + homgeo.u_tensor(frame, metric)
+
+
 def u_map(frame, metric, u, v):
     """U(u, v) for two frame-coordinate vectors."""
     return np.einsum("i,j,ijk->k", u, v, homgeo.u_tensor(frame, metric))
@@ -155,7 +160,7 @@ def test_alpha_unit_params_is_half_bracket(cp2):
     metric = homgeo.metric_from_params(cp2, MetricParams(1, 1, 1, 1, 1))
     rng = np.random.default_rng(8)
     u, v = rng.normal(size=(2, cp2.dim_mbar))
-    alpha = homgeo.alpha_tensor(cp2, metric)
+    alpha = alpha_tensor(cp2, metric)
     assert np.allclose(np.einsum("i,j,ijk->k", u, v, alpha),
                        0.5 * bracket_mbar(cp2, u, v))
 
@@ -166,7 +171,7 @@ def test_alpha_torsion_free(cp2):
     s = cp2.slices()
     x = basis_vec(cp2, 0)
     xi = basis_vec(cp2, s["m_eps"].start)
-    alpha = homgeo.alpha_tensor(cp2, metric)
+    alpha = alpha_tensor(cp2, metric)
     diff = np.einsum("i,j,ijk->k", x, xi, alpha) \
         - np.einsum("i,j,ijk->k", xi, x, alpha)
     want = -basis_vec(cp2, s["k_eps"].start)
@@ -178,7 +183,7 @@ def test_alpha_metric_compatible(hp2):
     """<alpha(w,u),v> + <u,alpha(w,v)> = 0: the connection preserves the metric."""
     metric = homgeo.metric_from_params(hp2, MetricParams(1, 2, 0.5, 2, 0.5))
     g = metric.gram
-    alpha = homgeo.alpha_tensor(hp2, metric)
+    alpha = alpha_tensor(hp2, metric)
     rng = np.random.default_rng(9)
     for _ in range(5):
         u, v, w = rng.normal(size=(3, hp2.dim_mbar))

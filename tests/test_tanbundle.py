@@ -141,6 +141,17 @@ def test_invalid_inputs(cp2):
         tanbundle.ambient_metric(cp2, tanbundle.sasaki_fns(), -2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", ["eps", "half"])
+def test_jq_q_must_be_positive_finite(cp2, slot, bad):
+    """q at t (the eps slot) or at t/2 (the half slot) must be positive and finite:
+    min(qe, qh) <= 0 let a NaN through into J."""
+    t = 1.0
+    at = t if slot == "eps" else t / 2.0
+    with pytest.raises(BundleError, match="positive and finite"):
+        tanbundle.jq_matrix(cp2, lambda s: bad if s == at else 1.0, t)
+
+
 def test_base_point_pair_consistency(cp2):
     """J^q on (xi, u) pairs at a base point matches the coordinate matrix.
 
