@@ -3,7 +3,7 @@ symmetric spaces, verified numerically at the Lie-algebra level."""
 
 from .compactform import CompactLieAlgebra, ToleranceConfig, verify_algebra
 from .contact import (AlmostContactStructure, classify, classify_all, standard_structure,
-                      tashiro_suite, theorem_main_structure, uniqueness_scan)
+                      theorem_main_structure, uniqueness_scan)
 from .crossmodel import Family, RestrictedFrame, SpaceId, SymmetricPair, build_frame
 from .homgeo import InvariantMetric, MetricParams, metric_from_params
 from .report import VerificationReport
@@ -14,6 +14,6 @@ __all__ = [
     "AlmostContactStructure", "CompactLieAlgebra", "Family", "InvariantMetric",
     "MetricParams", "RestrictedFrame", "SpaceId", "SymmetricPair",
     "ToleranceConfig", "VerificationReport", "build_frame", "classify", "classify_all",
-    "metric_from_params", "standard_structure", "tashiro_suite",
-    "theorem_main_structure", "uniqueness_scan", "verify_algebra", "__version__",
+    "metric_from_params", "standard_structure", "theorem_main_structure",
+    "uniqueness_scan", "verify_algebra", "__version__",
 ]

@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (run, acc):
         p.add_argument("--tol", type=float, default=None,
-                       help="absolute tolerance (default 1e-9, or CROSS_TOL)")
+                       help="a residual counts as zero when it is at most this "
+                            "threshold, times its scale where that exceeds 1 "
+                            "(default 1e-9, or CROSS_TOL)")
         p.add_argument("--format", default="text", choices=["text", "json"])
         p.add_argument("--output", default=None, help="write report to a file")
     return parser
@@ -85,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         tol_value = args.tol if args.tol is not None else _default_tol()
         if not _positive(tol_value):
             raise ValueError(f"tolerance must be a positive finite number, got {tol_value}")
-        tol = ToleranceConfig(absolute=tol_value, relative=tol_value)
+        tol = ToleranceConfig(tol_value)
         if args.command == "acceptance":
             report = acceptance_report(tol, grid=args.grid)
         elif args.refresh_fixtures:

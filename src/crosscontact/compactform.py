@@ -19,13 +19,16 @@ class AlgebraError(ValueError):
 
 @dataclass
 class ToleranceConfig:
-    """Absolute/relative thresholds threaded to every verifier."""
+    """The one threshold threaded to every verifier.
 
-    absolute: float = 1e-9
-    relative: float = 1e-9
+    A residual counts as zero when it is at most the threshold, or at most
+    the threshold times its scale when that scale exceeds 1.
+    """
+
+    threshold: float = 1e-9
 
     def is_zero(self, value: float, scale: float = 1.0) -> bool:
-        return abs(value) <= max(self.absolute, self.relative * abs(scale))
+        return abs(value) <= max(self.threshold, self.threshold * abs(scale))
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -256,34 +256,6 @@ def classify(structure: AlmostContactStructure,
     return classify_all([structure], tol)[0]
 
 
-def tashiro_suite(frame: RestrictedFrame, radii: list[float],
-                  tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Contact behaviour of the standard and rectified structures over radii."""
-    entries = []
-    all_ok = True
-    classes = classify_all([standard_structure(frame, r) for r in radii]
-                           + [rectified_structure(frame, r) for r in radii], tol)
-    for r, std, rect in zip(radii, classes, classes[len(radii):]):
-        expect_std_contact = abs(r - 0.5) < 1e-12
-        expect_rect_k = abs(r - 1.0) < 1e-12 and frame.m_half == 0
-        ok = (std.flags["contact_metric"] == expect_std_contact
-              and rect.flags["contact_metric"]
-              and rect.flags["k_contact"] == expect_rect_k
-              and (not rect.flags["k_contact"] or rect.flags["sasakian"]))
-        all_ok = all_ok and ok
-        entries.append({"r": r,
-                        "standard_contact": std.flags["contact_metric"],
-                        "rectified_contact": rect.flags["contact_metric"],
-                        "rectified_k_contact": rect.flags["k_contact"],
-                        "rectified_sasakian": rect.flags["sasakian"],
-                        "expected_standard_contact": expect_std_contact,
-                        "expected_rectified_k_contact": expect_rect_k,
-                        "standard_residuals": std.residuals,
-                        "rectified_residuals": rect.residuals,
-                        "passed": ok})
-    return {"space": frame.space.label(), "entries": entries, "passed": all_ok}
-
-
 def _on_pairing(m: np.ndarray, p: np.ndarray, name: str) -> np.ndarray:
     """The entries m[..., i, p[i]]; ContactError if m has a nonzero anywhere else."""
     paired = m[..., np.arange(len(p)), p]
@@ -328,7 +300,12 @@ SCAN_SPAN = 2.0
 
 def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
                     grid_size: int = 5, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Log-grid scan showing only the theorem parameters admit a K-contact structure."""
+    """Log-grid scan showing only the theorem parameters admit a K-contact structure.
+
+    Returns the summary: the scanned axes, how many points there are and how
+    many pass, whether the theorem point passes and is the only one to, and
+    the smallest failing and largest passing residual.
+    """
     if grid_size < 3:
         raise ContactError("grid needs at least 3 points per axis")
     _require_positive(r=r, kappa=kappa)
@@ -351,22 +328,11 @@ def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
                        vals["b_eps"], vals.get("b_half", ones)], axis=-1)
     residuals = _k_contact_candidate_residuals(
         frame, kappa, homgeo.gram_diagonal(frame, coeffs))
-    is_target = np.all(index == center, axis=1)
-    passed = np.abs(residuals) <= max(tol.absolute, tol.relative)  # tol.is_zero, per point
-
-    columns = zip(*(vals[k].tolist() for k in axes))
-    points = [{"params": dict(zip(axes, params)), "residual": res, "passed": ok,
-               "theorem_point": at}
-              for params, res, ok, at in zip(columns, residuals.tolist(), passed.tolist(),
-                                             is_target.tolist())]
-    passing = residuals[passed].tolist()
-    failing = residuals[~passed].tolist()
-    theorem_passed = bool(np.any(passed & is_target))
-    return {"space": frame.space.label(), "r": r, "kappa": kappa,
-            "axes": axes, "grid_size": grid_size,
-            "n_points": len(points), "n_passed": len(passing),
+    passed = np.abs(residuals) <= tol.threshold  # tol.is_zero, per point
+    theorem_passed = bool(np.any(passed & np.all(index == center, axis=1)))
+    n_passed = int(np.count_nonzero(passed))
+    return {"axes": axes, "n_points": len(residuals), "n_passed": n_passed,
             "theorem_point_passed": theorem_passed,
-            "min_failing_residual": float(min(failing, default=np.inf)),
-            "max_passing_residual": float(max(passing, default=0.0)),
-            "unique": theorem_passed and len(passing) == 1,
-            "points": points}
+            "min_failing_residual": float(np.min(residuals[~passed], initial=np.inf)),
+            "max_passing_residual": float(np.max(residuals[passed], initial=0.0)),
+            "unique": theorem_passed and n_passed == 1}

@@ -108,15 +108,21 @@ def suite_metrics(space: SpaceId, r: float, kappa: float, grid: int,
 
 def suite_tashiro(space: SpaceId, r: float, kappa: float, grid: int,
                   rep: VerificationReport, tol: ToleranceConfig) -> None:
+    """Contact behaviour of the standard and rectified structures over radii."""
     frame = crossmodel.build_frame(space)
-    out = contact.tashiro_suite(frame, [0.25, 0.5, 1.0, 2.0], tol)
-    for entry in out["entries"]:
-        rep.add(f"tashiro/{space.label()}/r={entry['r']}",
+    radii = [0.25, 0.5, 1.0, 2.0]
+    classes = contact.classify_all(
+        [contact.standard_structure(frame, radius) for radius in radii]
+        + [contact.rectified_structure(frame, radius) for radius in radii], tol)
+    for radius, std, rect in zip(radii, classes, classes[len(radii):]):
+        std_contact, rect_k = std.flags["contact_metric"], rect.flags["k_contact"]
+        rep.add(f"tashiro/{space.label()}/r={radius}",
                 "standard structure contact only at r = 1/2; rectified always "
                 "contact, K-contact only on constant-curvature spaces at r = 1",
-                entry["passed"],
-                details=f"std_contact={entry['standard_contact']}, "
-                        f"rect_k={entry['rectified_k_contact']}")
+                std_contact == (radius == 0.5) and rect.flags["contact_metric"]
+                and rect_k == (radius == 1.0 and frame.m_half == 0)
+                and (not rect_k or rect.flags["sasakian"]),
+                details=f"std_contact={std_contact}, rect_k={rect_k}")
 
 
 def suite_sasakian(space: SpaceId, r: float, kappa: float, grid: int,
@@ -382,6 +388,6 @@ CRITERIA = (
 def acceptance_report(tol: ToleranceConfig, grid: int = 5) -> VerificationReport:
     """The full release gate: ten criteria over all five space families."""
     rep = VerificationReport(config={"command": "acceptance",
-                                     "tol": tol.absolute, "grid": grid})
+                                     "tol": tol.threshold, "grid": grid})
     rep.checks.extend(criterion(tol, grid) for criterion in CRITERIA)
     return rep.finalize()

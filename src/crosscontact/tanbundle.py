@@ -24,17 +24,26 @@ class BundleError(ValueError):
     pass
 
 
+def _positive_finite(*values: float) -> bool:
+    """True iff every value is a number in (0, inf); a NaN fails every comparison."""
+    return all(0 < v < np.inf for v in values)
+
+
+def _require_radius(t: float) -> None:
+    if not _positive_finite(t):
+        raise BundleError(f"radial coordinate must be a positive finite number, got {t!r}")
+
+
 def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
     """(q_eps, q_half)(t) = q evaluated on the restricted-root values at t."""
-    if t <= 0:
-        raise BundleError("radial coordinate must be positive")
+    _require_radius(t)
     return float(q(t)), float(q(t / 2.0))
 
 
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
     """J^q at (o, t) on frame-plus-radial coordinates."""
     qe, qh = q_values(q, t)
-    if not all(0 < v < np.inf for v in (qe, qh)):  # a NaN fails every comparison
+    if not _positive_finite(qe, qh):
         raise BundleError(f"q must be positive and finite on the sampled domain, "
                           f"got {(qe, qh)!r}")
     n = frame.dim_mbar
@@ -48,11 +57,11 @@ def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray
 def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
                    t: float) -> np.ndarray:
     """Gram of the invariant ambient metric at (o, t), radial slot last."""
-    if t <= 0:
-        raise BundleError("radial coordinate must be positive")
+    _require_radius(t)
     vals = {k: float(fns[k](t)) for k in FNS_KEYS}
-    if min(vals.values()) <= 0:
-        raise BundleError("metric functions must be positive at the sample")
+    if not _positive_finite(*vals.values()):
+        raise BundleError(f"metric functions must be positive finite numbers at the "
+                          f"sample, got {vals!r}")
     coeffs = [vals[k] for k in ("a", "a_eps", "a_half", "b_eps", "b_half")]
     # np.square is x * x, as in gram_diagonal: the a^2 and b^2 slots round alike
     return np.diag(np.append(gram_diagonal(frame, coeffs), np.square(vals["b"])))

@@ -1,10 +1,13 @@
 """Release gate: one test per registered acceptance criterion.
 
 The criteria live in ``suites.CRITERIA``, the same registry the CLI gate runs;
-this module only adds the wall-clock budgets of the slow criteria.
+this module adds the wall-clock budgets of the slow criteria and a sweep of
+the tolerance.
 """
 
 import time
+
+import pytest
 
 from crosscontact import compactform, suites
 
@@ -37,3 +40,11 @@ def test_acceptance_gate_report_all_pass():
     rep = suites.acceptance_report(compactform.DEFAULT_TOL)
     assert rep.passed, rep.to_text()
     assert rep.summary() == {"total": 10, "passed": 10, "failed": 0}
+
+
+@pytest.mark.parametrize("threshold", [1e-11, 1e-9, 1e-7])
+def test_gate_holds_across_tolerances(threshold):
+    """Every gate verdict holds for any --tol from 1e-11 to 1e-7."""
+    rep = suites.acceptance_report(compactform.ToleranceConfig(threshold))
+    assert rep.config["tol"] == threshold
+    assert rep.summary() == {"total": 10, "passed": 10, "failed": 0}, rep.to_text()

@@ -80,9 +80,14 @@ def test_invariant_form_structure():
 
 
 def test_tolerance_config():
-    tol = ToleranceConfig(absolute=1e-9, relative=1e-6)
-    assert tol.is_zero(5e-10)
-    assert tol.is_zero(5e-7, scale=1.0)
+    """One threshold t: a value is zero when |value| <= t, or <= t |scale| for |scale| > 1."""
+    tol = ToleranceConfig(1e-9)
+    assert ToleranceConfig() == tol
+    assert tol.is_zero(5e-10) and tol.is_zero(-1e-9)
+    assert not tol.is_zero(2e-9)
+    assert tol.is_zero(5e-10, scale=1e-3) and not tol.is_zero(2e-9, scale=0.0)
+    assert tol.is_zero(5e-7, scale=1e3) and tol.is_zero(-5e-7, scale=-1e3)
+    assert not tol.is_zero(2e-6, scale=1e3)
     assert not tol.is_zero(1e-3, scale=1.0)
 
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from crosscontact import contact, crossmodel, fixtures, suites
+from crosscontact.compactform import DEFAULT_TOL
 from crosscontact.contact import ContactError
 from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import MetricParams
+from crosscontact.report import VerificationReport
 
 RADII = (0.5, 1.0, 2.0)
 KAPPAS = (0.5, 1.0, 3.0)
@@ -95,15 +97,29 @@ def test_standard_at_half_not_k_contact(cp2):
 
 
 def test_tashiro_suite(frames):
+    radii = (0.25, 0.5, 1.0, 2.0)
     for frame in frames.values():
-        out = contact.tashiro_suite(frame, [0.25, 0.5, 1.0, 2.0])
-        assert out["passed"], out
-        by_r = {e["r"]: e for e in out["entries"]}
-        assert all(e["rectified_contact"] for e in out["entries"])
+        rep = VerificationReport(config={})
+        suites.suite_tashiro(frame.space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
+        assert rep.passed and len(rep.checks) == len(radii), rep.to_text()
+        rect = dict(zip(radii, (cls.flags for cls in contact.classify_all(
+            [contact.rectified_structure(frame, r) for r in radii]))))
+        assert all(flags["contact_metric"] for flags in rect.values())
         expect_k = frame.m_half == 0
-        assert by_r[1.0]["rectified_k_contact"] == expect_k
-        assert by_r[1.0]["rectified_sasakian"] == expect_k
-        assert not by_r[2.0]["rectified_k_contact"]
+        assert rect[1.0]["k_contact"] == expect_k
+        assert rect[1.0]["sasakian"] == expect_k
+        assert not rect[2.0]["k_contact"]
+
+
+def test_almost_contact_negative_control(frames):
+    """phi scaled by 1 + 1e-3 misses phi^2 = -1 + char eta by about 2e-3, so the
+    theorem structure loses every flag, almost_contact_metric first."""
+    for frame in frames.values():
+        st = contact.theorem_main_structure(frame, 1.0, 1.0)
+        assert all(contact.classify(st).flags.values())
+        cls = contact.classify(dataclasses.replace(st, phi=st.phi * (1 + 1e-3)))
+        assert cls.residuals["phi_squared"] == pytest.approx(2e-3, rel=1e-3)
+        assert not any(cls.flags.values()), cls.flags
 
 
 def test_theorem_structure_is_sasakian(frames):

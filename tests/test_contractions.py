@@ -341,9 +341,8 @@ def test_support_entries_equal_dense(frames, label):
                 assert np.max(np.abs(dense)) > 1e-3, name
 
 
-def test_classify_all_empty(cp2):
+def test_classify_all_empty():
     assert contact.classify_all([]) == []
-    assert contact.tashiro_suite(cp2, []) == {"space": "cp2", "entries": [], "passed": True}
 
 
 def test_classify_all_rejects_bad_stacks(frames):
@@ -412,6 +411,16 @@ def paired_blocks(frame, draw):
     return q
 
 
+def signed_permutation(rng):
+    """A paired_blocks draw: a random permutation with random signs."""
+    return lambda m: np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
+
+
+def rotation(rng):
+    """A paired_blocks draw: a random orthogonal matrix."""
+    return lambda m: np.linalg.qr(rng.normal(size=(m, m)))[0]
+
+
 def invariance_structures(frame):
     return [contact.theorem_main_structure(frame, 0.7, 1.3),
             contact.standard_structure(frame, 0.5), contact.standard_structure(frame, 2.0),
@@ -430,22 +439,37 @@ def test_classify_is_frame_independent(frames, label, seed):
     bit; a paired rotation, which fills cbar in, keeps the flags and the dense values."""
     frame = frames[label]
     rng = np.random.default_rng(seed)
-
-    def signed_permutation(m):
-        return np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
-
-    def rotation(m):
-        return np.linalg.qr(rng.normal(size=(m, m)))[0]
-
     ref = contact.classify_all(invariance_structures(frame))
-    permuted = paired_change_of_frame(frame, paired_blocks(frame, signed_permutation))
+    permuted = paired_change_of_frame(frame, paired_blocks(frame, signed_permutation(rng)))
     assert contact.classify_all(invariance_structures(permuted)) == ref
-    rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation))
+    rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation(rng)))
     assert np.count_nonzero(rotated.cbar) > np.count_nonzero(frame.cbar)
     structures = invariance_structures(rotated)
     for cls, want, st_ in zip(contact.classify_all(structures), ref, structures):
         assert cls == dense_classify(st_)
         assert cls.flags == want.flags
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(label=st.sampled_from(("sphere4", "cp3", "hp2", "CaP2")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_and_closed_forms_are_frame_independent(frames, label, seed):
+    """A paired signed permutation leaves the uniqueness scan and the U-map
+    closed-form residual bit for bit. A paired rotation keeps the closed forms,
+    and the scan, which needs d eta and ad_X exactly on the pairing, refuses
+    the rotated frame: the rotation fills in entries of about 1e-17."""
+    frame = frames[label]
+    rng = np.random.default_rng(seed)
+    r, kappa = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
+    params = MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5)))
+    permuted = paired_change_of_frame(frame, paired_blocks(frame, signed_permutation(rng)))
+    assert contact.uniqueness_scan(permuted, r, kappa) == contact.uniqueness_scan(frame, r, kappa)
+    assert suites.lemma_u_closed_forms_residual(permuted, params) \
+        == suites.lemma_u_closed_forms_residual(frame, params)
+    rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation(rng)))
+    assert suites.lemma_u_closed_forms_residual(rotated, params) < 1e-9
+    with pytest.raises(ContactError, match="pairing"):
+        contact.uniqueness_scan(rotated, r, kappa)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -615,11 +639,21 @@ def test_verify_algebra_equals_dense_scan_when_broken(frames):
 
 
 @pytest.mark.parametrize("label", ["cp2", "hp1"])
-def test_uniqueness_scan_matches_pointwise(frames, label):
+def test_uniqueness_scan_matches_pointwise(frames, label, monkeypatch):
     """Batched grid residuals equal the pointwise candidate residuals, in order."""
     frame = frames[label]
+    kernel = contact._k_contact_candidate_residuals
+    calls = []
+
+    def capture(frame, kappa, diags):
+        calls.append((diags, kernel(frame, kappa, diags)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(contact, "_k_contact_candidate_residuals", capture)
     for r, kappa in ((1.0, 1.0), (0.37, 2.3)):
         scan = contact.uniqueness_scan(frame, r, kappa, 5)
+        [(diags, got)] = calls
+        calls.clear()
         axes = scan["axes"]
         grids = []
         for k in axes:
@@ -628,16 +662,20 @@ def test_uniqueness_scan_matches_pointwise(frames, label):
             g[2] = t
             grids.append(g)
         combos = list(itertools.product(*grids))
-        assert len(scan["points"]) == len(combos) == 5 ** len(axes)
-        for p, (pt, combo) in enumerate(zip(scan["points"], combos)):
+        assert scan["n_points"] == len(got) == len(combos) == 5 ** len(axes)
+        want = []
+        for p, combo in enumerate(combos):
             vals = dict(zip(axes, combo))
-            assert pt["params"] == {k: float(vals[k]) for k in axes}
             params = MetricParams(kappa, vals["a_eps"], vals.get("a_half", 1.0),
                                   vals["b_eps"], vals.get("b_half", 1.0))
-            want = k_contact_candidate_residual(frame, kappa, params)
-            assert pt["residual"] == pytest.approx(want, rel=RTOL, abs=0.0)
-            assert pt["passed"] == (want <= 1e-9)
-            assert pt["theorem_point"] == (p == (len(combos) - 1) // 2)
+            metric = homgeo.metric_from_params(frame, params)
+            assert np.array_equal(diags[p], np.diagonal(metric.gram))  # parameter order
+            want.append(k_contact_candidate_residual(frame, kappa, params))
+            assert got[p] == pytest.approx(want[p], rel=RTOL, abs=0.0)
+        passing = np.array(want) <= 1e-9
+        assert scan["n_passed"] == np.count_nonzero(passing)
+        assert scan["theorem_point_passed"] == passing[(len(combos) - 1) // 2]
+        assert scan["theorem_point_passed"] and scan["unique"]
 
 
 def dense_candidate_residuals(frame, kappa, diags):

@@ -152,6 +152,24 @@ def test_jq_q_must_be_positive_finite(cp2, slot, bad):
         tanbundle.jq_matrix(cp2, lambda s: bad if s == at else 1.0, t)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -1.0])
+def test_radial_coordinate_must_be_positive_finite(cp2, t):
+    """t <= 0 let a NaN through both, and an inf through to inf Gram entries."""
+    with pytest.raises(BundleError, match="positive finite"):
+        tanbundle.q_values(identity, t)
+    with pytest.raises(BundleError, match="positive finite"):
+        tanbundle.ambient_metric(cp2, tanbundle.sasaki_fns(), t)
+
+
+@pytest.mark.parametrize("key, bad", [("a_eps", np.nan), ("b", np.inf),
+                                      ("b_half", np.nan), ("a", -np.inf)])
+def test_metric_functions_must_be_positive_finite(cp2, key, bad):
+    """min(values) <= 0 let a NaN into the Gram matrix and an inf into its radial slot."""
+    fns = dict(tanbundle.sasaki_fns(), **{key: lambda t: bad})
+    with pytest.raises(BundleError, match="positive finite"):
+        tanbundle.ambient_metric(cp2, fns, 1.0)
+
+
 def test_base_point_pair_consistency(cp2):
     """J^q on (xi, u) pairs at a base point matches the coordinate matrix.
 
