@@ -182,7 +182,7 @@ def _nabla_phi_on_support(frame: RestrictedFrame, f: np.ndarray, gram: np.ndarra
     """Deviation of alpha(u, phi v) - phi alpha(u, v) from g(u,v) char - eta(v) u.
 
     alpha = cbar/2 + U is the Levi-Civita bilinear, with U formed as
-    homgeo.u_tensor forms it. The deviation is evaluated per structure at the
+    homgeo.u_block forms it. The deviation is evaluated per structure at the
     entries frame.paired_support["nabla_phi"], with f as in
     _nijenhuis_on_support, and is zero everywhere else.
     """

@@ -74,15 +74,26 @@ def metric_from_params(frame: RestrictedFrame, params: MetricParams) -> Invarian
     return InvariantMetric(params, np.diag(gram_diagonal(frame, params.as_tuple())))
 
 
-def u_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
-    """U[i,j,:] solving 2<U(e_i,e_j), w> = <[w,e_i],e_j> + <[w,e_j],e_i> for all w.
+def u_block(frame: RestrictedFrame, gram_diag: np.ndarray, rows: slice,
+            cols: slice) -> np.ndarray:
+    """U[..., i, j, :] for e_i in the frame slice rows and e_j in cols.
 
-    The Gram system is diagonal (see InvariantMetric), so it is solved by division.
+    U solves 2<U(e_i,e_j), w> = <[w,e_i],e_j> + <[w,e_j],e_i> for all w; the
+    Gram system is diagonal (see InvariantMetric), so it is solved by division.
+    Leading axes of gram_diag stack several metrics. The slices read cbar
+    through views.
     """
-    g = np.diagonal(metric.gram)
-    cg = frame.cbar * g  # cg[w,i,j] = g([e_w,e_i], e_j)
-    rhs = cg + cg.transpose(0, 2, 1)  # rhs[w,i,j]
-    return 0.5 * (rhs * (1.0 / g)[:, None, None]).transpose(1, 2, 0)
+    c = frame.cbar
+    cg = c[:, rows, cols] * gram_diag[..., None, None, cols]  # cg[w,i,j] = g([e_w,e_i], e_j)
+    gc = cg if rows == cols else c[:, cols, rows] * gram_diag[..., None, None, rows]
+    rhs = cg + gc.swapaxes(-2, -1)  # rhs[w,i,j]
+    u = 0.5 * (rhs * (1.0 / gram_diag)[..., :, None, None])
+    return u.transpose(*range(u.ndim - 3), -2, -1, -3)
+
+
+def u_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
+    """U[i,j,:] = U(e_i, e_j) over the whole frame."""
+    return u_block(frame, np.diagonal(metric.gram), slice(None), slice(None))
 
 
 def killing_residual(frame: RestrictedFrame, gram_diag: np.ndarray,

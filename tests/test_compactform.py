@@ -91,6 +91,16 @@ def test_tolerance_config():
     assert not tol.is_zero(1e-3, scale=1.0)
 
 
+def test_jacobi_tolerance_scales_with_the_tensor(frames):
+    """The CaP2 tensor times 1e4 has a Jacobi residual of about 2e-8 from
+    rounding alone: above the threshold, below threshold * scale^2, so the
+    algebra passes only through the scale term of is_zero."""
+    alg = frames["CaP2"].alg
+    out = compactform.verify_algebra(dataclasses.replace(alg, values=alg.values * 1e4))
+    tol = ToleranceConfig()
+    assert tol.threshold < out["residuals"]["jacobi"] <= tol.threshold * out["scale"] ** 2
+    assert out["passed"]
+
 def test_malformed_algebra_rejected():
     """Entries, shapes and labels that disagree with dim, and non-finite or zero
     entries, raise AlgebraError."""

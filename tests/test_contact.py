@@ -122,6 +122,25 @@ def test_almost_contact_negative_control(frames):
         assert not any(cls.flags.values()), cls.flags
 
 
+def test_k_contact_not_sasakian_negative_control(cp2):
+    """cbar scaled by 1.001 on the block [half, half, eps] (xi and zeta alike)
+    leaves index 0, and so d eta and ad_X, as they were: the theorem structure
+    stays K-contact with exact zeros, and only nabla phi sees the change."""
+    s = cp2.slices()
+    half, eps = (np.r_[s[f"m_{b}"], s[f"k_{b}"]] for b in ("half", "eps"))
+    cbar = cp2.cbar.copy()
+    cbar[np.ix_(half, half, eps)] *= 1.001
+    frame = dataclasses.replace(cp2, cbar=cbar)
+    assert np.array_equal(frame.cbar[0], cp2.cbar[0])
+    assert np.array_equal(frame.cbar[:, :, 0], cp2.cbar[:, :, 0])
+    cls = contact.classify(contact.theorem_main_structure(frame, 1.0, 1.0))
+    assert cls.flags == {"almost_contact_metric": True, "contact_metric": True,
+                         "k_contact": True, "sasakian": False}
+    assert cls.residuals["axioms"] == cls.residuals["contact"] \
+        == cls.residuals["killing"] == 0.0
+    assert cls.residuals["nabla_phi"] == pytest.approx(1e-3, rel=1e-9)
+    assert cls.residuals["nijenhuis"] < 1e-15
+
 def test_theorem_structure_is_sasakian(frames):
     for frame in frames.values():
         for r in RADII:

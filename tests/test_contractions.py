@@ -8,6 +8,7 @@ entry, on random structure data.
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,13 +462,14 @@ def test_scan_and_closed_forms_are_frame_independent(frames, label, seed):
     frame = frames[label]
     rng = np.random.default_rng(seed)
     r, kappa = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
-    params = MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5)))
+    params = [MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5))) for _ in range(3)]
     permuted = paired_change_of_frame(frame, paired_blocks(frame, signed_permutation(rng)))
     assert contact.uniqueness_scan(permuted, r, kappa) == contact.uniqueness_scan(frame, r, kappa)
-    assert suites.lemma_u_closed_forms_residual(permuted, params) \
-        == suites.lemma_u_closed_forms_residual(frame, params)
+    got = suites.lemma_u_closed_forms_residual(permuted, params)
+    assert got.shape == (3,)
+    assert np.array_equal(got, suites.lemma_u_closed_forms_residual(frame, params))
     rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation(rng)))
-    assert suites.lemma_u_closed_forms_residual(rotated, params) < 1e-9
+    assert np.all(suites.lemma_u_closed_forms_residual(rotated, params) < 1e-9)
     with pytest.raises(ContactError, match="pairing"):
         contact.uniqueness_scan(rotated, r, kappa)
 
@@ -531,6 +533,42 @@ def test_u_tensor_equals_einsum(frames, label):
         metric = homgeo.metric_from_params(
             frame, MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5))))
         assert np.array_equal(homgeo.u_tensor(frame, metric), einsum_u_tensor(frame, metric))
+
+
+BLOCKS = ("a", "m_eps", "m_half", "k_eps", "k_half")
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_u_block_equals_einsum(frames, label):
+    """U on every pair of frame blocks, and on the Cartan row against the whole
+    frame, equals that part of the einsum U bit for bit."""
+    frame = frames[label]
+    s = frame.slices()
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        metric = homgeo.metric_from_params(
+            frame, MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5))))
+        want = einsum_u_tensor(frame, metric)
+        g = np.diagonal(metric.gram)
+        for rows, cols in itertools.chain(itertools.product(BLOCKS, BLOCKS),
+                                          [("a", None)]):
+            rs, cs = s[rows], s[cols] if cols else slice(None)
+            assert np.array_equal(homgeo.u_block(frame, g, rs, cs), want[rs, cs]), (rows, cols)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_u_block_stack_equals_single_calls(frames, label):
+    """Each metric of a stack gets exactly the U block of a call on its own."""
+    frame = frames[label]
+    s = frame.slices()
+    diags = homgeo.gram_diagonal(
+        frame, np.exp(np.random.default_rng(48).uniform(-2.3, 2.3, (6, 5))))
+    for rows, cols in itertools.product(BLOCKS, BLOCKS):
+        stacked = homgeo.u_block(frame, diags, s[rows], s[cols])
+        assert stacked.shape == (6, s[rows].stop - s[rows].start,
+                                 s[cols].stop - s[cols].start, frame.dim_mbar)
+        for p, diag in enumerate(diags):
+            assert np.array_equal(stacked[p], homgeo.u_block(frame, diag, s[rows], s[cols]))
 
 
 def noisy_tensor(alg):
@@ -638,6 +676,23 @@ def test_verify_algebra_equals_dense_scan_when_broken(frames):
         assert not got["passed"]
 
 
+def scan_grid_params(r, kappa, axes, grid):
+    """The uniqueness scan's grid points, in itertools.product order, with the
+    theorem value at index (grid - 1) // 2 of each axis."""
+    grids = []
+    for k in axes:
+        t = kappa * (r if k.endswith("eps") else r / 2.0) / (2 * r)
+        g = np.geomspace(t / 2.0, t * 2.0, grid)
+        g[(grid - 1) // 2] = t
+        grids.append(g)
+    out = []
+    for combo in itertools.product(*grids):
+        vals = dict(zip(axes, combo))
+        out.append(MetricParams(kappa, vals["a_eps"], vals.get("a_half", 1.0),
+                                vals["b_eps"], vals.get("b_half", 1.0)))
+    return out
+
+
 @pytest.mark.parametrize("label", ["cp2", "hp1"])
 def test_uniqueness_scan_matches_pointwise(frames, label, monkeypatch):
     """Batched grid residuals equal the pointwise candidate residuals, in order."""
@@ -655,19 +710,10 @@ def test_uniqueness_scan_matches_pointwise(frames, label, monkeypatch):
         [(diags, got)] = calls
         calls.clear()
         axes = scan["axes"]
-        grids = []
-        for k in axes:
-            t = kappa * (r if k.endswith("eps") else r / 2.0) / (2 * r)
-            g = np.geomspace(t / 2.0, t * 2.0, 5)
-            g[2] = t
-            grids.append(g)
-        combos = list(itertools.product(*grids))
+        combos = scan_grid_params(r, kappa, axes, 5)
         assert scan["n_points"] == len(got) == len(combos) == 5 ** len(axes)
         want = []
-        for p, combo in enumerate(combos):
-            vals = dict(zip(axes, combo))
-            params = MetricParams(kappa, vals["a_eps"], vals.get("a_half", 1.0),
-                                  vals["b_eps"], vals.get("b_half", 1.0))
+        for p, params in enumerate(combos):
             metric = homgeo.metric_from_params(frame, params)
             assert np.array_equal(diags[p], np.diagonal(metric.gram))  # parameter order
             want.append(k_contact_candidate_residual(frame, kappa, params))
@@ -677,6 +723,17 @@ def test_uniqueness_scan_matches_pointwise(frames, label, monkeypatch):
         assert scan["theorem_point_passed"] == passing[(len(combos) - 1) // 2]
         assert scan["theorem_point_passed"] and scan["unique"]
 
+
+def test_uniqueness_scan_grid_6_matches_pointwise(cp2):
+    """A 4-axis grid of size 6 has 1296 points, and only the theorem point
+    passes, as many as the pointwise residuals count."""
+    scan = contact.uniqueness_scan(cp2, 1.0, 1.0, grid_size=6)
+    assert scan["axes"] == ["a_eps", "b_eps", "a_half", "b_half"]
+    assert scan["n_points"] == 1296
+    assert scan["n_passed"] == 1 and scan["unique"]
+    want = [k_contact_candidate_residual(cp2, 1.0, params)
+            for params in scan_grid_params(1.0, 1.0, scan["axes"], 6)]
+    assert scan["n_passed"] == np.count_nonzero(np.array(want) <= 1e-9)
 
 def dense_candidate_residuals(frame, kappa, diags):
     """The scan's residuals as dense products over one dim_mbar^2 matrix per metric."""
@@ -771,10 +828,35 @@ def pointwise_lemma_u_residual(frame, params):
 
 @pytest.mark.parametrize("label", ["cp3", "hp2", "sphere4", "CaP2"])
 def test_lemma_u_residual_matches_pointwise(frames, label):
-    """The array-built closed-form residual equals the pointwise loop exactly."""
+    """The stacked closed-form residuals equal the pointwise loop exactly, metric
+    by metric."""
     rng = np.random.default_rng(5)
     frame = frames[label]
-    for _ in range(20):
-        params = MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5)))
-        got = suites.lemma_u_closed_forms_residual(frame, params)
-        assert got == pointwise_lemma_u_residual(frame, params)
+    params = [MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5))) for _ in range(20)]
+    got = suites.lemma_u_closed_forms_residual(frame, params)
+    assert got.shape == (20,)
+    for p, res in zip(params, got):
+        assert res == pointwise_lemma_u_residual(frame, p)
+
+
+def test_criterion_03_is_one_stacked_pass_per_space(monkeypatch):
+    """Criterion 03 checks its 50 metrics per space in one call, and peaks
+    below 2 MB: U is solved per block pair, never as a stack of whole tensors."""
+    kernel = suites.lemma_u_closed_forms_residual
+    sizes = []
+
+    def count(frame, params):
+        sizes.append(len(params))
+        return kernel(frame, params)
+
+    suites.criterion_03_u_closed_forms(compactform.DEFAULT_TOL, 5)  # frames built first
+    monkeypatch.setattr(suites, "lemma_u_closed_forms_residual", count)
+    tracemalloc.start()
+    try:
+        check = suites.criterion_03_u_closed_forms(compactform.DEFAULT_TOL, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.passed and check.residual < 1e-9
+    assert sizes == [50, 50]
+    assert peak < 2e6
