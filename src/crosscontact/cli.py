@@ -85,8 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         tol_value = args.tol if args.tol is not None else _default_tol()
-        if not _positive(tol_value):
-            raise ValueError(f"tolerance must be a positive finite number, got {tol_value}")
         tol = ToleranceConfig(tol_value)
         if args.command == "acceptance":
             report = acceptance_report(tol, grid=args.grid)

@@ -17,7 +17,7 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToleranceConfig:
     """The one threshold threaded to every verifier.
 
@@ -26,6 +26,10 @@ class ToleranceConfig:
     """
 
     threshold: float = 1e-9
+
+    def __post_init__(self):  # inf would call every residual zero, NaN none
+        if not (np.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"tolerance must be a positive finite number, got {self.threshold}")
 
     def is_zero(self, value: float, scale: float = 1.0) -> bool:
         return abs(value) <= max(self.threshold, self.threshold * abs(scale))

@@ -129,43 +129,35 @@ def d_eta_matrix(frame: RestrictedFrame) -> np.ndarray:
     return -0.5 * frame.cbar[:, :, 0]
 
 
-def axiom_residuals(phi: np.ndarray, gram: np.ndarray, char: np.ndarray,
-                    eta: np.ndarray) -> dict[str, np.ndarray]:
-    """Residuals of the almost contact metric axioms.
+def _pairing_axioms(frame: RestrictedFrame, f: np.ndarray, g: np.ndarray, c0: np.ndarray,
+                    e0: np.ndarray) -> dict[str, np.ndarray]:
+    """The almost contact metric axiom residuals of a phi on the pairing, per structure.
 
-    Leading axes of phi, gram, char and eta stack several structures; each
-    residual has the broadcast of those axes.
+    f[..., j] = phi[p[j], j] with p = frame.partner(), g is the Gram diagonal,
+    and c0, e0 (last axis of length 1) are the X-coordinates of char and eta.
+    Each dense product of the axioms has one nonzero term per row, taken here
+    in the same association, so each residual is the dense one bit for bit.
     """
-    eye = np.eye(char.shape[-1])
-    outer = char[..., :, None] * eta[..., None, :]
-    return {
-        "phi_squared": np.max(np.abs(phi @ phi + eye - outer), axis=(-2, -1)),
-        "eta_char": np.abs(np.sum(eta * char, axis=-1) - 1.0),
-        "phi_char": np.max(np.abs(np.sum(phi * char[..., None, :], axis=-1)), axis=-1),
-        "eta_phi": np.max(np.abs(np.sum(eta[..., :, None] * phi, axis=-2)), axis=-1),
-        "compatibility": np.max(np.abs(np.swapaxes(phi, -2, -1) @ gram @ phi - gram
-                                       + eta[..., :, None] * eta[..., None, :]),
-                                axis=(-2, -1)),
+    p = frame.partner()
+    on_x = np.arange(f.shape[-1]) == 0
+    terms = {
+        "phi_squared": f[..., p] * f + 1.0 - on_x * (c0 * e0),
+        "eta_char": e0 * c0 - 1.0,
+        "phi_char": f[..., :1] * c0,
+        "eta_phi": e0 * f[..., :1],
+        "compatibility": (f * g[..., p]) * f - g + on_x * (e0 * e0),
     }
-
-
-def nijenhuis_tensor(structure: AlmostContactStructure) -> np.ndarray:
-    """Normality tensor N(e_i, e_j) (Nijenhuis torsion plus the 2 d eta term)."""
-    c = structure.frame.cbar
-    phi = structure.phi
-    phi_c = phi.T @ c
-    t2 = np.tensordot(phi, phi_c, axes=(0, 0))  # [phi e_i, phi e_j]
-    t3 = np.tensordot(phi, c @ phi.T, axes=(0, 0))  # phi [phi e_i, e_j]
-    t4 = phi_c @ phi.T  # phi [e_i, phi e_j]
-    return -c + t2 - t3 - t4
+    return {name: np.max(np.abs(t), axis=-1) for name, t in terms.items()}
 
 
 def _nijenhuis_on_support(frame: RestrictedFrame, f: np.ndarray) -> np.ndarray:
-    """N at the entries frame.paired_support["nijenhuis"], per structure.
+    """Normality tensor N at the entries frame.paired_support["nijenhuis"], per structure.
 
-    f[:, j] = phi[p[j], j]. Each dense product of nijenhuis_tensor sums one
-    nonzero term, taken here in the same association, so the entries are
-    those of the dense tensor bit for bit, and it is zero everywhere else.
+    N = -c + phi c(phi, phi) - phi c(phi, .) - c(., phi) phi is the Nijenhuis
+    torsion plus the 2 d eta term, and f is as in _pairing_axioms. Each dense
+    product of N sums one nonzero term, taken here in the same association,
+    so the entries are those of the dense tensor bit for bit, and N is zero
+    everywhere else.
     """
     c, p = frame.cbar, frame.partner()
     i, j, k = frame.paired_support["nijenhuis"]
@@ -183,8 +175,8 @@ def _nabla_phi_on_support(frame: RestrictedFrame, f: np.ndarray, gram: np.ndarra
 
     alpha = cbar/2 + U is the Levi-Civita bilinear, with U formed as
     homgeo.u_block forms it. The deviation is evaluated per structure at the
-    entries frame.paired_support["nabla_phi"], with f as in
-    _nijenhuis_on_support, and is zero everywhere else.
+    entries frame.paired_support["nabla_phi"], with f as in _pairing_axioms,
+    and is zero everywhere else.
     """
     c, p = frame.cbar, frame.partner()
     i, j, k = frame.paired_support["nabla_phi"]
@@ -206,8 +198,9 @@ def classify_all(structures: list[AlmostContactStructure],
 
     The structures are classified together and must share one frame. Each phi
     must lie on the pairing p = frame.partner(), as phi_matrix builds it, and
-    char and eta on the Cartan line X. The normality and nabla phi residuals
-    are then evaluated only where they can be nonzero (paired_support).
+    char and eta on the Cartan line X. The axioms are then evaluated on the
+    pairing, and the normality and nabla phi residuals only where they can be
+    nonzero (paired_support).
     """
     if not structures:
         return []
@@ -216,6 +209,7 @@ def classify_all(structures: list[AlmostContactStructure],
         raise ContactError("classify_all needs structures on one frame")
     phi = np.stack([s.phi for s in structures])
     gram = np.stack([s.metric.gram for s in structures])
+    g = np.diagonal(gram, axis1=-2, axis2=-1)
     char = np.stack([s.char for s in structures])
     eta = np.stack([s.eta for s in structures])
     a = np.array([s.a_scalar for s in structures])
@@ -225,12 +219,11 @@ def classify_all(structures: list[AlmostContactStructure],
     if np.any(char[:, 1:]) or np.any(eta[:, 1:]):
         raise ContactError("char and eta must lie on the Cartan line X")
 
-    columns = axiom_residuals(phi, gram, char, eta)
+    columns = _pairing_axioms(frame, f, g, char[:, :1], eta[:, :1])
     columns["axioms"] = np.max(np.stack(list(columns.values())), axis=0)
     columns["contact"] = np.max(np.abs(gram @ phi - a[:, None, None] * d_eta_matrix(frame)),
                                 axis=(-2, -1))
-    columns["killing"] = homgeo.killing_residual(
-        frame, np.diagonal(gram, axis1=-2, axis2=-1), a[:, None] * char)
+    columns["killing"] = homgeo.killing_residual(frame, g, a[:, None] * char)
     for name, values in (("nijenhuis", _nijenhuis_on_support(frame, f)),
                          ("nabla_phi", _nabla_phi_on_support(frame, f, gram, char, eta))):
         columns[name] = np.max(np.abs(values), axis=-1, initial=0.0)  # 0 off the support
@@ -274,24 +267,20 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
     candidate satisfies the almost-contact axioms and X is Killing.
 
     d eta and ad_X are nonzero only on the pairing i <-> p[i] (X with X, xi_k
-    with zeta_k; checked here), so phi, phi^2, phi^T G phi and the Killing
-    form each have one nonzero per row, at (i, p[i]) or (i, i). They are
-    evaluated as per-metric vectors of length dim_mbar, in O(P dim_mbar) time
-    and memory. Each dense product they replace sums exactly one nonzero
-    term, and ((phi^T G) phi) keeps its association, so the residuals are
-    those of axiom_residuals and homgeo.killing_residual bit for bit.
+    with zeta_k; checked here), so the candidate lies on the pairing and its
+    axioms are those of _pairing_axioms; phi X = 0 and eta phi = 0 by its
+    form, so two of them decide. The Killing form has one nonzero per row too,
+    at (i, p[i]), and is evaluated the same way, so the residuals are those
+    of the dense products bit for bit, in O(P dim_mbar) time and memory.
     """
     p = frame.partner()
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
     phi = -kappa * (_on_pairing(d_eta_matrix(frame), p, "d eta") / diags)  # phi[i, p[i]]
-    phi_p, g_p = phi[:, p], diags[:, p]
     char, eta = _char_eta(frame.dim_mbar, kappa)
-    # phi X = 0 and eta phi = 0 by the form of phi, so two axioms decide
-    phi_squared = np.max(np.abs(phi * phi_p + 1.0 - char * eta), axis=-1)
-    compatibility = np.max(np.abs(phi_p * g_p * phi_p - diags + eta * eta), axis=-1)
+    axioms = _pairing_axioms(frame, phi[:, p], diags, char[:1], eta[:1])
     ad = (kappa * char[0]) * _on_pairing(frame.cbar[0], p, "ad_X")  # ad_X[i, p[i]]
-    killing = np.max(np.abs(0.5 * (ad * g_p + ad[p] * diags)), axis=-1)
-    return np.maximum(np.maximum(phi_squared, compatibility), killing)
+    killing = np.max(np.abs(0.5 * (ad * diags[:, p] + ad[p] * diags)), axis=-1)
+    return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]), killing)
 
 
 # each scanned parameter runs over [target / SCAN_SPAN, target * SCAN_SPAN]

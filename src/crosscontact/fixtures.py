@@ -1,15 +1,14 @@
-"""Frozen reference values produced once by the brute-force evaluation paths.
+"""Frozen reference values, recomputed through the paths the reports use.
 
 The values live in fixtures.json next to this module; refresh() recomputes
 them and reports diffs without overwriting, so regressions surface loudly.
+The tests check the same values against the dense oracles.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
-
-import numpy as np
 
 from . import contact, crossmodel
 from .crossmodel import Family, SpaceId
@@ -21,13 +20,13 @@ def load_fixtures() -> dict[str, float]:
 
 
 def compute_fixtures() -> dict[str, float]:
-    """Recompute every frozen value via the brute-force paths."""
+    """Recompute every frozen value via classify and the uniqueness scan."""
     cp2 = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
     hp1 = crossmodel.build_frame(SpaceId(Family.QUATERNIONIC_PROJECTIVE, 1))
     std = contact.standard_structure(cp2, 0.5)
     return {
         "cp2_standard_r0.5_nijenhuis_max":
-            float(np.max(np.abs(contact.nijenhuis_tensor(std)))),
+            contact.classify(std).residuals["nijenhuis"],
         "cp2_uniqueness_r1_kappa1_grid5_min_failing_residual":
             contact.uniqueness_scan(cp2, 1.0, 1.0, 5)["min_failing_residual"],
         "hp1_uniqueness_r1_kappa1_grid5_min_failing_residual":

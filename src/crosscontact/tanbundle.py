@@ -92,15 +92,13 @@ def is_hermitian(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
     return all(tol.is_zero(c, scale=max(abs(a), 1.0)) for c in checks)
 
 
-def extension_admissible(q: RadialFunction,
-                         probe_ts: list[float] | None = None) -> str:
+# radii at which extension_admissible samples q(t)/t, decreasing towards 0
+PROBE_TS = np.geomspace(1e-1, 1e-6, 11)
+
+
+def extension_admissible(q: RadialFunction) -> str:
     """'yes'/'no'/'inconclusive' verdict on 0 < lim_{t->0} q(t)/t < inf."""
-    if probe_ts is None:
-        probe_ts = list(np.geomspace(1e-1, 1e-6, 11))
-    probe_ts = sorted(probe_ts, reverse=True)
-    if probe_ts[-1] > 1e-4:
-        raise BundleError("probe sequence must reach below 1e-4")
-    ratios = np.array([float(q(t)) / t for t in probe_ts])
+    ratios = np.array([float(q(t)) / t for t in PROBE_TS])
     tail = ratios[-5:]
     spread = (tail.max() - tail.min()) / max(abs(tail).max(), 1e-300)
     if spread < 1e-3 and tail.min() > 0:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -162,13 +163,36 @@ def test_report_roundtrip():
     assert data["config"] == {"x": 1}
 
 
+def test_reports_match_the_schema(tmp_path):
+    """The gate, a run of every suite and a report with a failing check all
+    validate against the packaged report schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(resources.files("crosscontact").joinpath("report.schema.json")
+                        .read_text())
+    failing = VerificationReport(config={"command": "run"})
+    failing.add("forced-failure", "synthetic", False, residual=1.0)
+    failing.add("no-residual", "synthetic", True)
+    reports = [json.loads(failing.finalize().to_json())]
+    for argv in (["acceptance", "--grid", "3"],
+                 ["run", "--space", "hp", "--n", "1", "--suite", "all"]):
+        out = tmp_path / "report.json"
+        assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["summary"]["failed"] == 1
+    for report in reports:
+        jsonschema.validate(report, schema)
+
+
 def test_gate_and_cayley_leave_numpy_ma_unimported():
-    """np.unique imports numpy.ma, about 1 MB of peak RSS; no verdict needs it."""
+    """np.unique imports numpy.ma, about 1 MB of peak RSS; no verdict needs it.
+    run --suite all draws no random numbers either (the metrics suite samples a
+    fixed tuple of metrics), so it also skips the numpy.random import."""
     code = ("import contextlib, io, sys\n"
             "from crosscontact import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['acceptance', '--grid', '5']) == 0\n"
             "    assert cli.main(['run', '--space', 'cayley', '--suite', 'all']) == 0\n"
+            "    assert 'numpy.random' not in sys.modules\n"
+            "    assert cli.main(['acceptance', '--grid', '5']) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

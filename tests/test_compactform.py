@@ -91,6 +91,16 @@ def test_tolerance_config():
     assert not tol.is_zero(1e-3, scale=1.0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1e-9, np.inf, np.nan])
+def test_tolerance_config_rejects_bad_thresholds(threshold):
+    """An infinite threshold would call every residual zero, a NaN or one of at
+    most 0 would call none zero; nor can one be set after construction."""
+    with pytest.raises(ValueError, match="positive finite"):
+        ToleranceConfig(threshold)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ToleranceConfig().threshold = threshold
+
+
 def test_jacobi_tolerance_scales_with_the_tensor(frames):
     """The CaP2 tensor times 1e4 has a Jacobi residual of about 2e-8 from
     rounding alone: above the threshold, below threshold * scale^2, so the

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import nijenhuis_tensor
 
 from crosscontact import contact, crossmodel, fixtures, suites
 from crosscontact.compactform import DEFAULT_TOL
@@ -39,8 +40,8 @@ def test_axiom_suite_on_constructed_structures(frames):
     """phi^2, eta/char pairing and metric compatibility hold on every structure."""
     for frame in frames.values():
         for st in all_structures(frame):
-            res = contact.axiom_residuals(st.phi, st.metric.gram, st.char, st.eta)
-            assert max(res.values()) < 1e-9, res
+            res = contact.classify(st).residuals
+            assert res["axioms"] < 1e-9, res
 
 
 def test_d_eta_values(cp2):
@@ -234,7 +235,7 @@ def test_mixed_block_bracket_identity(cp2):
 
 def test_nijenhuis_vanishes_on_char(frames):
     for frame in frames.values():
-        n = contact.nijenhuis_tensor(contact.theorem_main_structure(frame, 1.0, 2.0))
+        n = nijenhuis_tensor(contact.theorem_main_structure(frame, 1.0, 2.0))
         for j in range(frame.dim_mbar):
             assert np.max(np.abs(n[0, j])) < 1e-9
         u = np.ones(frame.dim_mbar)
@@ -242,12 +243,14 @@ def test_nijenhuis_vanishes_on_char(frames):
 
 
 def test_standard_structure_nijenhuis_fixture(cp2):
-    """Frozen brute-force value: the standard structure at r = 1/2 is not normal."""
+    """Frozen value: the standard structure at r = 1/2 is not normal. classify's
+    residual equals the largest entry of the dense tensor bit for bit."""
     st = contact.standard_structure(cp2, 0.5)
-    val = float(np.max(np.abs(contact.nijenhuis_tensor(st))))
+    val = contact.classify(st).residuals["nijenhuis"]
     frozen = fixtures.load_fixtures()["cp2_standard_r0.5_nijenhuis_max"]
     assert val > 0.1
     assert val == pytest.approx(frozen, rel=1e-9)
+    assert val == np.max(np.abs(nijenhuis_tensor(st)))
 
 
 def test_uniqueness_scan(frames):

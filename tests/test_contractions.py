@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import axiom_residuals, nijenhuis_tensor
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -84,7 +85,7 @@ def dense_classify(structure, tol=compactform.DEFAULT_TOL):
     """classify as one dense product per residual and structure, the form it had
     before it worked on the support of cbar."""
     frame, g = structure.frame, structure.metric.gram
-    residuals = {k: float(v) for k, v in contact.axiom_residuals(
+    residuals = {k: float(v) for k, v in axiom_residuals(
         structure.phi, g, structure.char, structure.eta).items()}
     axioms = max(residuals.values())
     residuals["axioms"] = axioms
@@ -92,7 +93,7 @@ def dense_classify(structure, tol=compactform.DEFAULT_TOL):
         g @ structure.phi - structure.a_scalar * contact.d_eta_matrix(frame))))
     residuals["killing"] = float(homgeo.killing_residual(
         frame, np.diagonal(g), structure.a_scalar * structure.char))
-    residuals["nijenhuis"] = float(np.max(np.abs(contact.nijenhuis_tensor(structure))))
+    residuals["nijenhuis"] = float(np.max(np.abs(nijenhuis_tensor(structure))))
     residuals["nabla_phi"] = nabla_phi_residual(structure)
 
     acm = tol.is_zero(axioms)
@@ -231,12 +232,13 @@ def test_nijenhuis_matches_dense(frames, label):
     base = contact.theorem_main_structure(frame, 1.0, 1.0)
     for _ in range(3):
         st = dataclasses.replace(base, phi=rng.normal(size=base.phi.shape))
-        assert_rel_close(contact.nijenhuis_tensor(st), dense_nijenhuis(st))
+        assert_rel_close(nijenhuis_tensor(st), dense_nijenhuis(st))
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_nijenhuis_equals_two_product_form(frames, label):
-    """Reusing phi.T @ c for t4 leaves the tensor unchanged bit for bit."""
+    """Reusing phi.T @ c for t4 leaves the tensor unchanged bit for bit, and on the
+    pairing classify's normality residual is its largest entry."""
     frame = frames[label]
     rng = np.random.default_rng(47)
     structures = [contact.theorem_main_structure(frame, 0.37, 2.3),
@@ -244,7 +246,10 @@ def test_nijenhuis_equals_two_product_form(frames, label):
     structures += [dataclasses.replace(structures[0], phi=rng.normal(size=(frame.dim_mbar,) * 2))
                    for _ in range(3)]
     for st in structures:
-        assert np.array_equal(contact.nijenhuis_tensor(st), two_product_nijenhuis(st))
+        assert np.array_equal(nijenhuis_tensor(st), two_product_nijenhuis(st))
+    for st in structures[:2]:
+        assert contact.classify(st).residuals["nijenhuis"] == \
+            np.max(np.abs(two_product_nijenhuis(st)))
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -332,7 +337,7 @@ def test_support_entries_equal_dense(frames, label):
             got = {"nijenhuis": contact._nijenhuis_on_support(fr, f)[0],
                    "nabla_phi": contact._nabla_phi_on_support(
                        fr, f, st.metric.gram[None], st.char[None], st.eta[None])[0]}
-            want = {"nijenhuis": contact.nijenhuis_tensor(st), "nabla_phi": nabla_phi_deviation(st)}
+            want = {"nijenhuis": nijenhuis_tensor(st), "nabla_phi": nabla_phi_deviation(st)}
             for name, dense in want.items():
                 support = tuple(fr.paired_support[name])
                 assert np.array_equal(got[name], dense[support]), name
@@ -495,8 +500,9 @@ def test_killing_residual_matches_dense(frames, label):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_killing_and_axioms_stack_equal_single_calls(frames, label):
-    """A stack of Gram diagonals, vectors and phis gives exactly the residuals of
-    one call per entry, whether xi, char and eta are shared or stacked too."""
+    """A stack of Gram diagonals, vectors and pairing phis gives exactly the
+    residuals of one call per entry, whether xi, char and eta are shared or
+    stacked too, and the axioms are those of the dense products."""
     frame = frames[label]
     rng = np.random.default_rng(46)
     diags = homgeo.gram_diagonal(frame, np.exp(rng.uniform(-1.5, 1.5, (7, 5))))
@@ -506,18 +512,28 @@ def test_killing_and_axioms_stack_equal_single_calls(frames, label):
         assert got.shape == (7,)
         assert np.array_equal(got, [homgeo.killing_residual(frame, d, x)
                                     for d, x in zip(diags, np.broadcast_to(xi, xis.shape))])
-    phi = rng.normal(size=(7, frame.dim_mbar, frame.dim_mbar))
-    grams = diags[:, :, None] * np.eye(frame.dim_mbar)
-    chars, etas = rng.normal(size=(2, 7, frame.dim_mbar))
-    for char, eta in ((chars[0], etas[0]), (chars, etas)):
-        stacked = contact.axiom_residuals(phi, grams, char, eta)
-        for p in range(7):
-            single = contact.axiom_residuals(phi[p], grams[p], chars[p] if char.ndim == 2 else char,
-                                             etas[p] if eta.ndim == 2 else eta)
+    n, p = frame.dim_mbar, frame.partner()
+    f = rng.normal(size=(7, n))
+    phi = np.zeros((7, n, n))
+    phi[:, p, np.arange(n)] = f
+    grams = diags[:, :, None] * np.eye(n)
+    c0s, e0s = rng.normal(size=(2, 7, 1))
+    for c0, e0 in ((c0s[0], e0s[0]), (c0s, e0s)):
+        stacked = contact._pairing_axioms(frame, f, diags, c0, e0)
+        char, eta = np.zeros((2,) + c0.shape[:-1] + (n,))
+        char[..., :1], eta[..., :1] = c0, e0
+        dense = axiom_residuals(phi, grams, char, eta)
+        assert list(stacked) == list(dense)
+        for name, value in dense.items():
+            assert np.array_equal(stacked[name], value), name
+        for k in range(7):
+            single = contact._pairing_axioms(frame, f[k], diags[k],
+                                             c0s[k] if c0.ndim == 2 else c0,
+                                             e0s[k] if e0.ndim == 2 else e0)
             for name, value in single.items():
                 assert np.shape(value) == ()
                 assert value == (stacked[name] if np.ndim(stacked[name]) == 0
-                                 else stacked[name][p])
+                                 else stacked[name][k])
 
 
 @pytest.mark.parametrize("label", LABELS + ("sphere4",))
@@ -740,8 +756,7 @@ def dense_candidate_residuals(frame, kappa, diags):
     phi = -kappa * (contact.d_eta_matrix(frame) / diags[:, :, None])
     char, eta = np.zeros((2, frame.dim_mbar))
     char[0], eta[0] = 1.0 / kappa, kappa
-    axioms = contact.axiom_residuals(phi, diags[:, :, None] * np.eye(frame.dim_mbar),
-                                     char, eta)
+    axioms = axiom_residuals(phi, diags[:, :, None] * np.eye(frame.dim_mbar), char, eta)
     return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]),
                       homgeo.killing_residual(frame, diags, kappa * char))
 

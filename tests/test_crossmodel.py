@@ -315,7 +315,7 @@ def test_hp1_and_s4_agree_on_invariants(frames):
         sv = np.linalg.svd(frame.cbar.reshape(frame.dim_mbar, -1), compute_uv=False)
         assert sv == pytest.approx([np.sqrt(6.0)] + [np.sqrt(2.0)] * 6, abs=tol)
         st = contact.standard_structure(frame, 0.5)
-        nijenhuis = float(np.max(np.abs(contact.nijenhuis_tensor(st))))
+        nijenhuis = contact.classify(st).residuals["nijenhuis"]
         assert nijenhuis == pytest.approx(3.0, abs=tol)
         scan = contact.uniqueness_scan(frame, 1.0, 1.0)
         assert scan["min_failing_residual"] == pytest.approx(0.17677669529663684, abs=tol)

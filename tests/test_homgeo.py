@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosscontact import homgeo
+from crosscontact import homgeo, suites
+from crosscontact.compactform import DEFAULT_TOL
+from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import GeometryError, MetricParams
+from crosscontact.report import VerificationReport
 
 positive = st.floats(min_value=0.05, max_value=20.0,
                      allow_nan=False, allow_infinity=False)
@@ -136,7 +139,6 @@ def test_killing_criterion_biconditional(cp2, a, ae, ah, be, bh):
     metric = homgeo.metric_from_params(cp2, MetricParams(a, ae, ah, be, bh))
     is_kill, _ = homgeo.is_killing(cp2, metric, basis_vec(cp2, 0))
     # closed forms give residual max(|ae-be|/2, |ah-bh|/4); same tolerance rule
-    from crosscontact.compactform import DEFAULT_TOL
     want = DEFAULT_TOL.is_zero(max(abs(ae - be) / 2, abs(ah - bh) / 4))
     assert is_kill == want
 
@@ -145,6 +147,24 @@ def test_killing_with_equal_block_params(cp2):
     metric = homgeo.metric_from_params(cp2, MetricParams(3.0, 0.7, 1.3, 0.7, 1.3))
     assert homgeo.is_killing(cp2, metric, basis_vec(cp2, 0))[0]
     assert homgeo.is_killing(cp2, metric, np.zeros(cp2.dim_mbar))[0]
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.SPHERE, 3), SpaceId(Family.COMPLEX_PROJECTIVE, 2)],
+                         ids=SpaceId.label)
+def test_metrics_suite_killing_check_sees_both_answers(space, monkeypatch):
+    """The metrics suite samples Killing and non-Killing metrics, so an is_killing
+    that always answers False, or always True, fails its check."""
+    def metrics_checks():
+        rep = VerificationReport(config={})
+        suites.suite_metrics(space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
+        return {c.name.rsplit("/", 1)[1]: c for c in rep.checks}
+
+    checks = metrics_checks()
+    assert all(c.passed for c in checks.values())
+    assert checks["u_symmetry"].residual == 0.0
+    for answer in (False, True):
+        monkeypatch.setattr(homgeo, "is_killing", lambda *args, answer=answer: (answer, 0.0))
+        assert not metrics_checks()["killing_criterion"].passed
 
 
 def test_naturally_reductive_iff_proportional(cp2):

@@ -88,11 +88,6 @@ def test_extension_admissible(q, verdict):
     assert tanbundle.extension_admissible(q) == verdict
 
 
-def test_extension_probe_validation():
-    with pytest.raises(BundleError):
-        tanbundle.extension_admissible(identity, probe_ts=[0.5, 0.1])
-
-
 def test_induced_slice_matches_standard_structure(cp2):
     """The Sasaki pair induces the standard structure on every slice."""
     fns = tanbundle.sasaki_fns()
