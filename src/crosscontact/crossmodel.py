@@ -313,6 +313,12 @@ class RestrictedFrame:
         return out
 
 
+def _frame_brackets(alg: CompactLieAlgebra, ip: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """T[i, j, k] = <[r_i, c_j], comp_k> over the columns of rows, cols and comps."""
+    return compactform.bracket_table(alg.dense(), rows, cols) @ (ip @ comps)
+
+
 def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
                  targets: tuple[float, ...]) -> tuple[dict[float, np.ndarray], np.ndarray]:
     """Cluster eigenvectors of a symmetric operator to the target eigenvalues."""
@@ -361,7 +367,7 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
         raise ModelError("mbar frame is not orthonormal")
 
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>
-    cbar = compactform.bracket_table(alg.dense(), mbar, mbar) @ (ip @ mbar)
+    cbar = _frame_brackets(alg, ip, mbar, mbar, mbar)
 
     frame = RestrictedFrame(pair.space, alg, ip, x, xi_eps, xi_half,
                             zeta_eps, zeta_half, h_basis, mbar, cbar,
@@ -381,22 +387,17 @@ def build_frame(space: SpaceId) -> RestrictedFrame:
     return restricted_frame(build_pair(space))
 
 
-def _proj_residual(ip, vecs: np.ndarray, onto: np.ndarray) -> float:
-    """Largest norm of the component of a row of vecs outside the span of onto's columns."""
-    rem = vecs - (vecs @ ip @ onto) @ onto.T
-    return float(np.sqrt(np.max(np.sum((rem @ ip) * rem, axis=1), initial=0.0)))
-
-
 def verify_bracket_laws(frame: RestrictedFrame,
                         tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Check the bracket inclusion table and the eps/half pairing identities."""
-    alg, ip = frame.alg, frame.ip
-    sub = {"a": frame.x.reshape(-1, 1), "m_eps": frame.xi_eps, "m_half": frame.xi_half,
-           "k_eps": frame.zeta_eps, "k_half": frame.zeta_half, "h": frame.h_basis}
+    """Check the bracket inclusion table and the eps/half pairing identities.
 
-    def span(*names: str) -> np.ndarray:
-        cols = [sub[n] for n in names if sub[n].shape[1]]
-        return np.column_stack(cols) if cols else np.zeros((alg.dim, 0))
+    Brackets are read in the coordinates of F = [mbar | h_basis]: the part of a
+    bracket outside some frame blocks is the norm of its other coordinates only
+    when F is an orthonormal basis of g, which frame_basis checks (inf if F is
+    not square)."""
+    full = np.column_stack((frame.mbar, frame.h_basis))
+    blocks = {**frame.slices(), "h": slice(frame.dim_mbar, full.shape[1])}
+    t = _frame_brackets(frame.alg, frame.ip, full, frame.mbar, full)
 
     inclusions = [
         ("h", "m_eps", ("m_eps",)), ("h", "m_half", ("m_half",)),
@@ -410,44 +411,42 @@ def verify_bracket_laws(frame: RestrictedFrame,
         ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
         ("k_half", "k_half", ("h", "k_eps")),
     ]
-    # compactform.bracket_table, with one right factor ys.T @ c per right-hand block
-    c = alg.dense()
-    right = {n: sub[n].T @ c for n in ("m_eps", "m_half", "k_eps", "k_half")}
-
-    def br(s1: str, s2: str) -> np.ndarray:
-        return np.tensordot(sub[s1], right[s2], axes=(0, 0))
-
     checks = {}
     for s1, s2, tgt in inclusions:
-        vecs = br(s1, s2).reshape(-1, alg.dim)
-        checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = _proj_residual(ip, vecs, span(*tgt))
+        outside = np.ones(full.shape[1], dtype=bool)
+        for name in tgt:
+            outside[blocks[name]] = False
+        b = t[blocks[s1], blocks[s2]][..., outside]
+        checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = float(
+            np.sqrt(np.max(np.sum(b * b, axis=-1), initial=0.0)))
 
     # pairing identities between the eps and half blocks
-    checks["eps_half_pairing"] = max(
-        float(np.max(np.abs(br("m_eps", "m_half") - br("k_eps", "k_half")), initial=0.0)),
-        float(np.max(np.abs(br("k_eps", "m_half") + br("m_eps", "k_half")), initial=0.0)))
+    me, mh, ke, kh = (blocks[n] for n in ("m_eps", "m_half", "k_eps", "k_half"))
+    pairing = [t[me, mh] - t[ke, kh], t[ke, mh] + t[me, kh]]
+    checks["eps_half_pairing"] = float(np.max(np.abs(pairing), initial=0.0))
+    checks["frame_basis"] = (float(np.max(np.abs(full.T @ frame.ip @ full - np.eye(len(full)))))
+                             if full.shape[0] == full.shape[1] else np.inf)
     passed = all(tol.is_zero(v) for v in checks.values())
     return {"checks": checks, "passed": passed}
 
 
 def fixture_check_cp2_brackets(frame: RestrictedFrame,
                                tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Basis-independent scalar checks of the complex-projective bracket table."""
+    """Basis-independent scalar checks of the complex-projective bracket table,
+    read in the coordinates of [mbar | h_basis], where X is the first vector."""
     if frame.space.family is not Family.COMPLEX_PROJECTIVE:
         raise ModelError("fixture applies to complex projective spaces only")
-    br = functools.partial(compactform.bracket_table, frame.alg.dense())
-    ip = frame.ip
-    xe, ze, xh, zh = frame.xi_eps[:, :1], frame.zeta_eps[:, :1], frame.xi_half, frame.zeta_half
-    checks = {}
-    checks["[xi_eps,zeta_eps]=-X"] = float(np.max(np.abs(br(xe, ze)[0, 0] + frame.x)))
-    half = np.diagonal(br(xh, zh)).T  # row p = [xi_p, zeta_p]
-    worst_half = float(np.max(np.abs(half @ ip @ frame.x + 0.5), initial=0.0))
-    b = br(xe, xh)[0]  # row p = [xi_eps, xi_p]
-    worst_norm = float(np.max(np.abs(np.sqrt(np.sum((b @ ip) * b, axis=1)) - 0.5),
-                              initial=0.0))
-    worst_pair = float(np.max(np.abs(br(xe, zh)[0] + br(ze, xh)[0]), initial=0.0))
-    checks["<[xi_half,zeta_half],X>=-1/2"] = worst_half
-    checks["|[xi_eps,xi_half]|=1/2"] = worst_norm
-    checks["eps_half_antipairing"] = worst_pair
+    full = np.column_stack((frame.mbar, frame.h_basis))
+    t = _frame_brackets(frame.alg, frame.ip, frame.mbar, frame.mbar, full)
+    s = frame.slices()
+    xe, ze, xh, zh = s["m_eps"].start, s["k_eps"].start, s["m_half"], s["k_half"]
+    half = np.diagonal(t[xh, zh])[0]  # entry p = <[xi_p, zeta_p], X>
+    norm = np.sqrt(np.sum(t[xe, xh] * t[xe, xh], axis=1))  # entry p = |[xi_eps, xi_p]|
+    checks = {
+        "[xi_eps,zeta_eps]=-X": float(np.max(np.abs(t[xe, ze] + np.eye(full.shape[1])[0]))),
+        "<[xi_half,zeta_half],X>=-1/2": float(np.max(np.abs(half + 0.5), initial=0.0)),
+        "|[xi_eps,xi_half]|=1/2": float(np.max(np.abs(norm - 0.5), initial=0.0)),
+        "eps_half_antipairing": float(np.max(np.abs(t[xe, zh] + t[ze, xh]), initial=0.0)),
+    }
     passed = all(tol.is_zero(v) for v in checks.values())
     return {"checks": checks, "passed": passed}

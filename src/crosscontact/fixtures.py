@@ -41,6 +41,7 @@ def refresh() -> list[str]:
     lines = []
     for key in sorted(set(frozen) | set(fresh)):
         old, new = frozen.get(key), fresh.get(key)
-        if old is None or new is None or abs(old - new) > 1e-9 * max(1.0, abs(old)):
+        # a NaN fails the bound, so it counts as a diff
+        if old is None or new is None or not abs(old - new) <= 1e-9 * max(1.0, abs(old)):
             lines.append(f"{key}: frozen={old!r} recomputed={new!r}")
     return lines

@@ -141,6 +141,18 @@ def test_refresh_fixtures_up_to_date(capsys):
     assert "fixtures up to date" in out
 
 
+def test_refresh_fixtures_reports_a_nan(capsys, monkeypatch):
+    """A recomputed NaN is a diff, not "up to date"."""
+    from crosscontact import fixtures
+    fresh = fixtures.compute_fixtures()
+    key = sorted(fresh)[0]
+    monkeypatch.setattr(fixtures, "compute_fixtures", lambda: {**fresh, key: float("nan")})
+    code, out, _ = run_cli(capsys, "run", "--space", "cp", "--refresh-fixtures")
+    assert code == 1
+    assert out.startswith(f"{key}: frozen=") and "recomputed=nan" in out
+    assert "up to date" not in out
+
+
 def test_report_text_format():
     report = VerificationReport(config={})
     report.add("b-check", "ref", True, residual=1e-12)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import axiom_residuals, nijenhuis_tensor
+from oracles import axiom_residuals, nijenhuis_tensor, projection_bracket_laws
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -672,6 +672,29 @@ def test_verify_algebra_equals_dense_scan(space):
     alg = crossmodel.build_frame(space).alg
     np.testing.assert_equal(compactform.verify_algebra(alg),
                             dense_verify_algebra(alg.dense(), alg.inv_form))
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_bracket_laws_equal_projection_oracle(space):
+    """The frame-coordinate laws and the projection oracle agree on the verdict
+    and on every inclusion residual; the laws add the frame_basis check."""
+    frame = crossmodel.build_frame(space)
+    got = crossmodel.verify_bracket_laws(frame)
+    want = projection_bracket_laws(frame)
+    assert got["passed"] == want["passed"]
+    assert list(got["checks"]) == list(want["checks"]) + ["frame_basis"]
+    for name, value in want["checks"].items():
+        if name.startswith("["):
+            assert abs(got["checks"][name] - value) <= 1e-14, name
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_cbar_bytes_equal_dense_projection(space):
+    """cbar is the dense-tensor projection byte for byte, as any sparse kernel must be."""
+    frame = crossmodel.build_frame(space)
+    want = compactform.bracket_table(frame.alg.dense(), frame.mbar, frame.mbar) \
+        @ (frame.ip @ frame.mbar)
+    assert frame.cbar.tobytes() == want.tobytes()
 
 
 def test_verify_algebra_equals_dense_scan_when_broken(frames):

@@ -1,9 +1,11 @@
 """Symmetric pairs and restricted-root frames against the classification table."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import projection_bracket_laws
 
 from crosscontact import compactform, contact, crossmodel
 from crosscontact.crossmodel import Family, ModelError, SpaceId
@@ -183,6 +185,40 @@ def test_bracket_laws(frames):
     for label, frame in frames.items():
         out = crossmodel.verify_bracket_laws(frame)
         assert out["passed"], (label, out["checks"])
+
+
+def broken_cp3_frames(cp3):
+    """CP^3 frames that break the bracket laws, keyed by what is broken."""
+    s = cp3.slices()
+    swapped = cp3.mbar.copy()
+    xi, zeta = s["m_half"].start, s["k_half"].start
+    swapped[:, [xi, zeta]] = swapped[:, [zeta, xi]]
+    with_nan = cp3.mbar.copy()
+    with_nan[0, 1] = np.nan
+    return {"h_column_dropped": dataclasses.replace(cp3, h_basis=cp3.h_basis[:, 1:]),
+            "xi_zeta_swapped": dataclasses.replace(cp3, mbar=swapped),
+            "nan_in_mbar": dataclasses.replace(cp3, mbar=with_nan)}
+
+
+@pytest.mark.parametrize("broken", ["h_column_dropped", "xi_zeta_swapped", "nan_in_mbar"])
+def test_bracket_laws_negative_controls(frames, broken):
+    """Each broken frame fails the laws, and fails the projection oracle too."""
+    frame = broken_cp3_frames(frames["cp3"])[broken]
+    out = crossmodel.verify_bracket_laws(frame)
+    checks = out["checks"]
+    assert not out["passed"]
+    assert not projection_bracket_laws(frame)["passed"]
+    inclusions = [v for name, v in checks.items() if name.startswith("[")]
+    if broken == "h_column_dropped":
+        # frame coordinates of an incomplete basis miss what lies off it
+        assert checks["frame_basis"] == np.inf
+        assert max(inclusions) < 1e-12
+    elif broken == "xi_zeta_swapped":
+        assert checks["frame_basis"] < 1e-12
+        assert max(inclusions) == pytest.approx(1.0)
+    else:
+        assert np.isnan(checks["frame_basis"])
+        assert np.isnan(np.max(inclusions))
 
 
 def bracket(alg, x, y):

@@ -5,6 +5,9 @@ A public name that only tests call is surface with no user: this test walks
 function and each public method of a module-level class to be named (as a
 bare name or an attribute) somewhere in ``src/`` or ``demos/`` outside its own
 ``def``. Names are matched as identifiers, not resolved to their owners.
+
+A second walk pins the functions of ``src/`` that build the dense bracket
+tensor with ``.dense()``: the list may only shrink (ROADMAP item 4).
 """
 
 import ast
@@ -14,20 +17,34 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crosscontact"
 
 ALLOWED = {
-    # the sigma-automorphism check is to be reported by a suite (ROADMAP item 3)
+    # the sigma-automorphism check is to be reported by a suite (ROADMAP item 6)
+    "crossmodel.sigma_automorphism_residual",
+}
+
+DENSE_CALLERS = {
+    "compactform._jacobi_max",
+    "compactform.verify_algebra",
+    "crossmodel._frame_brackets",
     "crossmodel.sigma_automorphism_residual",
 }
 
 
-def public_defs(tree: ast.Module, module: str):
-    """(qualified name, bare name, def node) of the public functions and methods."""
+def all_defs(tree: ast.Module, module: str):
+    """(qualified name, def node) of the module-level functions and methods."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def public_defs(tree: ast.Module, module: str):
+    """(qualified name, bare name, def node) of the public functions and methods."""
+    for qualified, node in all_defs(tree, module):
+        if not node.name.startswith("_"):
+            yield qualified, node.name, node
 
 
 def named_outside(trees: list[ast.Module], name: str, own: ast.FunctionDef) -> bool:
@@ -52,3 +69,19 @@ def test_every_public_function_has_a_caller():
               if not named_outside(list(trees.values()), name, node)}
     assert sorted(unused - ALLOWED) == []
     assert sorted(ALLOWED - unused) == []
+
+
+def calls_dense(node: ast.FunctionDef) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "dense" for n in ast.walk(node))
+
+
+def test_dense_callers_are_pinned():
+    """The src/ functions that call .dense() are exactly DENSE_CALLERS, so a
+    new caller fails, and so does an entry whose caller is gone."""
+    callers = {qualified
+               for path in sorted(PACKAGE.glob("*.py"))
+               for qualified, node in all_defs(ast.parse(path.read_text()), path.stem)
+               if calls_dense(node)}
+    assert sorted(callers - DENSE_CALLERS) == []
+    assert sorted(DENSE_CALLERS - callers) == []
