@@ -110,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # exit code 1 means a failed check, which this is not
+        print(f"error: too large for the available memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         _emit(report, args.format, args.output)

@@ -234,7 +234,7 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
     if _JOIN_FILL * int(fan.sum()) > dim ** 5:
         return _jacobi_dense(alg.dense())
     # blocks of whole l with about dim^3 / 8 terms keep the join's arrays
-    # near dim^3 floats, below the ad-invariance check's three
+    # near dim^3 floats
     terms_l = np.bincount(m, weights=fan, minlength=dim)
     block = (np.cumsum(terms_l) - terms_l) // max(1, dim ** 3 // 8)
     edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
@@ -260,21 +260,39 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
     return float(np.max(worst))
 
 
+def _max_plus_swapped(key: np.ndarray, vals: np.ndarray, swapped: np.ndarray) -> float:
+    """max |vals[n] + v'| with v' the value stored at key swapped[n], 0 where none is."""
+    at = np.searchsorted(key, swapped)
+    partner = np.where(np.append(key, -1)[at] == swapped, np.append(vals, 0.0)[at], 0.0)
+    return float(np.max(np.abs(vals + partner), initial=0.0))
+
+
 def verify_algebra(alg: CompactLieAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Max residuals for antisymmetry, Jacobi, ad-invariance and form positivity."""
     g, vals = alg.inv_form, alg.values
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     # c[i,j,k] + c[j,i,k] at the stored entries; it is zero everywhere else
-    key = _flat_key(alg.index, alg.dim)
-    swapped = _flat_key(alg.index[:, [1, 0, 2]], alg.dim)
-    at = np.searchsorted(key, swapped)  # where c[j,i,k] is stored, if it is
-    partner = np.where(np.append(key, -1)[at] == swapped, np.append(vals, 0.0)[at], 0.0)
-    antisym = float(np.max(np.abs(vals + partner), initial=0.0))
+    antisym = _max_plus_swapped(_flat_key(alg.index, alg.dim), vals,
+                                _flat_key(alg.index[:, [1, 0, 2]], alg.dim))
     # Jacobi [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0
     jacobi = _jacobi_max(alg)
-    # <[x,y],z> + <y,[x,z]> = 0 on basis triples
-    t = alg.dense() @ g
-    adinv = float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
+    # <[x,y],z> + <y,[x,z]> = 0 on basis triples: t[i,j,l] + t[i,l,j] with
+    # t[i,j,l] = sum_k c[i,j,k] g[k,l], from the entries joined on k with the
+    # nonzeros of g; each t sums its terms in k order, as c @ g does
+    dim, k = alg.dim, alg.index[:, 2]
+    gk, gl = np.nonzero(g)
+    per_k = np.bincount(gk, minlength=dim)
+    fan = per_k[k]
+    entry = np.repeat(np.arange(len(vals)), fan)
+    at = (np.repeat((np.cumsum(per_k) - per_k)[k] - (np.cumsum(fan) - fan), fan)
+          + np.arange(len(entry)))  # position in (gk, gl) of each term's g[k,l]
+    i, j, _ = alg.index[entry].T
+    col = gl[at]
+    key, swapped = (i * dim + j) * dim + col, (i * dim + col) * dim + j
+    order = np.argsort(key, kind="stable")
+    first = np.diff(key[order], prepend=-1) != 0
+    t = np.bincount(np.cumsum(first) - 1, weights=(vals[entry] * g[gk[at], col])[order])
+    adinv = _max_plus_swapped(key[order][first], t, swapped[order][first])
     eigmin = float(np.min(np.linalg.eigvalsh(g)))
     checks = {
         "antisymmetry": antisym,

@@ -8,6 +8,7 @@ k_half, h) is extracted from the spectrum of ad_X^2.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -383,7 +384,11 @@ def build_frame(space: SpaceId) -> RestrictedFrame:
     """Pair + Cartan vector + frame in one call, built once per space.
 
     Every caller shares the returned frame, so it must not be written to.
+    S^n and RP^n are the one symmetric pair (so(n+1), so(n)), so RP^n shares
+    the frame of S^n under its own space.
     """
+    if space.family is Family.REAL_PROJECTIVE:
+        return dataclasses.replace(build_frame(SpaceId(Family.SPHERE, space.n)), space=space)
     return restricted_frame(build_pair(space))
 
 
@@ -411,14 +416,15 @@ def verify_bracket_laws(frame: RestrictedFrame,
         ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
         ("k_half", "k_half", ("h", "k_eps")),
     ]
-    checks = {}
-    for s1, s2, tgt in inclusions:
-        outside = np.ones(full.shape[1], dtype=bool)
+    # column q of mask is 1 on the coordinates outside inclusion q's targets
+    mask = np.ones((full.shape[1], len(inclusions)))
+    for q, (_, _, tgt) in enumerate(inclusions):
         for name in tgt:
-            outside[blocks[name]] = False
-        b = t[blocks[s1], blocks[s2]][..., outside]
-        checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = float(
-            np.sqrt(np.max(np.sum(b * b, axis=-1), initial=0.0)))
+            mask[blocks[name], q] = 0.0
+    norms = (t * t) @ mask
+    checks = {f"[{s1},{s2}]c{'+'.join(tgt)}":
+              float(np.sqrt(np.max(norms[blocks[s1], blocks[s2], q], initial=0.0)))
+              for q, (s1, s2, tgt) in enumerate(inclusions)}
 
     # pairing identities between the eps and half blocks
     me, mh, ke, kh = (blocks[n] for n in ("m_eps", "m_half", "k_eps", "k_half"))

@@ -9,6 +9,7 @@ extraspecial-pair sign convention.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,9 +145,12 @@ class RootSystem:
     n: np.ndarray | None = None
 
     def __post_init__(self):
+        if not all(r.is_positive() for r in self.positive_roots):
+            raise RootSystemError("positive_roots holds a root that is not positive")
         size = len(self.positive_roots)
         self._row = {r.coeffs: p for p, r in enumerate(self.positive_roots)}
-        self._row.update({(-r).coeffs: size + p for p, r in enumerate(self.positive_roots)})
+        self._row.update({tuple(-a for a in r.coeffs): size + p
+                          for p, r in enumerate(self.positive_roots)})
 
     @property
     def rank(self) -> int:
@@ -162,15 +166,6 @@ class RootSystem:
         a = np.array(alpha.coeffs)
         b = np.array(beta.coeffs)
         return float(a @ self.gram @ b)
-
-    def signed_n(self, a: Root, b: Root) -> float:
-        """N(a, b) for roots a, b of either sign."""
-        if self.n is None:
-            raise RootSystemError("structure constants not assigned")
-        try:
-            return float(self.n[self._row[a.coeffs], self._row[b.coeffs]])
-        except KeyError as exc:
-            raise RootSystemError(f"{exc.args[0]} is not a root") from None
 
     def pair_tables(self) -> PairTables:
         """The positive roots and their pairwise data as arrays, by position."""
@@ -207,41 +202,40 @@ class RootSystem:
                           self.n[:size, :size], self.n[size:, :size])
 
 
-def _cartan_pairing(basis: SimpleBasis, beta: Root, j: int) -> int:
-    """<beta, alpha_j^v> = 2(beta, alpha_j)/(alpha_j, alpha_j) from the Cartan matrix."""
-    return int(sum(n * basis.cartan_matrix[k, j] for k, n in enumerate(beta.coeffs)))
+def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
+    return tuple(map(operator.sub, a, b))
 
 
 def generate_positive_roots(basis: SimpleBasis) -> RootSystem:
     """All positive roots by closure over simple-root strings, ordered by (height, lex)."""
     rank = basis.rank
-    simple = [Root(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
-    roots: set[Coeffs] = {r.coeffs for r in simple}
+    cartan = basis.cartan_matrix.tolist()
+    roots: set[Coeffs] = {tuple(int(i == j) for i in range(rank)) for j in range(rank)}
+
+    def shift(c: Coeffs, j: int, n: int) -> Coeffs:  # c + n a_j
+        return c[:j] + (c[j] + n,) + c[j + 1:]
+
     # process strictly by height so down-strings only consult completed levels
     height = 1
     while True:
-        level = [Root(c) for c in roots if sum(c) == height]
+        level = [c for c in roots if sum(c) == height]
         if not level:
             break
         for beta in level:
-            for j, alpha in enumerate(simple):
-                # walk down to find p, then extend the string up to q = -p - <beta, a_j^v>
+            for j in range(rank):
+                # walk down to find p (roots holds positive roots only), then
+                # extend the string up to q = -p - <beta, a_j^v>
                 p = 0
-                down = beta
-                while (down - alpha).is_positive() and (down - alpha).coeffs in roots:
-                    down = down - alpha
+                while shift(beta, j, p - 1) in roots:
                     p -= 1
-                q = -p - _cartan_pairing(basis, beta, j)
-                up = beta
-                for _ in range(q):
-                    up = up + alpha
-                    roots.add(up.coeffs)
+                q = -p - sum(n * cartan[k][j] for k, n in enumerate(beta))
+                roots.update(shift(beta, j, s) for s in range(1, q + 1))
         height += 1
-    ordered = sorted((Root(c) for c in roots), key=Root.sort_key)
+    ordered = sorted(map(Root, roots), key=Root.sort_key)
     rs = RootSystem(basis, ordered)
-    mu = ordered[-1]
+    mu = ordered[-1].coeffs
     for r in ordered:
-        if any(m < n for m, n in zip(mu.coeffs, r.coeffs)):
+        if any(m < n for m, n in zip(mu, r.coeffs)):
             raise RootSystemError("maximal root does not dominate all positive roots")
     return rs
 
@@ -317,43 +311,42 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
     if rs.gram is None:
         killing_gram(rs)
     row = rs._row
-    size = len(rs.positive_roots)
+    pos = rs.positive_roots
+    size = len(pos)
     table = rs.n = np.zeros((2 * size, 2 * size))
 
-    def put(a: Root, b: Root, val: float):
-        i, j, k = (row[r.coeffs] for r in (a, b, -(a + b)))
+    def put(i: int, j: int, k: int, val: float):
+        """N(a, b) = val for the signed rows i, j of a, b and k of -(a + b)."""
         for x, y in ((i, j), (j, k), (k, i)):
             nx, ny = (x + size) % (2 * size), (y + size) % (2 * size)
             table[x, y] = table[ny, nx] = val
             table[y, x] = table[nx, ny] = -val
 
-    for gamma in rs.positive_roots:
+    # a root before gamma in the (height, lex) order has at most its height, so a
+    # root gamma - alpha is positive; rows below size are the positive roots
+    for g, gamma in enumerate(pos):
         if gamma.height < 2:
             continue
-        pairs = []
-        for alpha in rs.positive_roots:
-            if alpha.sort_key() >= gamma.sort_key():
-                break
-            beta = gamma - alpha  # of positive height, so a root beta is positive
-            if beta.coeffs in row and row[alpha.coeffs] <= row[beta.coeffs]:
-                pairs.append((alpha, beta))
-        pairs.sort(key=lambda ab: ab[0].sort_key())
+        pairs = [(a, b) for a in range(g)
+                 if (b := row.get(_sub(gamma.coeffs, pos[a].coeffs), -1)) >= a]
         a1, b1 = pairs[0]  # extraspecial: minimal alpha (always simple)
-        put(a1, b1, _n_magnitude(rs, a1, b1))
-        for alpha, beta in pairs[1:]:
+        put(a1, b1, size + g, _n_magnitude(rs, pos[a1], pos[b1]))
+        m1 = size + a1  # the row of -a1
+        for a, b in pairs[1:]:
+            alpha, beta = pos[a].coeffs, pos[b].coeffs
             # Jacobi identity on (E_{-a1}, E_alpha, E_beta), all brackets land on E_{b1}
-            denom = rs.signed_n(gamma, -a1)
-            t1 = rs.signed_n(-a1, alpha)
-            t1 = t1 * rs.signed_n(alpha - a1, beta) if t1 else 0.0
-            t2 = rs.signed_n(beta, -a1)
-            t2 = t2 * rs.signed_n(beta - a1, alpha) if t2 else 0.0
+            denom = table[g, m1]
+            t1 = table[m1, a]
+            t1 = t1 * table[row[_sub(alpha, pos[a1].coeffs)], b] if t1 else 0.0
+            t2 = table[b, m1]
+            t2 = t2 * table[row[_sub(beta, pos[a1].coeffs)], a] if t2 else 0.0
             val = -(t1 + t2) / denom
             # an orbit entry not yet written reads as zero and fails here
-            want = _n_magnitude(rs, alpha, beta)
+            want = _n_magnitude(rs, pos[a], pos[b])
             if abs(abs(val) - want) > 1e-9 * max(1.0, want):
                 raise RootSystemError(
-                    f"sign propagation inconsistent at {alpha.coeffs}+{beta.coeffs}: "
+                    f"sign propagation inconsistent at {alpha}+{beta}: "
                     f"|N| = {abs(val):.12g}, expected {want:.12g}")
-            put(alpha, beta, val)
+            put(a, b, size + g, val)
 
     return rs

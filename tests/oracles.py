@@ -1,17 +1,30 @@
-"""Dense reference forms of package residuals, for the tests only.
+"""Reference forms of package residuals and constructions, for the tests only.
 
 The package evaluates the almost contact metric axioms and the normality
 tensor on the xi/zeta pairing of the frame (contact._pairing_axioms and
 contact._nijenhuis_on_support). The forms below take the whole matrices and
 tensors, as the package once did, and the tests require the two to agree bit
 for bit. The package reads the bracket laws in frame coordinates
-(crossmodel.verify_bracket_laws); projection_bracket_laws projects algebra
-vectors onto spans instead, and the tests require the two to agree.
+(crossmodel.verify_bracket_laws), all 18 inclusions from one product with a
+0/1 mask. loop_bracket_laws reads them one inclusion at a time, and
+projection_bracket_laws projects algebra vectors onto spans instead; the
+tests require all three to agree. compactform.verify_algebra joins the
+bracket entries with the invariant form for the ad-invariance residual;
+dense_ad_invariance takes the dense product c @ g.
+
+The root system is built on coefficient tuples and table positions
+(rootsys.generate_positive_roots and assign_structure_constants); the
+generator and assigner below do the same with Root objects and their
+arithmetic, as the package once did, and the tests require the roots, the
+Gram matrix and the structure constants to agree byte for byte.
 """
+
+import math
 
 import numpy as np
 
-from crosscontact import compactform
+from crosscontact import compactform, crossmodel, rootsys
+from crosscontact.rootsys import Root, RootSystemError
 
 
 def axiom_residuals(phi, gram, char, eta):
@@ -44,6 +57,49 @@ def nijenhuis_tensor(structure):
     return -c + t2 - t3 - t4
 
 
+def dense_ad_invariance(c, g):
+    """max |t[i,j,l] + t[i,l,j]| with t = c @ g, c the dense bracket tensor."""
+    t = c @ g
+    return float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
+
+
+INCLUSIONS = [
+    ("h", "m_eps", ("m_eps",)), ("h", "m_half", ("m_half",)),
+    ("h", "k_eps", ("k_eps",)), ("h", "k_half", ("k_half",)),
+    ("a", "m_eps", ("k_eps",)), ("a", "m_half", ("k_half",)),
+    ("a", "k_eps", ("m_eps",)), ("a", "k_half", ("m_half",)),
+    ("m_eps", "m_eps", ("h",)), ("m_eps", "m_half", ("k_half",)),
+    ("m_eps", "k_eps", ("a",)), ("m_eps", "k_half", ("m_half",)),
+    ("m_half", "m_half", ("h", "k_eps")), ("m_half", "k_eps", ("m_half",)),
+    ("m_half", "k_half", ("a", "m_eps")),
+    ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
+    ("k_half", "k_half", ("h", "k_eps")),
+]
+
+
+def loop_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
+    """verify_bracket_laws with a boolean mask and a copy of the out-of-target
+    coordinates per inclusion, in place of the one masked product."""
+    full = np.column_stack((frame.mbar, frame.h_basis))
+    blocks = {**frame.slices(), "h": slice(frame.dim_mbar, full.shape[1])}
+    t = crossmodel._frame_brackets(frame.alg, frame.ip, full, frame.mbar, full)
+    checks = {}
+    for s1, s2, tgt in INCLUSIONS:
+        outside = np.ones(full.shape[1], dtype=bool)
+        for name in tgt:
+            outside[blocks[name]] = False
+        b = t[blocks[s1], blocks[s2]][..., outside]
+        checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = float(
+            np.sqrt(np.max(np.sum(b * b, axis=-1), initial=0.0)))
+    me, mh, ke, kh = (blocks[n] for n in ("m_eps", "m_half", "k_eps", "k_half"))
+    pairing = [t[me, mh] - t[ke, kh], t[ke, mh] + t[me, kh]]
+    checks["eps_half_pairing"] = float(np.max(np.abs(pairing), initial=0.0))
+    checks["frame_basis"] = (float(np.max(np.abs(full.T @ frame.ip @ full - np.eye(len(full)))))
+                             if full.shape[0] == full.shape[1] else np.inf)
+    passed = all(tol.is_zero(v) for v in checks.values())
+    return {"checks": checks, "passed": passed}
+
+
 def _proj_residual(ip, vecs, onto):
     """Largest norm of the component of a row of vecs outside the span of onto's columns."""
     rem = vecs - (vecs @ ip @ onto) @ onto.T
@@ -61,25 +117,13 @@ def projection_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
         cols = [sub[n] for n in names if sub[n].shape[1]]
         return np.column_stack(cols) if cols else np.zeros((alg.dim, 0))
 
-    inclusions = [
-        ("h", "m_eps", ("m_eps",)), ("h", "m_half", ("m_half",)),
-        ("h", "k_eps", ("k_eps",)), ("h", "k_half", ("k_half",)),
-        ("a", "m_eps", ("k_eps",)), ("a", "m_half", ("k_half",)),
-        ("a", "k_eps", ("m_eps",)), ("a", "k_half", ("m_half",)),
-        ("m_eps", "m_eps", ("h",)), ("m_eps", "m_half", ("k_half",)),
-        ("m_eps", "k_eps", ("a",)), ("m_eps", "k_half", ("m_half",)),
-        ("m_half", "m_half", ("h", "k_eps")), ("m_half", "k_eps", ("m_half",)),
-        ("m_half", "k_half", ("a", "m_eps")),
-        ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
-        ("k_half", "k_half", ("h", "k_eps")),
-    ]
     c = alg.dense()
 
     def br(s1, s2):
         return compactform.bracket_table(c, sub[s1], sub[s2])
 
     checks = {}
-    for s1, s2, tgt in inclusions:
+    for s1, s2, tgt in INCLUSIONS:
         vecs = br(s1, s2).reshape(-1, alg.dim)
         checks[f"[{s1},{s2}]c{'+'.join(tgt)}"] = _proj_residual(ip, vecs, span(*tgt))
     checks["eps_half_pairing"] = max(
@@ -87,3 +131,88 @@ def projection_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
         float(np.max(np.abs(br("k_eps", "m_half") + br("m_eps", "k_half")), initial=0.0)))
     passed = all(tol.is_zero(v) for v in checks.values())
     return {"checks": checks, "passed": passed}
+
+
+def signed_n(rs, a, b):
+    """N(a, b) for roots a, b of either sign, read from the table rs.n."""
+    if rs.n is None:
+        raise RootSystemError("structure constants not assigned")
+    try:
+        return float(rs.n[rs._row[a.coeffs], rs._row[b.coeffs]])
+    except KeyError as exc:
+        raise RootSystemError(f"{exc.args[0]} is not a root") from None
+
+
+def positive_roots_by_objects(basis):
+    """rootsys.generate_positive_roots with Root arithmetic in the closure."""
+    rank = basis.rank
+    simple = [Root(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+    roots = {r.coeffs for r in simple}
+    height = 1
+    while True:
+        level = [Root(c) for c in roots if sum(c) == height]
+        if not level:
+            break
+        for beta in level:
+            for j, alpha in enumerate(simple):
+                p = 0
+                down = beta
+                while (down - alpha).is_positive() and (down - alpha).coeffs in roots:
+                    down = down - alpha
+                    p -= 1
+                pairing = int(sum(n * basis.cartan_matrix[k, j]
+                                  for k, n in enumerate(beta.coeffs)))
+                up = beta
+                for _ in range(-p - pairing):
+                    up = up + alpha
+                    roots.add(up.coeffs)
+        height += 1
+    ordered = sorted((Root(c) for c in roots), key=Root.sort_key)
+    mu = ordered[-1]
+    for r in ordered:
+        if any(m < n for m, n in zip(mu.coeffs, r.coeffs)):
+            raise RootSystemError("maximal root does not dominate all positive roots")
+    return rootsys.RootSystem(basis, ordered)
+
+
+def structure_constants_by_objects(rs):
+    """rootsys.assign_structure_constants with Root arithmetic and signed_n lookups."""
+    if rs.gram is None:
+        rootsys.killing_gram(rs)
+    row = rs._row
+    size = len(rs.positive_roots)
+    table = rs.n = np.zeros((2 * size, 2 * size))
+
+    def put(a, b, val):
+        i, j, k = (row[r.coeffs] for r in (a, b, -(a + b)))
+        for x, y in ((i, j), (j, k), (k, i)):
+            nx, ny = (x + size) % (2 * size), (y + size) % (2 * size)
+            table[x, y] = table[ny, nx] = val
+            table[y, x] = table[nx, ny] = -val
+
+    for gamma in rs.positive_roots:
+        if gamma.height < 2:
+            continue
+        pairs = []
+        for alpha in rs.positive_roots:
+            if alpha.sort_key() >= gamma.sort_key():
+                break
+            beta = gamma - alpha
+            if beta.coeffs in row and row[alpha.coeffs] <= row[beta.coeffs]:
+                pairs.append((alpha, beta))
+        pairs.sort(key=lambda ab: ab[0].sort_key())
+        a1, b1 = pairs[0]
+        put(a1, b1, rootsys._n_magnitude(rs, a1, b1))
+        for alpha, beta in pairs[1:]:
+            denom = signed_n(rs, gamma, -a1)
+            t1 = signed_n(rs, -a1, alpha)
+            t1 = t1 * signed_n(rs, alpha - a1, beta) if t1 else 0.0
+            t2 = signed_n(rs, beta, -a1)
+            t2 = t2 * signed_n(rs, beta - a1, alpha) if t2 else 0.0
+            val = -(t1 + t2) / denom
+            want = rootsys._n_magnitude(rs, alpha, beta)
+            if abs(abs(val) - want) > 1e-9 * max(1.0, want):
+                raise RootSystemError(
+                    f"sign propagation inconsistent at {alpha.coeffs}+{beta.coeffs}")
+            put(alpha, beta, val)
+    return rs

@@ -1,7 +1,7 @@
 """The array-built bracket tensors against the loop builders they replaced.
 
 The references below are the pointwise builders: one
-``RootSystem.signed_n`` call per root pair and term for the root-built
+``oracles.signed_n`` call per root pair and term for the root-built
 algebras, and one matrix commutator per basis pair for the so(n+1) model.
 The array builders must reproduce their tensors bit for bit on every
 algebra of the construction ladder (S^2..S^10, RP^2..RP^6, CP^2..CP^6,
@@ -11,6 +11,7 @@ reference tensor, in row-major order, and ``dense()`` is that tensor.
 
 import numpy as np
 import pytest
+from oracles import signed_n
 
 from crosscontact import compactform, rootsys
 from crosscontact.rootsys import Root
@@ -65,8 +66,8 @@ def loop_compact_from_roots(rs: rootsys.RootSystem):
             def u_terms(mu: Root, a: int, nu: Root, b: int) -> list:
                 if a > b:
                     return [(-coef, gamma, sup) for coef, gamma, sup in u_terms(nu, b, mu, a)]
-                return [((-1) ** (a * b) * rs.signed_n(mu, nu), mu + nu, a + b),
-                        ((-1) ** (a + b) * rs.signed_n(-mu, nu), mu - nu, a + b)]
+                return [((-1) ** (a * b) * signed_n(rs, mu, nu), mu + nu, a + b),
+                        ((-1) ** (a + b) * signed_n(rs, -mu, nu), mu - nu, a + b)]
 
             for a in (0, 1):
                 for b in (0, 1):

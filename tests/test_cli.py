@@ -134,6 +134,21 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     assert "[FAIL] forced-failure" in out
 
 
+def test_space_too_large_exits_two(capsys, monkeypatch):
+    """A space whose arrays do not fit in memory is a usage error, not a failed check."""
+    from crosscontact import crossmodel
+
+    def out_of_memory(space):
+        raise MemoryError(f"Unable to allocate the frame of {space.label()}")
+
+    monkeypatch.setattr(crossmodel, "build_frame", out_of_memory)
+    code, out, err = run_cli(capsys, "run", "--space", "cp", "--n", "1000000",
+                             "--suite", "table1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: too large") and "cp1000000" in err
+    assert "Traceback" not in err
+
+
 def test_refresh_fixtures_up_to_date(capsys):
     code, out, _ = run_cli(capsys, "run", "--space", "cp", "--n", "2",
                            "--refresh-fixtures")

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import axiom_residuals, nijenhuis_tensor, projection_bracket_laws
+from oracles import (axiom_residuals, dense_ad_invariance, loop_bracket_laws, nijenhuis_tensor,
+                     projection_bracket_laws)
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -197,8 +198,7 @@ def dense_verify_algebra(c, g, tol=compactform.DEFAULT_TOL):
     scale = max(1.0, float(np.max(np.abs(c))))
     antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2)))))
     jacobi = dense_jacobi_join(c)
-    t = c @ g
-    adinv = float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
+    adinv = dense_ad_invariance(c, g)
     eigmin = float(np.min(np.linalg.eigvalsh(g)))
     checks = {"antisymmetry": antisym, "jacobi": jacobi, "ad_invariance": adinv,
               "form_positive": -min(eigmin, 0.0)}
@@ -633,11 +633,12 @@ def test_jacobi_join_matches_dense(space, monkeypatch):
 
 def test_jacobi_join_fixed_points():
     """The cyclic sum is three times cc on a fixed point (a, a, a) of the rotation,
-    and the join of an all-zero (abelian) tensor is empty."""
+    and the Jacobi and ad-invariance joins of an all-zero (abelian) tensor are empty."""
     c = np.zeros((3, 3, 3))
     alg = compactform.CompactLieAlgebra(3, ["x", "y", "z"], np.zeros((0, 3), dtype=int),
                                         np.zeros(0), np.eye(3))
-    assert compactform.verify_algebra(alg)["residuals"]["jacobi"] == 0.0
+    residuals = compactform.verify_algebra(alg)["residuals"]
+    assert residuals["jacobi"] == residuals["ad_invariance"] == 0.0
     c[0, 0, 0], c[1, 1, 1], c[2, 0, 1] = 1.0, 2.0, 0.5
     got = compactform.verify_algebra(with_tensor(alg, c))["residuals"]["jacobi"]
     assert got == pytest.approx(dense_jacobi(c), rel=RTOL, abs=0.0)
@@ -686,6 +687,33 @@ def test_bracket_laws_equal_projection_oracle(space):
     for name, value in want["checks"].items():
         if name.startswith("["):
             assert abs(got["checks"][name] - value) <= 1e-14, name
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_bracket_laws_equal_inclusion_loop(space):
+    """The one masked product gives the checks, verdict and inclusion residuals
+    of one mask and copy per inclusion."""
+    frame = crossmodel.build_frame(space)
+    got = crossmodel.verify_bracket_laws(frame)
+    want = loop_bracket_laws(frame)
+    assert got["passed"] == want["passed"] is True
+    assert list(got["checks"]) == list(want["checks"])
+    for name, value in want["checks"].items():
+        assert abs(got["checks"][name] - value) <= 1e-15, name
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_ad_invariance_negative_control(space):
+    """One diagonal entry of the invariant form scaled by 1 + 1e-3 breaks
+    ad-invariance; the entry join and the dense product report the same residual."""
+    alg = crossmodel.build_frame(space).alg
+    g = alg.inv_form.copy()
+    g[-1, -1] *= 1 + 1e-3
+    broken = dataclasses.replace(alg, inv_form=g)
+    got = compactform.verify_algebra(broken)
+    assert got["residuals"]["ad_invariance"] == dense_ad_invariance(alg.dense(), g)
+    assert got["residuals"]["ad_invariance"] > 1e-4
+    assert not got["passed"]
 
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import projection_bracket_laws
+from oracles import loop_bracket_laws, projection_bracket_laws
 
 from crosscontact import compactform, contact, crossmodel
 from crosscontact.crossmodel import Family, ModelError, SpaceId
@@ -219,6 +219,35 @@ def test_bracket_laws_negative_controls(frames, broken):
     else:
         assert np.isnan(checks["frame_basis"])
         assert np.isnan(np.max(inclusions))
+
+
+@pytest.mark.parametrize("broken", ["h_column_dropped", "xi_zeta_swapped", "nan_in_mbar"])
+def test_bracket_laws_negative_controls_equal_inclusion_loop(frames, broken):
+    """The masked product and the per-inclusion loop agree on the broken frames:
+    the same checks and verdict, each value within 1e-15. A NaN bracket
+    coordinate reaches every column of the product, so there an inclusion may
+    be NaN where the loop, which skips the target coordinates, is finite."""
+    frame = broken_cp3_frames(frames["cp3"])[broken]
+    got = crossmodel.verify_bracket_laws(frame)
+    want = loop_bracket_laws(frame)
+    assert got["passed"] == want["passed"] is False
+    assert list(got["checks"]) == list(want["checks"])
+    for name, value in want["checks"].items():
+        have = got["checks"][name]
+        if np.isnan(have):
+            assert np.isnan(value) or broken == "nan_in_mbar", name
+        else:
+            assert have == value or abs(have - value) <= 1e-15, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_rp_shares_the_sphere_frame(n):
+    """RP^n is built as S^n: the same algebra and frame arrays under its own space."""
+    rp = crossmodel.build_frame(SpaceId(Family.REAL_PROJECTIVE, n))
+    sphere = crossmodel.build_frame(SpaceId(Family.SPHERE, n))
+    assert rp.alg is sphere.alg and rp.mbar is sphere.mbar and rp.cbar is sphere.cbar
+    assert rp.space == SpaceId(Family.REAL_PROJECTIVE, n) and rp.space.label() == f"rp{n}"
+    assert sphere.space.label() == f"sphere{n}"
 
 
 def bracket(alg, x, y):

@@ -23,7 +23,6 @@ ALLOWED = {
 
 DENSE_CALLERS = {
     "compactform._jacobi_max",
-    "compactform.verify_algebra",
     "crossmodel._frame_brackets",
     "crossmodel.sigma_automorphism_residual",
 }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import positive_roots_by_objects, signed_n, structure_constants_by_objects
 
 from crosscontact import rootsys
 from crosscontact.rootsys import Root, RootSystemError, SimpleBasis
@@ -71,7 +72,7 @@ def test_structure_constant_magnitudes(tag, n):
                 continue
             p, q = rootsys.root_string(rs, a, b)
             want = math.sqrt(q * (1 - p) / 2.0 * rs.inner(a, a))
-            assert abs(rs.signed_n(a, b)) == pytest.approx(want)
+            assert abs(signed_n(rs, a, b)) == pytest.approx(want)
 
 
 def test_structure_constant_symmetries():
@@ -82,12 +83,12 @@ def test_structure_constant_symmetries():
         for b in rs.positive_roots:
             if a.coeffs == b.coeffs or not rs.is_root(a + b):
                 continue
-            nab = rs.signed_n(a, b)
-            assert rs.signed_n(b, a) == pytest.approx(-nab)
-            assert rs.signed_n(-a, -b) == pytest.approx(-nab)
+            nab = signed_n(rs, a, b)
+            assert signed_n(rs, b, a) == pytest.approx(-nab)
+            assert signed_n(rs, -a, -b) == pytest.approx(-nab)
             c = -(a + b)  # a + b + c = 0: N(a,b) = N(b,c) = N(c,a)
-            assert rs.signed_n(b, c) == pytest.approx(nab)
-            assert rs.signed_n(c, a) == pytest.approx(nab)
+            assert signed_n(rs, b, c) == pytest.approx(nab)
+            assert signed_n(rs, c, a) == pytest.approx(nab)
 
 
 def test_extraspecial_pairs_positive():
@@ -100,7 +101,7 @@ def test_extraspecial_pairs_positive():
                  if (gamma - a).is_positive() and rs.is_root(gamma - a)
                  and a.sort_key() < (gamma - a).sort_key()]
         a1, b1 = min(pairs, key=lambda ab: ab[0].sort_key())
-        assert rs.signed_n(a1, b1) > 0
+        assert signed_n(rs, a1, b1) > 0
 
 
 def recursive_signed_n(rs: rootsys.RootSystem):
@@ -164,19 +165,19 @@ def test_signed_table_matches_recursive_reduction(tag, n):
     signed = rs.positive_roots + [-r for r in rs.positive_roots]
     for a in signed:
         for b in signed:
-            assert rs.signed_n(a, b) == oracle(a, b), (a.coeffs, b.coeffs)
+            assert signed_n(rs, a, b) == oracle(a, b), (a.coeffs, b.coeffs)
 
 
 def test_signed_n_rejects_unassigned_and_non_roots():
     rs = build("A", 3)
     a, b = rs.positive_roots[:2]
     with pytest.raises(RootSystemError, match="not assigned"):
-        rs.signed_n(a, b)
+        signed_n(rs, a, b)
     rootsys.assign_structure_constants(rs)
     with pytest.raises(RootSystemError, match="not a root"):
-        rs.signed_n(a + a, b)
+        signed_n(rs, a + a, b)
     with pytest.raises(RootSystemError, match="not a root"):
-        rs.signed_n(a, a - a)
+        signed_n(rs, a, a - a)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=6))
@@ -214,6 +215,26 @@ def test_pair_table_positions_match_broadcast_search(tag, n):
         want = np.array([position(row) for row in vecs])  # a row at a time: small memory
         assert got.dtype.kind == "i" and np.array_equal(got, want)
         assert (want >= 0).any() and (want < 0).any()
+
+
+@pytest.mark.parametrize("tag,n", [("A", n) for n in range(2, 7)]
+                         + [("C", n) for n in range(2, 6)] + [("F4", 4), ("A", 20)])
+def test_tuple_build_bytes_equal_root_objects(tag, n):
+    """The tuple generator and assigner give the roots, Gram matrix and
+    structure constants of the Root-object oracle, byte for byte."""
+    rs = build(tag, n)
+    rootsys.assign_structure_constants(rs)
+    want = positive_roots_by_objects(rs.basis)
+    rootsys.killing_gram(want)
+    structure_constants_by_objects(want)
+    assert rs.positive_roots == want.positive_roots
+    assert rs.gram.tobytes() == want.gram.tobytes()
+    assert rs.n.tobytes() == want.n.tobytes()
+
+
+def test_root_system_rejects_a_non_positive_root():
+    with pytest.raises(RootSystemError, match="not positive"):
+        rootsys.RootSystem(SimpleBasis.A(2), [Root((1, 0)), Root((1, -1))])
 
 
 def test_pair_tables_reject_keys_beyond_int64():
