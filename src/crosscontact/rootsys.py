@@ -156,9 +156,6 @@ class RootSystem:
     def rank(self) -> int:
         return self.basis.rank
 
-    def is_root(self, r: Root) -> bool:
-        return r.coeffs in self._row
-
     def inner(self, alpha: Root, beta: Root) -> float:
         """Killing-normalized <alpha, beta> = B(t_alpha, t_beta)."""
         if self.gram is None:
@@ -204,6 +201,10 @@ class RootSystem:
 
 def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(map(operator.sub, a, b))
+
+
+def _add(a: Coeffs, b: Coeffs) -> Coeffs:
+    return tuple(map(operator.add, a, b))
 
 
 def generate_positive_roots(basis: SimpleBasis) -> RootSystem:
@@ -276,29 +277,6 @@ def killing_gram(rs: RootSystem) -> np.ndarray:
     return gram
 
 
-def root_string(rs: RootSystem, alpha: Root, beta: Root) -> tuple[int, int]:
-    """The alpha-string through beta: beta + n*alpha is a root for p <= n <= q."""
-    if alpha.coeffs == beta.coeffs or alpha.coeffs == (-beta).coeffs:
-        raise RootSystemError("root string undefined for alpha = +-beta")
-    p = 0
-    cur = beta
-    while rs.is_root(cur - alpha):
-        cur = cur - alpha
-        p -= 1
-    q = 0
-    cur = beta
-    while rs.is_root(cur + alpha):
-        cur = cur + alpha
-        q += 1
-    return p, q
-
-
-def _n_magnitude(rs: RootSystem, alpha: Root, beta: Root) -> float:
-    """|N(alpha,beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string."""
-    p, q = root_string(rs, alpha, beta)
-    return math.sqrt(q * (1 - p) / 2.0 * rs.inner(alpha, alpha))
-
-
 def assign_structure_constants(rs: RootSystem) -> RootSystem:
     """Fill the table rs.n of N(a, b), extraspecial pairs positive.
 
@@ -314,6 +292,19 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
     pos = rs.positive_roots
     size = len(pos)
     table = rs.n = np.zeros((2 * size, 2 * size))
+    norm = [rs.inner(r, r) for r in pos]
+
+    def n_magnitude(a: int, b: int) -> float:
+        """|N(alpha, beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string
+        beta + n alpha, p <= n <= q, for positive roots alpha = pos[a], beta = pos[b]."""
+        alpha, beta = pos[a].coeffs, pos[b].coeffs
+        p, cur = 0, _sub(beta, alpha)
+        while cur in row:
+            p, cur = p - 1, _sub(cur, alpha)
+        q, cur = 0, _add(beta, alpha)
+        while cur in row:
+            q, cur = q + 1, _add(cur, alpha)
+        return math.sqrt(q * (1 - p) / 2.0 * norm[a])
 
     def put(i: int, j: int, k: int, val: float):
         """N(a, b) = val for the signed rows i, j of a, b and k of -(a + b)."""
@@ -330,7 +321,7 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
         pairs = [(a, b) for a in range(g)
                  if (b := row.get(_sub(gamma.coeffs, pos[a].coeffs), -1)) >= a]
         a1, b1 = pairs[0]  # extraspecial: minimal alpha (always simple)
-        put(a1, b1, size + g, _n_magnitude(rs, pos[a1], pos[b1]))
+        put(a1, b1, size + g, n_magnitude(a1, b1))
         m1 = size + a1  # the row of -a1
         for a, b in pairs[1:]:
             alpha, beta = pos[a].coeffs, pos[b].coeffs
@@ -342,7 +333,7 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
             t2 = t2 * table[row[_sub(beta, pos[a1].coeffs)], a] if t2 else 0.0
             val = -(t1 + t2) / denom
             # an orbit entry not yet written reads as zero and fails here
-            want = _n_magnitude(rs, pos[a], pos[b])
+            want = n_magnitude(a, b)
             if abs(abs(val) - want) > 1e-9 * max(1.0, want):
                 raise RootSystemError(
                     f"sign propagation inconsistent at {alpha}+{beta}: "

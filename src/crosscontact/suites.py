@@ -7,8 +7,11 @@ module both read the CRITERIA registry.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
+import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -193,6 +196,18 @@ def _suite_checks(suite, tol: ToleranceConfig, spaces, grid: int = 5) -> list[Ch
     return rep.checks
 
 
+@functools.cache
+def samples() -> dict:
+    """The sample rows of criteria 03, 04 and 10, read once from samples.json.
+
+    They are the draws of seeded generators, frozen so that the gate imports
+    no random number generator; tests/oracles.py redraws them from the seeds
+    and the tests require the file to equal them exactly.
+    """
+    with open(os.path.join(os.path.dirname(__file__), "samples.json")) as fh:
+        return json.load(fh)
+
+
 def lemma_u_closed_forms_residual(frame: RestrictedFrame,
                                   params: Sequence[MetricParams]) -> np.ndarray:
     """Worst deviation of the solved U-map from its closed-form expressions,
@@ -268,11 +283,11 @@ def criterion_02_algebra_integrity(tol: ToleranceConfig, grid: int) -> Check:
 
 def criterion_03_u_closed_forms(tol: ToleranceConfig, grid: int) -> Check:
     """Solved U-map equals closed forms, 50 random parameter sets per space."""
-    rng = np.random.default_rng(7)
+    rows = samples()["criterion_03"]
     worst = 0.0
-    for space in (SpaceId(Family.COMPLEX_PROJECTIVE, 3),
-                  SpaceId(Family.QUATERNIONIC_PROJECTIVE, 2)):
-        params = [MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5))) for _ in range(50)]
+    for k, space in enumerate((SpaceId(Family.COMPLEX_PROJECTIVE, 3),
+                               SpaceId(Family.QUATERNIONIC_PROJECTIVE, 2))):
+        params = [MetricParams(*row) for row in rows[50 * k:50 * (k + 1)]]
         worst = max(worst, float(np.max(lemma_u_closed_forms_residual(
             crossmodel.build_frame(space), params))))
     return Check("criterion-03/u_closed_forms",
@@ -284,17 +299,11 @@ def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
                                                  grid: int) -> Check:
     """contact_metric flag holds exactly when a_l = a lambda(r) / (2 r q_l)."""
     frame = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
-    rng = np.random.default_rng(21)
     structures, wants = [], []
-    for trial in range(60):
-        r = float(np.exp(rng.uniform(-1, 1)))
-        a = float(np.exp(rng.uniform(-1, 1)))
-        qe, qh = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
+    for r, a, qe, qh, *drawn in samples()["criterion_04"]:
         le, lh = contact.lambda_r(r)
-        if trial % 2 == 0:  # force the criterion to hold
-            ae, ah = a * le / (2 * r * qe), a * lh / (2 * r * qh)
-        else:
-            ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
+        # a row without a drawn (a_eps, a_half) forces the criterion to hold
+        ae, ah = drawn or (a * le / (2 * r * qe), a * lh / (2 * r * qh))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
         structures.append(contact.phi_q_structure(frame, r, qe, qh, a, params))
         wants.append(abs(ae - a * le / (2 * r * qe)) < 1e-9
@@ -371,14 +380,11 @@ def criterion_10_hermitian_and_extension(tol: ToleranceConfig,
     """The Hermitian predicate matches the direct isometry test on random data
     and the radial extension verdicts are (yes, no, no)."""
     frame = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
-    rng = np.random.default_rng(30)
     ok = True
-    for _ in range(30):
-        t = float(np.exp(rng.uniform(-1, 1)))
-        c = float(np.exp(rng.uniform(-1, 1)))
+    for t, c, *drawn, force in samples()["criterion_10"]:
         qfun = lambda s, c=c: c * s  # noqa: E731
-        vals = {k: float(np.exp(rng.uniform(-1, 1))) for k in tanbundle.FNS_KEYS}
-        if rng.random() < 0.5:  # force the Hermitian conditions
+        vals = dict(zip(tanbundle.FNS_KEYS, drawn))
+        if force:  # force the Hermitian conditions
             qe, qh = tanbundle.q_values(qfun, t)
             vals["b"] = vals["a"]
             vals["b_eps"] = qe * qe * vals["a_eps"]

@@ -16,14 +16,20 @@ The root system is built on coefficient tuples and table positions
 (rootsys.generate_positive_roots and assign_structure_constants); the
 generator and assigner below do the same with Root objects and their
 arithmetic, as the package once did, and the tests require the roots, the
-Gram matrix and the structure constants to agree byte for byte.
+Gram matrix and the structure constants to agree byte for byte. The package
+finds each |N(a, b)| from the a-string through b on coefficient tuples;
+root_string and n_magnitude walk it with Root objects.
+
+Acceptance criteria 03, 04 and 10 read their sample rows from the package
+file samples.json; draw_samples makes them from the seeded generators the
+criteria once drew from, and the tests require the two to be equal.
 """
 
 import math
 
 import numpy as np
 
-from crosscontact import compactform, crossmodel, rootsys
+from crosscontact import compactform, crossmodel, rootsys, tanbundle
 from crosscontact.rootsys import Root, RootSystemError
 
 
@@ -202,7 +208,7 @@ def structure_constants_by_objects(rs):
                 pairs.append((alpha, beta))
         pairs.sort(key=lambda ab: ab[0].sort_key())
         a1, b1 = pairs[0]
-        put(a1, b1, rootsys._n_magnitude(rs, a1, b1))
+        put(a1, b1, n_magnitude(rs, a1, b1))
         for alpha, beta in pairs[1:]:
             denom = signed_n(rs, gamma, -a1)
             t1 = signed_n(rs, -a1, alpha)
@@ -210,9 +216,72 @@ def structure_constants_by_objects(rs):
             t2 = signed_n(rs, beta, -a1)
             t2 = t2 * signed_n(rs, beta - a1, alpha) if t2 else 0.0
             val = -(t1 + t2) / denom
-            want = rootsys._n_magnitude(rs, alpha, beta)
+            want = n_magnitude(rs, alpha, beta)
             if abs(abs(val) - want) > 1e-9 * max(1.0, want):
                 raise RootSystemError(
                     f"sign propagation inconsistent at {alpha.coeffs}+{beta.coeffs}")
             put(alpha, beta, val)
     return rs
+
+
+def is_root(rs, r):
+    """Whether the Root r is a root of rs, of either sign."""
+    return r.coeffs in rs._row
+
+
+def root_string(rs, alpha, beta):
+    """The alpha-string through beta: beta + n*alpha is a root for p <= n <= q."""
+    if alpha.coeffs == beta.coeffs or alpha.coeffs == (-beta).coeffs:
+        raise RootSystemError("root string undefined for alpha = +-beta")
+    p = 0
+    cur = beta
+    while is_root(rs, cur - alpha):
+        cur = cur - alpha
+        p -= 1
+    q = 0
+    cur = beta
+    while is_root(rs, cur + alpha):
+        cur = cur + alpha
+        q += 1
+    return p, q
+
+
+def n_magnitude(rs, alpha, beta):
+    """|N(alpha,beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string."""
+    p, q = root_string(rs, alpha, beta)
+    return math.sqrt(q * (1 - p) / 2.0 * rs.inner(alpha, alpha))
+
+
+def draw_samples():
+    """The rows of samples.json, drawn as criteria 03, 04 and 10 once drew them.
+
+    criterion_03: 2 x 50 rows of metric coefficients (seed 7); criterion_04:
+    60 rows (r, a, q_eps, q_half), the odd ones followed by a drawn
+    (a_eps, a_half) (seed 21); criterion_10: 30 rows (t, c, the FNS_KEYS
+    values, force flag) (seed 30).
+    """
+    rng = np.random.default_rng(7)
+    c03 = []
+    for _space in range(2):
+        c03 += [[float(v) for v in np.exp(rng.uniform(-2.3, 2.3, 5))] for _ in range(50)]
+
+    rng = np.random.default_rng(21)
+    c04 = []
+    for trial in range(60):
+        r = float(np.exp(rng.uniform(-1, 1)))
+        a = float(np.exp(rng.uniform(-1, 1)))
+        qe, qh = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
+        row = [r, a, qe, qh]
+        if trial % 2 == 1:  # even trials force the criterion to hold
+            row += [float(v) for v in np.exp(rng.uniform(-1, 1, 2))]
+        c04.append(row)
+
+    rng = np.random.default_rng(30)
+    c10 = []
+    for _ in range(30):
+        t = float(np.exp(rng.uniform(-1, 1)))
+        c = float(np.exp(rng.uniform(-1, 1)))
+        vals = [float(np.exp(rng.uniform(-1, 1))) for _k in tanbundle.FNS_KEYS]
+        force = bool(rng.random() < 0.5)  # force the Hermitian conditions
+        c10.append([t, c, *vals, force])
+    return {"criterion_03": c03, "criterion_04": c04, "criterion_10": c10}

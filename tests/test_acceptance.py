@@ -1,13 +1,15 @@
 """Release gate: one test per registered acceptance criterion.
 
 The criteria live in ``suites.CRITERIA``, the same registry the CLI gate runs;
-this module adds the wall-clock budgets of the slow criteria and a sweep of
-the tolerance.
+this module adds the wall-clock budgets of the slow criteria, a sweep of
+the tolerance, and the check that the sample rows of criteria 03, 04 and 10
+are the draws of their seeds.
 """
 
 import time
 
 import pytest
+from oracles import draw_samples
 
 from crosscontact import compactform, suites
 
@@ -48,3 +50,17 @@ def test_gate_holds_across_tolerances(threshold):
     rep = suites.acceptance_report(compactform.ToleranceConfig(threshold))
     assert rep.config["tol"] == threshold
     assert rep.summary() == {"total": 10, "passed": 10, "failed": 0}, rep.to_text()
+
+
+def test_samples_file_equals_the_seeded_draws():
+    """samples.json holds exactly the rows that seeds 7, 21 and 30 draw: the
+    same row counts and lengths, every float equal and every flag a bool."""
+    frozen, drawn = suites.samples(), draw_samples()
+    assert set(frozen) == {"about", *drawn}
+    assert [len(drawn[k]) for k in ("criterion_03", "criterion_04", "criterion_10")] == [
+        100, 60, 30]
+    for key, rows in drawn.items():
+        assert len(frozen[key]) == len(rows), key
+        for got, want in zip(frozen[key], rows):
+            assert got == want, key
+            assert [type(v) for v in got] == [type(v) for v in want], key

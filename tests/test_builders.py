@@ -11,7 +11,7 @@ reference tensor, in row-major order, and ``dense()`` is that tensor.
 
 import numpy as np
 import pytest
-from oracles import signed_n
+from oracles import is_root, signed_n
 
 from crosscontact import compactform, rootsys
 from crosscontact.rootsys import Root
@@ -74,7 +74,7 @@ def loop_compact_from_roots(rs: rootsys.RootSystem):
                     ia = u_index[(alpha.coeffs, a)]
                     ib = u_index[(beta.coeffs, b)]
                     for coef, gamma, sup in u_terms(alpha, a, beta, b):
-                        if coef != 0.0 and rs.is_root(gamma):
+                        if coef != 0.0 and is_root(rs, gamma):
                             add_u(ia, ib, gamma, sup, coef)
                             add_u(ib, ia, gamma, sup, -coef)
 

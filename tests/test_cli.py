@@ -212,14 +212,16 @@ def test_reports_match_the_schema(tmp_path):
 
 def test_gate_and_cayley_leave_numpy_ma_unimported():
     """np.unique imports numpy.ma, about 1 MB of peak RSS; no verdict needs it.
-    run --suite all draws no random numbers either (the metrics suite samples a
-    fixed tuple of metrics), so it also skips the numpy.random import."""
+    Neither command draws random numbers (the metrics suite samples a fixed
+    tuple of metrics, and the gate reads its sample rows from samples.json),
+    so both also skip the numpy.random import."""
     code = ("import contextlib, io, sys\n"
             "from crosscontact import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['run', '--space', 'cayley', '--suite', 'all']) == 0\n"
             "    assert 'numpy.random' not in sys.modules\n"
             "    assert cli.main(['acceptance', '--grid', '5']) == 0\n"
+            "    assert 'numpy.random' not in sys.modules\n"
             "print('numpy.ma' in sys.modules)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

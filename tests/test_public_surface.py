@@ -8,10 +8,15 @@ bare name or an attribute) somewhere in ``src/`` or ``demos/`` outside its own
 
 A second walk pins the functions of ``src/`` that build the dense bracket
 tensor with ``.dense()``: the list may only shrink (ROADMAP item 4).
+
+A third check requires ``pyproject.toml`` to ship every data file of the
+package, so an installed gate finds its fixtures and samples.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crosscontact"
@@ -84,3 +89,13 @@ def test_dense_callers_are_pinned():
                if calls_dense(node)}
     assert sorted(callers - DENSE_CALLERS) == []
     assert sorted(DENSE_CALLERS - callers) == []
+
+
+def test_package_data_lists_every_data_file():
+    """[tool.setuptools.package-data] names exactly the non-.py files of the package."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        listed = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["crosscontact"]
+    data = {p.name for p in PACKAGE.iterdir() if p.is_file() and p.suffix != ".py"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == data

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import positive_roots_by_objects, signed_n, structure_constants_by_objects
+from oracles import (is_root, n_magnitude, positive_roots_by_objects, root_string, signed_n,
+                     structure_constants_by_objects)
 
 from crosscontact import rootsys
 from crosscontact.rootsys import Root, RootSystemError, SimpleBasis
@@ -68,9 +69,9 @@ def test_structure_constant_magnitudes(tag, n):
     rootsys.assign_structure_constants(rs)
     for a in rs.positive_roots:
         for b in rs.positive_roots:
-            if a.coeffs >= b.coeffs or not rs.is_root(a + b):
+            if a.coeffs >= b.coeffs or not is_root(rs, a + b):
                 continue
-            p, q = rootsys.root_string(rs, a, b)
+            p, q = root_string(rs, a, b)
             want = math.sqrt(q * (1 - p) / 2.0 * rs.inner(a, a))
             assert abs(signed_n(rs, a, b)) == pytest.approx(want)
 
@@ -81,7 +82,7 @@ def test_structure_constant_symmetries():
     rootsys.assign_structure_constants(rs)
     for a in rs.positive_roots:
         for b in rs.positive_roots:
-            if a.coeffs == b.coeffs or not rs.is_root(a + b):
+            if a.coeffs == b.coeffs or not is_root(rs, a + b):
                 continue
             nab = signed_n(rs, a, b)
             assert signed_n(rs, b, a) == pytest.approx(-nab)
@@ -98,7 +99,7 @@ def test_extraspecial_pairs_positive():
         if gamma.height < 2:
             continue
         pairs = [(a, gamma - a) for a in rs.positive_roots
-                 if (gamma - a).is_positive() and rs.is_root(gamma - a)
+                 if (gamma - a).is_positive() and is_root(rs, gamma - a)
                  and a.sort_key() < (gamma - a).sort_key()]
         a1, b1 = min(pairs, key=lambda ab: ab[0].sort_key())
         assert signed_n(rs, a1, b1) > 0
@@ -116,7 +117,7 @@ def recursive_signed_n(rs: rootsys.RootSystem):
 
     def signed_n(a: Root, b: Root) -> float:
         s = a + b
-        if not rs.is_root(s):
+        if not is_root(rs, s):
             return 0.0
         apos, bpos = a.is_positive(), b.is_positive()
         if apos and bpos:
@@ -144,7 +145,7 @@ def recursive_signed_n(rs: rootsys.RootSystem):
                         and order[a.coeffs] <= order[(gamma - a).coeffs]),
                        key=lambda ab: ab[0].sort_key())
         a1, b1 = pairs[0]
-        put(a1, b1, rootsys._n_magnitude(rs, a1, b1))
+        put(a1, b1, n_magnitude(rs, a1, b1))
         for alpha, beta in pairs[1:]:
             denom = signed_n(gamma, -a1)
             t1 = signed_n(-a1, alpha)
