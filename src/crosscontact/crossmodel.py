@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,6 +41,12 @@ class SpaceId:
 
     def __post_init__(self):
         fam = self.family
+        if not isinstance(fam, Family):
+            raise ModelError(f"unknown family {fam!r}")
+        try:  # numpy integers pass, 2.5 fails, and True is stored as 1
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ModelError(f"n must be an integer, got {self.n!r}") from None
         if fam is Family.QUATERNIONIC_PROJECTIVE:
             if self.n < 1:
                 raise ModelError("HP^n needs n >= 1")
@@ -82,14 +89,30 @@ def table1_h_dim(space: SpaceId) -> int:
 
 @dataclass
 class SymmetricPair:
-    """(g, sigma) with the +-1 eigenspace splitting g = k + m."""
+    """(g, sigma) with the +-1 eigenspace splitting g = k + m.
+
+    sigma is diagonal on the algebra basis: sigma e_i = signs[i] e_i. The
+    basis vector e_seed lies in m and is the seed direction of the Cartan line.
+    """
 
     space: SpaceId
     alg: CompactLieAlgebra
-    sigma: np.ndarray
+    signs: np.ndarray  # +-1 per basis vector: +1 on k, -1 on m
+    seed: int
     k_basis: np.ndarray  # columns: orthonormal basis of k (algebra coords)
     m_basis: np.ndarray  # columns: orthonormal basis of m
-    ip: np.ndarray  # inner product in use (rescaled later by the frame)
+
+    def __post_init__(self):
+        s = self.signs
+        if np.shape(s) != (self.alg.dim,) or not np.all(np.abs(s) == 1):
+            raise ModelError(f"sigma needs one sign +-1 per basis vector of dim {self.alg.dim}")
+        # the bracket entries are nonzero, so sigma[x, y] = [sigma x, sigma y]
+        # holds iff s_i s_j = s_k on every entry (i, j, k)
+        i, j, k = self.alg.index.T
+        if np.any(s[i] * s[j] != s[k]):
+            raise ModelError("sigma is not an automorphism of the bracket")
+        if not (0 <= self.seed < self.alg.dim and s[self.seed] < 0):
+            raise ModelError(f"seed {self.seed} is not a basis index in m")
 
     @property
     def dim_m(self) -> int:
@@ -166,101 +189,70 @@ def build_pair(space: SpaceId) -> SymmetricPair:
     """The symmetric pair of the space, with orthonormal bases of k and m."""
     if space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
         alg = compactform.build_so_matrix_model(space.n)
-        dim = alg.dim
         # the basis A_jk (j < k) is j-major, so m (the A_1k row) comes first
-        is_m = np.arange(dim) < space.n
-        sigma = np.diag(np.where(is_m, -1.0, 1.0))
-        ip = alg.inv_form.copy()
-        eye = np.eye(dim)
-        m_cols = eye[:, is_m]
-        k_cols = eye[:, ~is_m]
+        signs = np.where(np.arange(alg.dim) < space.n, -1.0, 1.0)
+        seed = 0  # A12
+        eye = np.eye(alg.dim)
+        m_cols = eye[:, signs < 0]
+        k_cols = eye[:, signs > 0]
     else:
         rs = _root_system_for(space)
         alg = compactform.build_compact_from_roots(rs)
-        # inner involution at node 1 (cp, hp) or node 4 in the paper's F4 layout
+        # inner involution at node 1 (cp, hp) or node 4 in the paper's F4 layout;
+        # the seed is U0 of the simple root at that node
         node = 3 if space.family is Family.CAYLEY_PLANE else 0
         signs = _inner_sigma_signs(rs, node)
-        sigma = np.diag(signs)
-        ip = alg.inv_form.copy()
+        seed = alg.u_index[(tuple(int(i == node) for i in range(rs.rank)), 0)]
         eye = np.eye(alg.dim)
-        m_cols = _orthonormalize(eye[:, signs < 0], ip)
-        k_cols = _orthonormalize(eye[:, signs > 0], ip)
+        m_cols = _orthonormalize(eye[:, signs < 0], alg.inv_form)
+        k_cols = _orthonormalize(eye[:, signs > 0], alg.inv_form)
 
-    pair = SymmetricPair(space, alg, sigma, k_cols, m_cols, ip)
+    pair = SymmetricPair(space, alg, signs, seed, k_cols, m_cols)
     if pair.dim_m != space.base_dim:
         raise ModelError(f"dim m = {pair.dim_m}, expected {space.base_dim}")
     return pair
 
 
-def sigma_automorphism_residual(pair: SymmetricPair) -> float:
-    """Max |sigma[x,y] - [sigma x, sigma y]| over basis pairs."""
-    s, c = pair.sigma, pair.alg.dense()
-    lhs = c @ s.T
-    rhs = compactform.bracket_table(c, s, s)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _seed_index(pair: SymmetricPair) -> int:
-    """Basis index of the paper's seed direction for the Cartan line."""
-    alg = pair.alg
-    if pair.space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
-        return alg.basis_labels.index("A12")
-    if pair.space.family is Family.CAYLEY_PLANE:
-        coeffs = (0, 0, 0, 1)
-    else:
-        coeffs = tuple(int(i == 0) for i in range(alg.rootsystem.rank))
-    return alg.u_index[(coeffs, 0)]  # U0 of the simple root
-
-
 def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized Cartan vector X, the matrix of ad_X and the rescaled inner product.
 
-    X is the paper's seed direction scaled so that -ad_X^2 has top eigenvalue 1
+    X is the pair's seed direction scaled so that -ad_X^2 has top eigenvalue 1
     on m, and the inner product is rescaled so <X, X> = 1.
     """
-    alg = pair.alg
-    s = _seed_index(pair)
+    alg, s, ip = pair.alg, pair.seed, pair.alg.inv_form
     seed = np.zeros(alg.dim)
     seed[s] = 1.0
     ad = alg.ad(seed)
     sq = -(ad @ ad)
     # restrict to m in the orthonormal m-frame
     mb = pair.m_basis
-    op = mb.T @ pair.ip @ sq @ mb
+    op = mb.T @ ip @ sq @ mb
     top = float(np.max(np.linalg.eigvalsh((op + op.T) / 2)))
     if top <= 0:
         raise ModelError("seed direction has no negative ad^2 eigenvalue on m")
     x = seed / np.sqrt(top)
-    xx = float(x @ pair.ip @ x)
+    xx = float(x @ ip @ x)
     # the seed is the basis vector e_s, so x[s] ad_seed is alg.ad(x) bit for bit
-    return x, x[s] * ad, pair.ip / xx
+    return x, x[s] * ad, ip / xx
 
 
 @dataclass
 class RestrictedFrame:
-    """Orthonormal restricted-root frame of mbar = a + m_eps + m_half + k_eps + k_half."""
+    """Orthonormal restricted-root frame of mbar = a + m_eps + m_half + k_eps + k_half.
+
+    The frame vectors are the columns of mbar only; slices() names its blocks.
+    """
 
     space: SpaceId
     alg: CompactLieAlgebra
     ip: np.ndarray
-    x: np.ndarray
-    xi_eps: np.ndarray  # columns
-    xi_half: np.ndarray
-    zeta_eps: np.ndarray
-    zeta_half: np.ndarray
+    m_eps: int  # multiplicities of the restricted roots eps and eps/2
+    m_half: int
     h_basis: np.ndarray
     mbar: np.ndarray  # columns: X, xi_eps, xi_half, zeta_eps, zeta_half
     cbar: np.ndarray  # projected bracket tensor on the mbar frame
-    spectrum_m: np.ndarray = field(default=None)
-    spectrum_k: np.ndarray = field(default=None)
-
-    @property
-    def m_eps(self) -> int:
-        return self.xi_eps.shape[1]
-
-    @property
-    def m_half(self) -> int:
-        return self.xi_half.shape[1]
+    spectrum_m: np.ndarray  # eigenvalues of ad_X^2 on m and on k
+    spectrum_k: np.ndarray
 
     @property
     def dim_mbar(self) -> int:
@@ -370,13 +362,10 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>
     cbar = _frame_brackets(alg, ip, mbar, mbar, mbar)
 
-    frame = RestrictedFrame(pair.space, alg, ip, x, xi_eps, xi_half,
-                            zeta_eps, zeta_half, h_basis, mbar, cbar,
-                            spectrum_m=wm, spectrum_k=wk)
-    me, mh = table1_multiplicities(pair.space)
-    if (frame.m_eps, frame.m_half) != (me, mh):
-        raise ModelError(f"multiplicities {(frame.m_eps, frame.m_half)} != table {(me, mh)}")
-    return frame
+    got, want = (xi_eps.shape[1], xi_half.shape[1]), table1_multiplicities(pair.space)
+    if got != want:
+        raise ModelError(f"multiplicities {got} != table {want}")
+    return RestrictedFrame(pair.space, alg, ip, *got, h_basis, mbar, cbar, wm, wk)
 
 
 @functools.cache

@@ -10,7 +10,10 @@ for bit. The package reads the bracket laws in frame coordinates
 projection_bracket_laws projects algebra vectors onto spans instead; the
 tests require all three to agree. compactform.verify_algebra joins the
 bracket entries with the invariant form for the ad-invariance residual;
-dense_ad_invariance takes the dense product c @ g.
+dense_ad_invariance takes the dense product c @ g. crossmodel.SymmetricPair
+rejects signs whose sigma fails s_i s_j = s_k on a bracket entry;
+sigma_automorphism_residual compares sigma[x, y] with [sigma x, sigma y] on
+the dense tensor instead.
 
 The root system is built on coefficient tuples and table positions
 (rootsys.generate_positive_roots and assign_structure_constants); the
@@ -67,6 +70,14 @@ def dense_ad_invariance(c, g):
     """max |t[i,j,l] + t[i,l,j]| with t = c @ g, c the dense bracket tensor."""
     t = c @ g
     return float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
+
+
+def sigma_automorphism_residual(alg, signs):
+    """Max |sigma[x,y] - [sigma x, sigma y]| over basis pairs, sigma = diag(signs)."""
+    s, c = np.diag(signs), alg.dense()
+    lhs = c @ s.T
+    rhs = compactform.bracket_table(c, s, s)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 INCLUSIONS = [

@@ -228,3 +228,18 @@ def test_gate_and_cayley_leave_numpy_ma_unimported():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_commands_match_reference(tmp_path, monkeypatch, capsys):
+    """Every command keyed in perfbench/reference.json exits 0 with the sorted
+    [name, passed, details] it pins, so an added, renamed or dropped check fails here."""
+    monkeypatch.delenv("CROSS_TOL", raising=False)
+    reference = json.loads((Path(__file__).resolve().parent.parent
+                            / "perfbench" / "reference.json").read_text())
+    assert len(reference) == 32
+    out = tmp_path / "report.json"
+    for key, want in reference.items():
+        assert cli.main(key.split() + ["--format", "json", "--output", str(out)]) == 0, key
+        checks = json.loads(out.read_text())["checks"]
+        assert sorted([c["name"], c["passed"], c["details"]] for c in checks) == want, key
+    capsys.readouterr()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import loop_bracket_laws, projection_bracket_laws
+from oracles import loop_bracket_laws, projection_bracket_laws, sigma_automorphism_residual
 
 from crosscontact import compactform, contact, crossmodel
 from crosscontact.crossmodel import Family, ModelError, SpaceId
@@ -171,14 +171,72 @@ def test_frame_orthonormal(frames):
 def test_cartan_vector_normalization(frames):
     """<X, X> = 1 and the top eigenvalue of -ad_X^2 is 1."""
     for frame in frames.values():
-        assert frame.x @ frame.ip @ frame.x == pytest.approx(1.0)
+        x = frame.mbar[:, frame.slices()["a"]][:, 0]
+        assert x @ frame.ip @ x == pytest.approx(1.0)
         assert np.min(frame.spectrum_m) == pytest.approx(-1.0)
 
 
 def test_sigma_is_automorphism(frames):
     for frame in frames.values():
         pair = crossmodel.build_pair(frame.space)
-        assert crossmodel.sigma_automorphism_residual(pair) < 1e-12
+        assert sigma_automorphism_residual(pair.alg, pair.signs) < 1e-12
+
+
+PAIR_SPACES = ([SpaceId(Family.SPHERE, n) for n in range(2, 11)]
+               + [SpaceId(Family.REAL_PROJECTIVE, n) for n in range(2, 7)]
+               + [SpaceId(Family.COMPLEX_PROJECTIVE, n) for n in range(2, 8)]
+               + [SpaceId(Family.QUATERNIONIC_PROJECTIVE, n) for n in range(1, 5)]
+               + [SpaceId(Family.CAYLEY_PLANE)])
+
+
+@pytest.mark.parametrize("space", PAIR_SPACES, ids=SpaceId.label)
+def test_pair_guard_and_sigma_oracle_agree(space):
+    """The dense residual is 0 on every built pair. Swapping the signs of the last
+    m and the last k basis vector keeps dim m; the oracle sees a residual and the
+    pair record refuses the signs on every algebra but so(3), where the swap is
+    the reflection in another coordinate axis and so still an automorphism."""
+    pair = crossmodel.build_pair(space)
+    assert sigma_automorphism_residual(pair.alg, pair.signs) == 0.0
+    swapped = pair.signs.copy()
+    last_m, last_k = np.flatnonzero(swapped < 0)[-1], np.flatnonzero(swapped > 0)[-1]
+    swapped[[last_m, last_k]] *= -1
+    residual = sigma_automorphism_residual(pair.alg, swapped)
+    if pair.alg.dim == 3:
+        assert residual == 0.0
+    else:
+        assert residual > 0.0
+        with pytest.raises(ModelError, match="automorphism"):
+            dataclasses.replace(pair, signs=swapped)
+
+
+def test_pair_rejects_bad_signs_and_a_seed_outside_m(cp2):
+    pair = crossmodel.build_pair(cp2.space)
+    for signs in (pair.signs[:-1], np.where(pair.signs > 0, 0.5, -1.0),
+                  np.full(pair.signs.shape, np.nan)):
+        with pytest.raises(ModelError, match="one sign"):
+            dataclasses.replace(pair, signs=signs)
+    first_k = int(np.flatnonzero(pair.signs > 0)[0])
+    for seed in (first_k, -1, pair.alg.dim):
+        with pytest.raises(ModelError, match="seed"):
+            dataclasses.replace(pair, seed=seed)
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.SPHERE, 4),
+                                   SpaceId(Family.COMPLEX_PROJECTIVE, 2),
+                                   SpaceId(Family.QUATERNIONIC_PROJECTIVE, 2),
+                                   SpaceId(Family.CAYLEY_PLANE)], ids=SpaceId.label)
+def test_any_seed_in_m_gives_the_same_geometry(space):
+    """Rank one makes K transitive on the unit sphere of m, so the first, second
+    and last basis vector of m each seed a frame with the table multiplicities,
+    the bracket laws and a Sasakian theorem structure."""
+    pair = crossmodel.build_pair(space)
+    for seed in np.flatnonzero(pair.signs < 0)[[0, 1, -1]]:
+        frame = crossmodel.restricted_frame(dataclasses.replace(pair, seed=int(seed)))
+        assert (frame.m_eps, frame.m_half) == crossmodel.table1_multiplicities(space)
+        laws = crossmodel.verify_bracket_laws(frame)
+        assert laws["passed"], (seed, laws["checks"])
+        cls = contact.classify(contact.theorem_main_structure(frame, 0.7, 1.3))
+        assert cls.flags["sasakian"], (seed, cls.residuals)
 
 
 def test_bracket_laws(frames):
@@ -323,12 +381,15 @@ def test_cp_bracket_scalars(frames, label):
 def pointwise_cp_scalars(frame) -> dict:
     """The complex-projective bracket scalars, one pointwise bracket at a time."""
     alg, ip = frame.alg, frame.ip
-    xi_e, ze_e = frame.xi_eps[:, 0], frame.zeta_eps[:, 0]
-    checks = {"[xi_eps,zeta_eps]=-X": float(np.max(np.abs(bracket(alg, xi_e, ze_e) + frame.x)))}
+    x, xi_eps, xi_half, zeta_eps, zeta_half = (
+        frame.mbar[:, frame.slices()[b]] for b in ("a", "m_eps", "m_half", "k_eps", "k_half"))
+    x = x[:, 0]
+    xi_e, ze_e = xi_eps[:, 0], zeta_eps[:, 0]
+    checks = {"[xi_eps,zeta_eps]=-X": float(np.max(np.abs(bracket(alg, xi_e, ze_e) + x)))}
     worst_half = worst_norm = worst_pair = 0.0
     for p in range(frame.m_half):
-        xi_p, ze_p = frame.xi_half[:, p], frame.zeta_half[:, p]
-        worst_half = max(worst_half, abs(float(bracket(alg, xi_p, ze_p) @ ip @ frame.x) + 0.5))
+        xi_p, ze_p = xi_half[:, p], zeta_half[:, p]
+        worst_half = max(worst_half, abs(float(bracket(alg, xi_p, ze_p) @ ip @ x) + 0.5))
         b = bracket(alg, xi_e, xi_p)
         worst_norm = max(worst_norm, abs(np.sqrt(b @ ip @ b) - 0.5))
         worst_pair = max(worst_pair, float(np.max(np.abs(
@@ -356,7 +417,8 @@ def test_cp_fixture_rejects_other_families(sphere4):
 def test_zeta_pairing_is_isometry(cp2, hp2):
     """zeta vectors are unit and orthogonal when the xis are."""
     for frame in (cp2, hp2):
-        for cols in (frame.zeta_eps, frame.zeta_half):
+        for block in ("k_eps", "k_half"):
+            cols = frame.mbar[:, frame.slices()[block]]
             g = cols.T @ frame.ip @ cols
             assert np.max(np.abs(g - np.eye(cols.shape[1]))) < 1e-9
 
@@ -390,3 +452,20 @@ def test_hp1_and_s4_agree_on_invariants(frames):
 def test_invalid_space_parameters(fam, n):
     with pytest.raises(ModelError):
         SpaceId(FAMILY[fam], n)
+
+
+@pytest.mark.parametrize("family,n", [("cp", 2), ("xx", 2), (None, 2),
+                                      (Family.SPHERE, 2.5), (Family.SPHERE, "2"),
+                                      (Family.SPHERE, None)])
+def test_space_id_rejects_a_family_or_n_of_the_wrong_type(family, n):
+    with pytest.raises(ModelError):
+        SpaceId(family, n)
+
+
+def test_space_id_stores_n_as_an_int():
+    """numpy integers and bools pass through operator.index, so labels and cache keys agree."""
+    for n, want in ((np.int64(3), 3), (True, 1)):
+        space = SpaceId(Family.QUATERNIONIC_PROJECTIVE, n)
+        assert type(space.n) is int and space.n == want
+        assert space == SpaceId(Family.QUATERNIONIC_PROJECTIVE, want)
+        assert space.label() == f"hp{want}"

@@ -7,7 +7,7 @@ bare name or an attribute) somewhere in ``src/`` or ``demos/`` outside its own
 ``def``. Names are matched as identifiers, not resolved to their owners.
 
 A second walk pins the functions of ``src/`` that build the dense bracket
-tensor with ``.dense()``: the list may only shrink (ROADMAP item 4).
+tensor with ``.dense()``: the list may only shrink (ROADMAP item 6).
 
 A third check requires ``pyproject.toml`` to ship every data file of the
 package, so an installed gate finds its fixtures and samples.
@@ -21,15 +21,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crosscontact"
 
-ALLOWED = {
-    # the sigma-automorphism check is to be reported by a suite (ROADMAP item 6)
-    "crossmodel.sigma_automorphism_residual",
-}
+ALLOWED: set[str] = set()  # public names that only tests call
 
 DENSE_CALLERS = {
     "compactform._jacobi_max",
     "crossmodel._frame_brackets",
-    "crossmodel.sigma_automorphism_residual",
 }
 
 
