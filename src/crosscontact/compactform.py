@@ -119,10 +119,10 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     t = rs.pair_tables()
     dim = rank + 2 * len(pos)
 
-    u_index = {(r.coeffs, a): rank + 2 * i + a for i, r in enumerate(pos) for a in (0, 1)}
+    u_index = {(r, a): rank + 2 * i + a for i, r in enumerate(pos) for a in (0, 1)}
     labels = [f"it(a{k + 1})" for k in range(rank)]
     for r in pos:
-        labels += [f"U0{r.coeffs}", f"U1{r.coeffs}"]
+        labels += [f"U0{r}", f"U1{r}"]
 
     def u(p: np.ndarray, a: int) -> np.ndarray:
         """Basis index of U^a at positive-root positions p."""
@@ -198,6 +198,12 @@ def build_so_matrix_model(n: int) -> CompactLieAlgebra:
 # one, has T = dim^5 and takes the per-slice path, whose time and memory are
 # bounded by dim alone, where the join would hold dim^4 terms for each l.
 _JOIN_FILL = 8
+# Each block of the join sorts its terms by one int64, the (orbit, l) key
+# shifted above the term's index in the block, so every (orbit, l) run sums
+# in term order whatever order a sort gives equal keys. The keys are below
+# dim^4, and blocks of at most about this many terms keep the packed key
+# below 2^63 up to dim g 1217.
+_JACOBI_BLOCK_TERMS = 1 << 21
 
 
 def _jacobi_dense(c: np.ndarray) -> float:
@@ -219,7 +225,8 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
     The sum is cyclic in (a, b, k), so it is one value per rotation orbit:
     the orbit's sum of cc, three times cc[a,a,a,l] on a fixed point. The
     terms c[a,b,m] c[m,k,l] come from joining the nonzero entries on m and
-    are summed per (orbit, l), for a block of whole l at a time.
+    are summed per (orbit, l) in the order the join makes them, for a block
+    of whole l at a time; the result does not depend on the block size.
     """
     dim = alg.dim
     # nonzero entries (i, j, m) of c, ordered by m, then row-major in (i, j)
@@ -231,13 +238,15 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
     # entry c[i, j, m], as the right factor c[m', k, l] = c[i, j, m], meets the
     # per_m[i] left factors c[:, :, i]
     fan = per_m[i]
-    if _JOIN_FILL * int(fan.sum()) > dim ** 5:
-        return _jacobi_dense(alg.dense())
     # blocks of whole l with about dim^3 / 8 terms keep the join's arrays
-    # near dim^3 floats
+    # near dim^3 floats; a block too large for the packed key takes the
+    # per-slice path, as a dense tensor does
     terms_l = np.bincount(m, weights=fan, minlength=dim)
-    block = (np.cumsum(terms_l) - terms_l) // max(1, dim ** 3 // 8)
+    block = (np.cumsum(terms_l) - terms_l) // max(1, min(dim ** 3 // 8, _JACOBI_BLOCK_TERMS))
     edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
+    shift = int(np.max(np.add.reduceat(terms_l, edges[:-1]))).bit_length()
+    if _JOIN_FILL * int(fan.sum()) > dim ** 5 or (dim ** 4).bit_length() + shift > 63:
+        return _jacobi_dense(alg.dense())
     worst = [0.0]
     for lo, hi in zip(start[edges[:-1]], np.append(start, len(m))[edges[1:]]):
         right = np.arange(lo, hi)
@@ -253,8 +262,9 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
         key = orbit * dim + m[right]
         w = v[left] * v[right]
         w[(a == b) & (b == k)] *= 3.0
-        order = np.argsort(key)
-        key = key[order]
+        packed = np.sort((key << shift) | np.arange(len(key)))
+        order = packed & ((1 << shift) - 1)
+        key = packed >> shift
         runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         worst.append(np.max(np.abs(np.add.reduceat(w[order], runs))))
     return float(np.max(worst))

@@ -47,10 +47,12 @@ class SpaceId:
             object.__setattr__(self, "n", operator.index(self.n))
         except TypeError:
             raise ModelError(f"n must be an integer, got {self.n!r}") from None
-        if fam is Family.QUATERNIONIC_PROJECTIVE:
+        if fam is Family.CAYLEY_PLANE:  # the one Cayley plane, CaP2
+            object.__setattr__(self, "n", 2)
+        elif fam is Family.QUATERNIONIC_PROJECTIVE:
             if self.n < 1:
                 raise ModelError("HP^n needs n >= 1")
-        elif fam is not Family.CAYLEY_PLANE and self.n < 2:
+        elif self.n < 2:
             raise ModelError(f"{fam.value} needs n >= 2")
 
     @property
@@ -91,16 +93,16 @@ def table1_h_dim(space: SpaceId) -> int:
 class SymmetricPair:
     """(g, sigma) with the +-1 eigenspace splitting g = k + m.
 
-    sigma is diagonal on the algebra basis: sigma e_i = signs[i] e_i. The
-    basis vector e_seed lies in m and is the seed direction of the Cartan line.
+    sigma is diagonal on the algebra basis: sigma e_i = signs[i] e_i, so the
+    signs decide k and m, and the orthonormal bases of both are derived from
+    them. The basis vector e_seed lies in m and is the seed direction of the
+    Cartan line.
     """
 
     space: SpaceId
     alg: CompactLieAlgebra
     signs: np.ndarray  # +-1 per basis vector: +1 on k, -1 on m
     seed: int
-    k_basis: np.ndarray  # columns: orthonormal basis of k (algebra coords)
-    m_basis: np.ndarray  # columns: orthonormal basis of m
 
     def __post_init__(self):
         s = self.signs
@@ -116,7 +118,17 @@ class SymmetricPair:
 
     @property
     def dim_m(self) -> int:
-        return self.m_basis.shape[1]
+        return int(np.count_nonzero(self.signs < 0))
+
+    @functools.cached_property
+    def k_basis(self) -> np.ndarray:
+        """Columns: an orthonormal basis of k (algebra coordinates)."""
+        return _orthonormalize(np.eye(self.alg.dim)[:, self.signs > 0], self.alg.inv_form)
+
+    @functools.cached_property
+    def m_basis(self) -> np.ndarray:
+        """Columns: an orthonormal basis of m (algebra coordinates)."""
+        return _orthonormalize(np.eye(self.alg.dim)[:, self.signs < 0], self.alg.inv_form)
 
 
 def _coupled_groups(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
@@ -167,7 +179,7 @@ def _inner_sigma_signs(rs: rootsys.RootSystem, node: int) -> np.ndarray:
     dim = rank + 2 * len(rs.positive_roots)
     signs = np.ones(dim)
     for i, r in enumerate(rs.positive_roots):
-        if r.coeffs[node] % 2 == 1:
+        if r[node] % 2 == 1:
             signs[rank + 2 * i] = signs[rank + 2 * i + 1] = -1.0
     return signs
 
@@ -186,15 +198,12 @@ def _root_system_for(space: SpaceId) -> rootsys.RootSystem:
 
 
 def build_pair(space: SpaceId) -> SymmetricPair:
-    """The symmetric pair of the space, with orthonormal bases of k and m."""
+    """The symmetric pair of the space: its algebra, sigma and the seed of X."""
     if space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
         alg = compactform.build_so_matrix_model(space.n)
         # the basis A_jk (j < k) is j-major, so m (the A_1k row) comes first
         signs = np.where(np.arange(alg.dim) < space.n, -1.0, 1.0)
         seed = 0  # A12
-        eye = np.eye(alg.dim)
-        m_cols = eye[:, signs < 0]
-        k_cols = eye[:, signs > 0]
     else:
         rs = _root_system_for(space)
         alg = compactform.build_compact_from_roots(rs)
@@ -203,11 +212,8 @@ def build_pair(space: SpaceId) -> SymmetricPair:
         node = 3 if space.family is Family.CAYLEY_PLANE else 0
         signs = _inner_sigma_signs(rs, node)
         seed = alg.u_index[(tuple(int(i == node) for i in range(rs.rank)), 0)]
-        eye = np.eye(alg.dim)
-        m_cols = _orthonormalize(eye[:, signs < 0], alg.inv_form)
-        k_cols = _orthonormalize(eye[:, signs > 0], alg.inv_form)
 
-    pair = SymmetricPair(space, alg, signs, seed, k_cols, m_cols)
+    pair = SymmetricPair(space, alg, signs, seed)
     if pair.dim_m != space.base_dim:
         raise ModelError(f"dim m = {pair.dim_m}, expected {space.base_dim}")
     return pair

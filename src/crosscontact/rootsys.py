@@ -85,32 +85,6 @@ class SimpleBasis:
 
 
 @dataclass(frozen=True)
-class Root:
-    """A root as integer coefficients over the simple basis."""
-
-    coeffs: Coeffs
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coeffs))
-
-    def is_positive(self) -> bool:
-        return any(self.coeffs) and all(a >= 0 for a in self.coeffs)
-
-    def sort_key(self) -> tuple:
-        return (self.height, self.coeffs)
-
-
-@dataclass(frozen=True)
 class PairTables:
     """Positive roots alpha_0, alpha_1, ... of a root system as arrays.
 
@@ -134,35 +108,35 @@ class PairTables:
 class RootSystem:
     """Positive roots plus inner products and signed structure constants.
 
-    The signed roots are numbered by rows: row p is alpha_p, the p-th
-    positive root, and row P + p is -alpha_p, with P positive roots.
-    n[i, j] = N(root i, root j), 0 where their sum is no root.
+    A root is the tuple of its integer coefficients over the simple basis,
+    and positive_roots is in (height, lex) order. The signed roots are
+    numbered by rows: row p is alpha_p, the p-th positive root, and row
+    P + p is -alpha_p, with P positive roots. n[i, j] = N(root i, root j),
+    0 where their sum is no root.
     """
 
     basis: SimpleBasis
-    positive_roots: list[Root]
+    positive_roots: list[Coeffs]
     gram: np.ndarray | None = None
     n: np.ndarray | None = None
 
     def __post_init__(self):
-        if not all(r.is_positive() for r in self.positive_roots):
+        if not all(any(r) and min(r) >= 0 for r in self.positive_roots):
             raise RootSystemError("positive_roots holds a root that is not positive")
         size = len(self.positive_roots)
-        self._row = {r.coeffs: p for p, r in enumerate(self.positive_roots)}
-        self._row.update({tuple(-a for a in r.coeffs): size + p
+        self._row = {r: p for p, r in enumerate(self.positive_roots)}
+        self._row.update({tuple(-a for a in r): size + p
                           for p, r in enumerate(self.positive_roots)})
 
     @property
     def rank(self) -> int:
         return self.basis.rank
 
-    def inner(self, alpha: Root, beta: Root) -> float:
+    def inner(self, alpha: Coeffs, beta: Coeffs) -> float:
         """Killing-normalized <alpha, beta> = B(t_alpha, t_beta)."""
         if self.gram is None:
             raise RootSystemError("Gram matrix not computed")
-        a = np.array(alpha.coeffs)
-        b = np.array(beta.coeffs)
-        return float(a @ self.gram @ b)
+        return float(np.array(alpha) @ self.gram @ np.array(beta))
 
     def pair_tables(self) -> PairTables:
         """The positive roots and their pairwise data as arrays, by position."""
@@ -170,7 +144,7 @@ class RootSystem:
             raise RootSystemError("Gram matrix and structure constants needed")
         pos = self.positive_roots
         size = len(pos)
-        coeffs = np.array([r.coeffs for r in pos], dtype=int).reshape(size, self.rank)
+        coeffs = np.array(pos, dtype=int).reshape(size, self.rank)
 
         # a coefficient vector inside the box 0 <= v <= top (every positive root
         # is) has the integer key v @ radix, and no two such vectors share one
@@ -232,11 +206,11 @@ def generate_positive_roots(basis: SimpleBasis) -> RootSystem:
                 q = -p - sum(n * cartan[k][j] for k, n in enumerate(beta))
                 roots.update(shift(beta, j, s) for s in range(1, q + 1))
         height += 1
-    ordered = sorted(map(Root, roots), key=Root.sort_key)
+    ordered = sorted(roots, key=lambda c: (sum(c), c))
     rs = RootSystem(basis, ordered)
-    mu = ordered[-1].coeffs
+    mu = ordered[-1]
     for r in ordered:
-        if any(m < n for m, n in zip(mu, r.coeffs)):
+        if any(m < n for m, n in zip(mu, r)):
             raise RootSystemError("maximal root does not dominate all positive roots")
     return rs
 
@@ -263,7 +237,7 @@ def killing_gram(rs: RootSystem) -> np.ndarray:
     g0 = np.array([[c[i, j] * d[j] for j in range(rank)] for i in range(rank)])
     g0 = (g0 + g0.T) / 2
     # Killing scale: c*(a,b) = c^2 * sum_{g in Delta} (a,g)(b,g)
-    coeff = np.array([r.coeffs for r in rs.positive_roots], dtype=float)
+    coeff = np.array(rs.positive_roots, dtype=float)
     prods = coeff @ g0  # (n_roots, rank): (gamma, alpha_j)
     s11 = 2.0 * float(prods[:, 0] @ prods[:, 0])
     scale = g0[0, 0] / s11
@@ -297,7 +271,7 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
     def n_magnitude(a: int, b: int) -> float:
         """|N(alpha, beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string
         beta + n alpha, p <= n <= q, for positive roots alpha = pos[a], beta = pos[b]."""
-        alpha, beta = pos[a].coeffs, pos[b].coeffs
+        alpha, beta = pos[a], pos[b]
         p, cur = 0, _sub(beta, alpha)
         while cur in row:
             p, cur = p - 1, _sub(cur, alpha)
@@ -316,21 +290,21 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
     # a root before gamma in the (height, lex) order has at most its height, so a
     # root gamma - alpha is positive; rows below size are the positive roots
     for g, gamma in enumerate(pos):
-        if gamma.height < 2:
+        if sum(gamma) < 2:
             continue
         pairs = [(a, b) for a in range(g)
-                 if (b := row.get(_sub(gamma.coeffs, pos[a].coeffs), -1)) >= a]
+                 if (b := row.get(_sub(gamma, pos[a]), -1)) >= a]
         a1, b1 = pairs[0]  # extraspecial: minimal alpha (always simple)
         put(a1, b1, size + g, n_magnitude(a1, b1))
         m1 = size + a1  # the row of -a1
         for a, b in pairs[1:]:
-            alpha, beta = pos[a].coeffs, pos[b].coeffs
+            alpha, beta = pos[a], pos[b]
             # Jacobi identity on (E_{-a1}, E_alpha, E_beta), all brackets land on E_{b1}
             denom = table[g, m1]
             t1 = table[m1, a]
-            t1 = t1 * table[row[_sub(alpha, pos[a1].coeffs)], b] if t1 else 0.0
+            t1 = t1 * table[row[_sub(alpha, pos[a1])], b] if t1 else 0.0
             t2 = table[b, m1]
-            t2 = t2 * table[row[_sub(beta, pos[a1].coeffs)], a] if t2 else 0.0
+            t2 = t2 * table[row[_sub(beta, pos[a1])], a] if t2 else 0.0
             val = -(t1 + t2) / denom
             # an orbit entry not yet written reads as zero and fails here
             want = n_magnitude(a, b)

@@ -17,11 +17,11 @@ the dense tensor instead.
 
 The root system is built on coefficient tuples and table positions
 (rootsys.generate_positive_roots and assign_structure_constants); the
-generator and assigner below do the same with Root objects and their
-arithmetic, as the package once did, and the tests require the roots, the
-Gram matrix and the structure constants to agree byte for byte. The package
-finds each |N(a, b)| from the a-string through b on coefficient tuples;
-root_string and n_magnitude walk it with Root objects.
+generator and assigner below do the same with the Root objects defined here
+and their arithmetic, as the package once did, and the tests require the
+roots, the Gram matrix and the structure constants to agree byte for byte.
+The package finds each |N(a, b)| from the a-string through b on coefficient
+tuples; root_string and n_magnitude walk it with Root objects.
 
 Acceptance criteria 03, 04 and 10 read their sample rows from the package
 file samples.json; draw_samples makes them from the seeded generators the
@@ -29,11 +29,43 @@ criteria once drew from, and the tests require the two to be equal.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from crosscontact import compactform, crossmodel, rootsys, tanbundle
-from crosscontact.rootsys import Root, RootSystemError
+from crosscontact.rootsys import RootSystemError
+
+
+@dataclass(frozen=True)
+class Root:
+    """A root as integer coefficients over the simple basis, with root arithmetic."""
+
+    coeffs: tuple
+
+    @property
+    def height(self):
+        return sum(self.coeffs)
+
+    def __add__(self, other):
+        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return Root(tuple(-a for a in self.coeffs))
+
+    def is_positive(self):
+        return any(self.coeffs) and all(a >= 0 for a in self.coeffs)
+
+    def sort_key(self):
+        return (self.height, self.coeffs)
+
+
+def positive_root_objects(rs):
+    """The positive roots of rs as Root objects, in its (height, lex) order."""
+    return [Root(c) for c in rs.positive_roots]
 
 
 def axiom_residuals(phi, gram, char, eta):
@@ -189,7 +221,7 @@ def positive_roots_by_objects(basis):
     for r in ordered:
         if any(m < n for m, n in zip(mu.coeffs, r.coeffs)):
             raise RootSystemError("maximal root does not dominate all positive roots")
-    return rootsys.RootSystem(basis, ordered)
+    return rootsys.RootSystem(basis, [r.coeffs for r in ordered])
 
 
 def structure_constants_by_objects(rs):
@@ -197,7 +229,8 @@ def structure_constants_by_objects(rs):
     if rs.gram is None:
         rootsys.killing_gram(rs)
     row = rs._row
-    size = len(rs.positive_roots)
+    pos = positive_root_objects(rs)
+    size = len(pos)
     table = rs.n = np.zeros((2 * size, 2 * size))
 
     def put(a, b, val):
@@ -207,11 +240,11 @@ def structure_constants_by_objects(rs):
             table[x, y] = table[ny, nx] = val
             table[y, x] = table[nx, ny] = -val
 
-    for gamma in rs.positive_roots:
+    for gamma in pos:
         if gamma.height < 2:
             continue
         pairs = []
-        for alpha in rs.positive_roots:
+        for alpha in pos:
             if alpha.sort_key() >= gamma.sort_key():
                 break
             beta = gamma - alpha
@@ -260,7 +293,7 @@ def root_string(rs, alpha, beta):
 def n_magnitude(rs, alpha, beta):
     """|N(alpha,beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string."""
     p, q = root_string(rs, alpha, beta)
-    return math.sqrt(q * (1 - p) / 2.0 * rs.inner(alpha, alpha))
+    return math.sqrt(q * (1 - p) / 2.0 * rs.inner(alpha.coeffs, alpha.coeffs))
 
 
 def draw_samples():

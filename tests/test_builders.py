@@ -11,10 +11,9 @@ reference tensor, in row-major order, and ``dense()`` is that tensor.
 
 import numpy as np
 import pytest
-from oracles import is_root, signed_n
+from oracles import Root, is_root, positive_root_objects, signed_n
 
 from crosscontact import compactform, rootsys
-from crosscontact.rootsys import Root
 
 
 def root_system(tag: str, n: int) -> rootsys.RootSystem:
@@ -28,7 +27,7 @@ def root_system(tag: str, n: int) -> rootsys.RootSystem:
 def loop_compact_from_roots(rs: rootsys.RootSystem):
     """(bracket tensor, inv form, labels, u_index), one root pair at a time."""
     rank = rs.rank
-    pos = rs.positive_roots
+    pos = positive_root_objects(rs)
     dim = rank + 2 * len(pos)
     gram = rs.gram
     u_index = {(r.coeffs, a): rank + 2 * i + a for i, r in enumerate(pos) for a in (0, 1)}

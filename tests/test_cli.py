@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report formats, environment overrides."""
 
+import functools
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -243,3 +246,47 @@ def test_benchmark_commands_match_reference(tmp_path, monkeypatch, capsys):
         checks = json.loads(out.read_text())["checks"]
         assert sorted([c["name"], c["passed"], c["details"]] for c in checks) == want, key
     capsys.readouterr()
+
+
+def test_traced_runs_report_as_untraced(tmp_path, monkeypatch):
+    """The benchmark's tracer (perfbench/tracer.py) wraps every layer function and
+    puts each back; a traced run reports what an untraced one does, apart from
+    wall_time, and its span self-times add up to its wall time within 1 %."""
+    from crosscontact import crossmodel
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    monkeypatch.delenv("CROSS_TOL", raising=False)
+    argvs = [["run", "--space", "hp", "--n", "2", "--suite", "brackets"],
+             ["run", "--space", "cp", "--n", "2", "--suite", "all"]]
+
+    def run_all():
+        """Reports without wall_time and the seconds spent in cli.main."""
+        # an empty frame cache, so that each pass builds its frames
+        monkeypatch.setattr(crossmodel, "build_frame",
+                            functools.cache(crossmodel.build_frame.__wrapped__))
+        reports, seconds = [], 0.0
+        for argv in argvs:
+            out = tmp_path / "report.json"
+            t0 = time.perf_counter()
+            code = cli.main(argv + ["--format", "json", "--output", str(out)])
+            seconds += time.perf_counter() - t0
+            assert code == 0, argv
+            reports.append({k: v for k, v in json.loads(out.read_text()).items()
+                            if k != "wall_time"})
+        return reports, seconds
+
+    plain, _ = run_all()
+    tracer = tracer_module.Tracer()
+    assert tracer.install() > 0
+    try:
+        traced, seconds = run_all()
+    finally:
+        restored = tracer.uninstall()
+    assert restored
+    spans = tracer.summary()["spans"]
+    assert spans["crossmodel.restricted_frame"]["calls"] == 2  # hp2 and cp2
+    self_s = sum(span["self_s"] for span in spans.values())
+    assert abs(self_s - seconds) <= 0.01 * seconds
+    assert traced == plain

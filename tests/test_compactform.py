@@ -44,11 +44,11 @@ def test_cartan_u_pair_bracket():
     for i, alpha in enumerate(rs.positive_roots):
         u0 = np.zeros(alg.dim)
         u1 = np.zeros(alg.dim)
-        u0[alg.u_index[(alpha.coeffs, 0)]] = 1.0
-        u1[alg.u_index[(alpha.coeffs, 1)]] = 1.0
+        u0[alg.u_index[(alpha, 0)]] = 1.0
+        u1[alg.u_index[(alpha, 1)]] = 1.0
         out = np.einsum("i,j,ijk->k", u0, u1, alg.dense())
         want = np.zeros(alg.dim)
-        want[:rs.rank] = 2.0 * np.array(alpha.coeffs, dtype=float)
+        want[:rs.rank] = 2.0 * np.array(alpha, dtype=float)
         assert np.max(np.abs(out - want)) < 1e-12
 
 
@@ -60,12 +60,12 @@ def test_cartan_action_rotates_u_pair():
     for k in range(rs.rank):
         t = np.zeros(alg.dim)
         t[k] = 1.0
-        inner = rs.inner(alpha, rootsys.Root(tuple(int(i == k) for i in range(rs.rank))))
+        inner = rs.inner(alpha, tuple(int(i == k) for i in range(rs.rank)))
         for a in (0, 1):
             u = np.zeros(alg.dim)
-            u[alg.u_index[(alpha.coeffs, a)]] = 1.0
+            u[alg.u_index[(alpha, a)]] = 1.0
             want = np.zeros(alg.dim)
-            want[alg.u_index[(alpha.coeffs, 1 - a)]] = (-1) ** (a + 1) * inner
+            want[alg.u_index[(alpha, 1 - a)]] = (-1) ** (a + 1) * inner
             out = np.einsum("i,j,ijk->k", u, t, alg.dense())
             assert np.max(np.abs(out - want)) < 1e-12
 

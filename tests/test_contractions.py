@@ -166,11 +166,13 @@ def dense_jacobi_join(c):
     per_m = np.bincount(m, minlength=dim)
     start = np.cumsum(per_m) - per_m
     fan = per_m[i]
-    if compactform._JOIN_FILL * int(fan.sum()) > dim ** 5:
-        return compactform._jacobi_dense(c)
     terms_l = np.bincount(m, weights=fan, minlength=dim)
-    block = (np.cumsum(terms_l) - terms_l) // max(1, dim ** 3 // 8)
+    block = (np.cumsum(terms_l) - terms_l) // max(
+        1, min(dim ** 3 // 8, compactform._JACOBI_BLOCK_TERMS))
     edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
+    shift = int(np.max(np.add.reduceat(terms_l, edges[:-1]))).bit_length()
+    if compactform._JOIN_FILL * int(fan.sum()) > dim ** 5 or (dim ** 4).bit_length() + shift > 63:
+        return compactform._jacobi_dense(c)
     worst = [0.0]
     for lo, hi in zip(start[edges[:-1]], np.append(start, len(m))[edges[1:]]):
         right = np.arange(lo, hi)
@@ -186,8 +188,9 @@ def dense_jacobi_join(c):
         key = orbit * dim + m[right]
         w = v[left] * v[right]
         w[(a == b) & (b == k)] *= 3.0
-        order = np.argsort(key)
-        key = key[order]
+        packed = np.sort((key << shift) | np.arange(len(key)))
+        order = packed & ((1 << shift) - 1)
+        key = packed >> shift
         runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         worst.append(np.max(np.abs(np.add.reduceat(w[order], runs))))
     return float(np.max(worst))
@@ -673,6 +676,20 @@ def test_verify_algebra_equals_dense_scan(space):
     alg = crossmodel.build_frame(space).alg
     np.testing.assert_equal(compactform.verify_algebra(alg),
                             dense_verify_algebra(alg.dense(), alg.inv_form))
+
+
+def test_jacobi_join_does_not_depend_on_block_size(monkeypatch):
+    """Each (orbit, l) run sums in term order, so a smaller block bound, down to
+    one l per block, gives the same residual bit for bit, also on a broken tensor."""
+    algs = [crossmodel.build_frame(SpaceId(*key)).alg
+            for key in ((Family.COMPLEX_PROJECTIVE, 2), (Family.QUATERNIONIC_PROJECTIVE, 3),
+                        (Family.QUATERNIONIC_PROJECTIVE, 4), (Family.CAYLEY_PLANE,))]
+    algs.append(with_tensor(algs[-1], sparsely_broken_tensor(algs[-1])))
+    want = [compactform._jacobi_max(alg) for alg in algs]
+    assert want[-1] > 1e-4
+    for bound in (1, 97, 4096):
+        monkeypatch.setattr(compactform, "_JACOBI_BLOCK_TERMS", bound)
+        assert [compactform._jacobi_max(alg) for alg in algs] == want, bound
 
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)

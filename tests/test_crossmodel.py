@@ -469,3 +469,24 @@ def test_space_id_stores_n_as_an_int():
         assert type(space.n) is int and space.n == want
         assert space == SpaceId(Family.QUATERNIONIC_PROJECTIVE, want)
         assert space.label() == f"hp{want}"
+
+
+def test_cayley_plane_ignores_n():
+    """There is one Cayley plane, so any n names CaP2 and shares its cached frame."""
+    assert SpaceId(Family.CAYLEY_PLANE, 7) == SpaceId(Family.CAYLEY_PLANE, -4) \
+        == SpaceId(Family.CAYLEY_PLANE)
+    assert SpaceId(Family.CAYLEY_PLANE, 7).n == 2
+    assert crossmodel.build_frame(SpaceId(Family.CAYLEY_PLANE, 7)) \
+        is crossmodel.build_frame(SpaceId(Family.CAYLEY_PLANE))
+
+
+def test_signs_decide_k_and_m():
+    """On so(3) swapping the signs of A13 (m) and A23 (k) is another automorphism;
+    the pair then has m = span{A12, A23}: X and xi lie in it, and zeta in k."""
+    pair = crossmodel.build_pair(SpaceId(Family.SPHERE, 2))
+    assert pair.alg.basis_labels == ["A12", "A13", "A23"]
+    swapped = pair.signs * np.array([1.0, -1.0, -1.0])
+    frame = crossmodel.restricted_frame(dataclasses.replace(pair, signs=swapped))
+    x_and_xi = frame.mbar[:, :1 + frame.m_eps + frame.m_half]
+    assert np.all(x_and_xi[swapped > 0] == 0.0)
+    assert np.all(frame.mbar[swapped < 0, 1 + frame.m_eps + frame.m_half:] == 0.0)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import (is_root, n_magnitude, positive_roots_by_objects, root_string, signed_n,
+from oracles import (Root, is_root, n_magnitude, positive_root_objects,
+                     positive_roots_by_objects, root_string, signed_n,
                      structure_constants_by_objects)
 
 from crosscontact import rootsys
-from crosscontact.rootsys import Root, RootSystemError, SimpleBasis
+from crosscontact.rootsys import RootSystemError, SimpleBasis
 
 
 def build(tag: str, n: int = 0) -> rootsys.RootSystem:
@@ -33,22 +34,21 @@ def test_positive_root_count(tag, n, alg_dim):
 
 def test_f4_maximal_root():
     rs = build("F4")
-    assert rs.positive_roots[-1].coeffs == (2, 3, 4, 2)
+    assert rs.positive_roots[-1] == (2, 3, 4, 2)
 
 
 @pytest.mark.parametrize("tag,n", [("A", 3), ("C", 3), ("F4", 4)])
 def test_maximal_root_dominates(tag, n):
     rs = build(tag, n)
     mu = rs.positive_roots[-1]
-    assert all(m >= c for r in rs.positive_roots
-               for m, c in zip(mu.coeffs, r.coeffs))
+    assert all(m >= c for r in rs.positive_roots for m, c in zip(mu, r))
 
 
 @pytest.mark.parametrize("tag,n", [("A", 2), ("A", 4), ("C", 4), ("F4", 4)])
 def test_killing_self_consistency(tag, n):
     """<a, b> = sum over all roots g of <a, g><b, g> (independent recheck)."""
     rs = build(tag, n)
-    coeff = np.array([r.coeffs for r in rs.positive_roots], dtype=float)
+    coeff = np.array(rs.positive_roots, dtype=float)
     prods = coeff @ rs.gram
     assert np.max(np.abs(rs.gram - 2.0 * prods.T @ prods)) < 1e-12
 
@@ -56,7 +56,7 @@ def test_killing_self_consistency(tag, n):
 def test_c_family_long_root_last():
     """In the C-layout used here the last simple root is the long one."""
     rs = build("C", 3)
-    simple = [Root(tuple(int(i == j) for i in range(3))) for j in range(3)]
+    simple = [tuple(int(i == j) for i in range(3)) for j in range(3)]
     lens = [rs.inner(a, a) for a in simple]
     assert lens[2] == pytest.approx(2 * lens[0])
     assert lens[0] == pytest.approx(lens[1])
@@ -67,12 +67,13 @@ def test_structure_constant_magnitudes(tag, n):
     """|N(a, b)|^2 = q(1 - p)/2 * <a, a> over all positive special pairs."""
     rs = build(tag, n)
     rootsys.assign_structure_constants(rs)
-    for a in rs.positive_roots:
-        for b in rs.positive_roots:
+    pos = positive_root_objects(rs)
+    for a in pos:
+        for b in pos:
             if a.coeffs >= b.coeffs or not is_root(rs, a + b):
                 continue
             p, q = root_string(rs, a, b)
-            want = math.sqrt(q * (1 - p) / 2.0 * rs.inner(a, a))
+            want = math.sqrt(q * (1 - p) / 2.0 * rs.inner(a.coeffs, a.coeffs))
             assert abs(signed_n(rs, a, b)) == pytest.approx(want)
 
 
@@ -80,8 +81,9 @@ def test_structure_constant_symmetries():
     """N(a,b) = -N(b,a) = -N(-a,-b) and the cyclic identity for a+b+c = 0."""
     rs = build("C", 3)
     rootsys.assign_structure_constants(rs)
-    for a in rs.positive_roots:
-        for b in rs.positive_roots:
+    pos = positive_root_objects(rs)
+    for a in pos:
+        for b in pos:
             if a.coeffs == b.coeffs or not is_root(rs, a + b):
                 continue
             nab = signed_n(rs, a, b)
@@ -95,10 +97,11 @@ def test_structure_constant_symmetries():
 def test_extraspecial_pairs_positive():
     rs = build("A", 3)
     rootsys.assign_structure_constants(rs)
-    for gamma in rs.positive_roots:
+    pos = positive_root_objects(rs)
+    for gamma in pos:
         if gamma.height < 2:
             continue
-        pairs = [(a, gamma - a) for a in rs.positive_roots
+        pairs = [(a, gamma - a) for a in pos
                  if (gamma - a).is_positive() and is_root(rs, gamma - a)
                  and a.sort_key() < (gamma - a).sort_key()]
         a1, b1 = min(pairs, key=lambda ab: ab[0].sort_key())
@@ -135,11 +138,12 @@ def recursive_signed_n(rs: rootsys.RootSystem):
         table[(a.coeffs, b.coeffs)] = val
         table[(b.coeffs, a.coeffs)] = -val
 
-    order = {r.coeffs: i for i, r in enumerate(rs.positive_roots)}
-    for gamma in rs.positive_roots:
+    pos = positive_root_objects(rs)
+    order = {r.coeffs: i for i, r in enumerate(pos)}
+    for gamma in pos:
         if gamma.height < 2:
             continue
-        pairs = sorted(((a, gamma - a) for a in rs.positive_roots
+        pairs = sorted(((a, gamma - a) for a in pos
                         if a.sort_key() < gamma.sort_key()
                         and (gamma - a).coeffs in order
                         and order[a.coeffs] <= order[(gamma - a).coeffs]),
@@ -163,7 +167,8 @@ def test_signed_table_matches_recursive_reduction(tag, n):
     rs = build(tag, n)
     rootsys.assign_structure_constants(rs)
     oracle = recursive_signed_n(rs)
-    signed = rs.positive_roots + [-r for r in rs.positive_roots]
+    pos = positive_root_objects(rs)
+    signed = pos + [-r for r in pos]
     for a in signed:
         for b in signed:
             assert signed_n(rs, a, b) == oracle(a, b), (a.coeffs, b.coeffs)
@@ -171,7 +176,7 @@ def test_signed_table_matches_recursive_reduction(tag, n):
 
 def test_signed_n_rejects_unassigned_and_non_roots():
     rs = build("A", 3)
-    a, b = rs.positive_roots[:2]
+    a, b = positive_root_objects(rs)[:2]
     with pytest.raises(RootSystemError, match="not assigned"):
         signed_n(rs, a, b)
     rootsys.assign_structure_constants(rs)
@@ -235,12 +240,12 @@ def test_tuple_build_bytes_equal_root_objects(tag, n):
 
 def test_root_system_rejects_a_non_positive_root():
     with pytest.raises(RootSystemError, match="not positive"):
-        rootsys.RootSystem(SimpleBasis.A(2), [Root((1, 0)), Root((1, -1))])
+        rootsys.RootSystem(SimpleBasis.A(2), [(1, 0), (1, -1)])
 
 
 def test_pair_tables_reject_keys_beyond_int64():
     """Coefficients whose box of keys does not fit in an int64 raise, not wrap."""
-    rs = rootsys.RootSystem(SimpleBasis.A(3), [Root((1 << 21,) * 3)])
+    rs = rootsys.RootSystem(SimpleBasis.A(3), [(1 << 21,) * 3])
     rs.gram, rs.n = np.eye(3), np.zeros((2, 2))
     with pytest.raises(RootSystemError, match="integer key"):
         rs.pair_tables()
