@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rootsys import RootSystem, RootSystemError
+from .rootsys import RootSystem
 
 
 class AlgebraError(ValueError):
@@ -53,7 +53,6 @@ class CompactLieAlgebra:
     index: np.ndarray  # (nnz, 3) integers
     values: np.ndarray  # (nnz,) floats, none zero
     inv_form: np.ndarray
-    rootsystem: RootSystem | None = None
     u_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,8 +111,6 @@ def _entries(dim: int, parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     """Compact real form on the basis {i t_{a_k}} + {U0_a, U1_a: a positive}."""
-    if rs.n is None:
-        raise RootSystemError("root system has no structure constants assigned")
     rank = rs.rank
     pos = rs.positive_roots
     t = rs.pair_tables()
@@ -163,8 +160,7 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     inv_form[:rank, :rank] = rs.gram  # -B(it_j, it_k) = B(t_j, t_k)
     inv_form[rank:, rank:] = 2.0 * np.eye(dim - rank)  # -B(U^a, U^a) = 2
 
-    return CompactLieAlgebra(dim, labels, *_entries(dim, parts), inv_form,
-                             rootsystem=rs, u_index=u_index)
+    return CompactLieAlgebra(dim, labels, *_entries(dim, parts), inv_form, u_index=u_index)
 
 
 def build_so_matrix_model(n: int) -> CompactLieAlgebra:

@@ -191,10 +191,7 @@ def _root_system_for(space: SpaceId) -> rootsys.RootSystem:
         basis = rootsys.SimpleBasis.C(space.n + 1)
     else:
         basis = rootsys.SimpleBasis.F4()
-    rs = rootsys.generate_positive_roots(basis)
-    rootsys.killing_gram(rs)
-    rootsys.assign_structure_constants(rs)
-    return rs
+    return rootsys.RootSystem.of(basis)
 
 
 def build_pair(space: SpaceId) -> SymmetricPair:
@@ -242,6 +239,31 @@ def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray, n
     return x, x[s] * ad, ip / xx
 
 
+def _block_slices(me: int, mh: int) -> dict[str, slice]:
+    """The blocks of mbar for the multiplicities me = m_eps and mh = m_half."""
+    return {"a": slice(0, 1),
+            "m_eps": slice(1, 1 + me),
+            "m_half": slice(1 + me, 1 + me + mh),
+            "k_eps": slice(1 + me + mh, 1 + 2 * me + mh),
+            "k_half": slice(1 + 2 * me + mh, 1 + 2 * me + 2 * mh)}
+
+
+# (s1, s2, targets): [s1, s2] lies in the span of the target blocks, over the
+# blocks of mbar and h; [a, a] = 0 is the one pair of blocks not listed
+INCLUSIONS = (
+    ("h", "m_eps", ("m_eps",)), ("h", "m_half", ("m_half",)),
+    ("h", "k_eps", ("k_eps",)), ("h", "k_half", ("k_half",)),
+    ("a", "m_eps", ("k_eps",)), ("a", "m_half", ("k_half",)),
+    ("a", "k_eps", ("m_eps",)), ("a", "k_half", ("m_half",)),
+    ("m_eps", "m_eps", ("h",)), ("m_eps", "m_half", ("k_half",)),
+    ("m_eps", "k_eps", ("a",)), ("m_eps", "k_half", ("m_half",)),
+    ("m_half", "m_half", ("h", "k_eps")), ("m_half", "k_eps", ("m_half",)),
+    ("m_half", "k_half", ("a", "m_eps")),
+    ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
+    ("k_half", "k_half", ("h", "k_eps")),
+)
+
+
 @dataclass
 class RestrictedFrame:
     """Orthonormal restricted-root frame of mbar = a + m_eps + m_half + k_eps + k_half.
@@ -265,12 +287,7 @@ class RestrictedFrame:
         return self.mbar.shape[1]
 
     def slices(self) -> dict[str, slice]:
-        me, mh = self.m_eps, self.m_half
-        return {"a": slice(0, 1),
-                "m_eps": slice(1, 1 + me),
-                "m_half": slice(1 + me, 1 + me + mh),
-                "k_eps": slice(1 + me + mh, 1 + 2 * me + mh),
-                "k_half": slice(1 + 2 * me + mh, 1 + 2 * me + 2 * mh)}
+        return _block_slices(self.m_eps, self.m_half)
 
     def partner(self) -> np.ndarray:
         """Index array p pairing X with itself and each xi_k with its zeta_k."""
@@ -343,17 +360,16 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     x, ad, ip = choose_cartan_vector(pair)
     alg = pair.alg
     sq = ad @ ad
-    mb = _orthonormalize(pair.m_basis, ip)
-    kb = _orthonormalize(pair.k_basis, ip)
+    # the pair's bases are orthonormal under inv_form, and ip = inv_form / <x, x>,
+    # so unit ip-norm columns are orthonormal under ip
+    mb, kb = (b / np.sqrt(np.sum(b * (ip @ b), axis=0)) for b in (pair.m_basis, pair.k_basis))
     m_groups, wm = _eigen_split(mb.T @ ip @ sq @ mb, mb, (0.0, -1.0, -0.25))
     k_groups, wk = _eigen_split(kb.T @ ip @ sq @ kb, kb, (0.0, -1.0, -0.25))
 
-    a_cols = m_groups[0.0]
-    if a_cols.shape[1] != 1:
+    if m_groups[0.0].shape[1] != 1:
         raise ModelError("Cartan subspace is not one-dimensional")
-    xi_eps = _orthonormalize(m_groups[-1.0], ip)
-    xi_half = (_orthonormalize(m_groups[-0.25], ip)
-               if m_groups[-0.25].shape[1] else m_groups[-0.25])
+    # eigh columns in an orthonormal frame are orthonormal
+    xi_eps, xi_half = m_groups[-1.0], m_groups[-0.25]
     # zeta = -(1/lambda_R(X)) [X, xi]
     zeta_eps = -(ad @ xi_eps)
     zeta_half = -2.0 * (ad @ xi_half)
@@ -361,16 +377,23 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
 
     cols = [x.reshape(-1, 1), xi_eps, xi_half, zeta_eps, zeta_half]
     mbar = np.column_stack([c for c in cols if c.shape[1]])
-    gram = mbar.T @ ip @ mbar
-    if np.max(np.abs(gram - np.eye(mbar.shape[1]))) > 1e-8:
+    if np.max(np.abs(mbar.T @ ip @ mbar - np.eye(mbar.shape[1]))) > 1e-8:
         raise ModelError("mbar frame is not orthonormal")
-
-    # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>
-    cbar = _frame_brackets(alg, ip, mbar, mbar, mbar)
 
     got, want = (xi_eps.shape[1], xi_half.shape[1]), table1_multiplicities(pair.space)
     if got != want:
         raise ModelError(f"multiplicities {got} != table {want}")
+
+    # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>, set to 0 on the
+    # block triples outside the inclusion table, where it holds only rounding
+    blocks = _block_slices(*got)
+    allowed = np.zeros((mbar.shape[1],) * 3, dtype=bool)
+    for s1, s2, tgt in INCLUSIONS:
+        for t in tgt:
+            if "h" not in (s1, t):  # the table's second block is never h
+                allowed[blocks[s1], blocks[s2], blocks[t]] = True
+                allowed[blocks[s2], blocks[s1], blocks[t]] = True
+    cbar = np.where(allowed, _frame_brackets(alg, ip, mbar, mbar, mbar), 0.0)
     return RestrictedFrame(pair.space, alg, ip, *got, h_basis, mbar, cbar, wm, wk)
 
 
@@ -399,27 +422,15 @@ def verify_bracket_laws(frame: RestrictedFrame,
     blocks = {**frame.slices(), "h": slice(frame.dim_mbar, full.shape[1])}
     t = _frame_brackets(frame.alg, frame.ip, full, frame.mbar, full)
 
-    inclusions = [
-        ("h", "m_eps", ("m_eps",)), ("h", "m_half", ("m_half",)),
-        ("h", "k_eps", ("k_eps",)), ("h", "k_half", ("k_half",)),
-        ("a", "m_eps", ("k_eps",)), ("a", "m_half", ("k_half",)),
-        ("a", "k_eps", ("m_eps",)), ("a", "k_half", ("m_half",)),
-        ("m_eps", "m_eps", ("h",)), ("m_eps", "m_half", ("k_half",)),
-        ("m_eps", "k_eps", ("a",)), ("m_eps", "k_half", ("m_half",)),
-        ("m_half", "m_half", ("h", "k_eps")), ("m_half", "k_eps", ("m_half",)),
-        ("m_half", "k_half", ("a", "m_eps")),
-        ("k_eps", "k_eps", ("h",)), ("k_eps", "k_half", ("k_half",)),
-        ("k_half", "k_half", ("h", "k_eps")),
-    ]
     # column q of mask is 1 on the coordinates outside inclusion q's targets
-    mask = np.ones((full.shape[1], len(inclusions)))
-    for q, (_, _, tgt) in enumerate(inclusions):
+    mask = np.ones((full.shape[1], len(INCLUSIONS)))
+    for q, (_, _, tgt) in enumerate(INCLUSIONS):
         for name in tgt:
             mask[blocks[name], q] = 0.0
     norms = (t * t) @ mask
     checks = {f"[{s1},{s2}]c{'+'.join(tgt)}":
               float(np.sqrt(np.max(norms[blocks[s1], blocks[s2], q], initial=0.0)))
-              for q, (s1, s2, tgt) in enumerate(inclusions)}
+              for q, (s1, s2, tgt) in enumerate(INCLUSIONS)}
 
     # pairing identities between the eps and half blocks
     me, mh, ke, kh = (blocks[n] for n in ("m_eps", "m_half", "k_eps", "k_half"))

@@ -104,44 +104,40 @@ class PairTables:
     n_diff: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootSystem:
     """Positive roots plus inner products and signed structure constants.
 
     A root is the tuple of its integer coefficients over the simple basis,
-    and positive_roots is in (height, lex) order. The signed roots are
-    numbered by rows: row p is alpha_p, the p-th positive root, and row
-    P + p is -alpha_p, with P positive roots. n[i, j] = N(root i, root j),
-    0 where their sum is no root.
+    and positive_roots is in (height, lex) order. gram[j, k] = <a_j, a_k> on
+    the simple roots, Killing-normalized. The signed roots are numbered by
+    rows: row p is alpha_p, the p-th positive root, and row P + p is
+    -alpha_p, with P positive roots. n[i, j] = N(root i, root j), 0 where
+    their sum is no root.
     """
 
     basis: SimpleBasis
-    positive_roots: list[Coeffs]
-    gram: np.ndarray | None = None
-    n: np.ndarray | None = None
+    positive_roots: tuple[Coeffs, ...]
+    gram: np.ndarray
+    n: np.ndarray
 
     def __post_init__(self):
         if not all(any(r) and min(r) >= 0 for r in self.positive_roots):
             raise RootSystemError("positive_roots holds a root that is not positive")
-        size = len(self.positive_roots)
-        self._row = {r: p for p, r in enumerate(self.positive_roots)}
-        self._row.update({tuple(-a for a in r): size + p
-                          for p, r in enumerate(self.positive_roots)})
+
+    @classmethod
+    def of(cls, basis: SimpleBasis) -> "RootSystem":
+        """The root system of the basis, built in its three stages."""
+        roots = generate_positive_roots(basis)
+        gram = killing_gram(basis, roots)
+        return cls(basis, roots, gram, assign_structure_constants(roots, gram))
 
     @property
     def rank(self) -> int:
         return self.basis.rank
 
-    def inner(self, alpha: Coeffs, beta: Coeffs) -> float:
-        """Killing-normalized <alpha, beta> = B(t_alpha, t_beta)."""
-        if self.gram is None:
-            raise RootSystemError("Gram matrix not computed")
-        return float(np.array(alpha) @ self.gram @ np.array(beta))
-
     def pair_tables(self) -> PairTables:
         """The positive roots and their pairwise data as arrays, by position."""
-        if self.gram is None or self.n is None:
-            raise RootSystemError("Gram matrix and structure constants needed")
         pos = self.positive_roots
         size = len(pos)
         coeffs = np.array(pos, dtype=int).reshape(size, self.rank)
@@ -181,7 +177,7 @@ def _add(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(map(operator.add, a, b))
 
 
-def generate_positive_roots(basis: SimpleBasis) -> RootSystem:
+def generate_positive_roots(basis: SimpleBasis) -> tuple[Coeffs, ...]:
     """All positive roots by closure over simple-root strings, ordered by (height, lex)."""
     rank = basis.rank
     cartan = basis.cartan_matrix.tolist()
@@ -206,18 +202,15 @@ def generate_positive_roots(basis: SimpleBasis) -> RootSystem:
                 q = -p - sum(n * cartan[k][j] for k, n in enumerate(beta))
                 roots.update(shift(beta, j, s) for s in range(1, q + 1))
         height += 1
-    ordered = sorted(roots, key=lambda c: (sum(c), c))
-    rs = RootSystem(basis, ordered)
-    mu = ordered[-1]
-    for r in ordered:
-        if any(m < n for m, n in zip(mu, r)):
-            raise RootSystemError("maximal root does not dominate all positive roots")
-    return rs
+    ordered = tuple(sorted(roots, key=lambda c: (sum(c), c)))
+    if any(m < n for r in ordered for m, n in zip(ordered[-1], r)):
+        raise RootSystemError("maximal root does not dominate all positive roots")
+    return ordered
 
 
-def killing_gram(rs: RootSystem) -> np.ndarray:
-    """Gram matrix of simple roots, scaled so <a,b> = sum_g <a,g><b,g> over all roots."""
-    basis = rs.basis
+def killing_gram(basis: SimpleBasis, roots: tuple[Coeffs, ...]) -> np.ndarray:
+    """Gram matrix of simple roots, scaled so <a,b> = sum_g <a,g><b,g> over all roots,
+    the positive roots given by their coefficients."""
     rank = basis.rank
     c = basis.cartan_matrix
     # symmetrize: d_j proportional to (a_j, a_j)/2 with d_i c_ij = d_j c_ji
@@ -237,7 +230,7 @@ def killing_gram(rs: RootSystem) -> np.ndarray:
     g0 = np.array([[c[i, j] * d[j] for j in range(rank)] for i in range(rank)])
     g0 = (g0 + g0.T) / 2
     # Killing scale: c*(a,b) = c^2 * sum_{g in Delta} (a,g)(b,g)
-    coeff = np.array(rs.positive_roots, dtype=float)
+    coeff = np.array(roots, dtype=float)
     prods = coeff @ g0  # (n_roots, rank): (gamma, alpha_j)
     s11 = 2.0 * float(prods[:, 0] @ prods[:, 0])
     scale = g0[0, 0] / s11
@@ -247,12 +240,11 @@ def killing_gram(rs: RootSystem) -> np.ndarray:
     resid = np.max(np.abs(gram - 2.0 * prods.T @ prods))
     if resid > 1e-9 * max(1.0, np.max(np.abs(gram))):
         raise RootSystemError(f"Killing self-consistency failed, residual {resid:.3e}")
-    rs.gram = gram
     return gram
 
 
-def assign_structure_constants(rs: RootSystem) -> RootSystem:
-    """Fill the table rs.n of N(a, b), extraspecial pairs positive.
+def assign_structure_constants(roots: tuple[Coeffs, ...], gram: np.ndarray) -> np.ndarray:
+    """The table RootSystem.n of N(a, b) over the signed roots, extraspecial pairs positive.
 
     For each positive non-simple gamma the extraspecial pair (a1, gamma - a1),
     a1 minimal in the (height, lex) order, gets a positive sign; every other
@@ -260,18 +252,16 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
     the eleven that the rules tie to it: with c = -(a + b),
     (*) N(a, b) = N(b, c) = N(c, a) = -N(b, a), and (**) N(-a, -b) = -N(a, b).
     """
-    if rs.gram is None:
-        killing_gram(rs)
-    row = rs._row
-    pos = rs.positive_roots
-    size = len(pos)
-    table = rs.n = np.zeros((2 * size, 2 * size))
-    norm = [rs.inner(r, r) for r in pos]
+    size = len(roots)
+    row = {r: p for p, r in enumerate(roots)}  # signed root -> row of the table
+    row.update({tuple(-a for a in r): size + p for p, r in enumerate(roots)})
+    table = np.zeros((2 * size, 2 * size))
+    norm = [float(np.array(r) @ gram @ np.array(r)) for r in roots]  # Killing <a, a>
 
     def n_magnitude(a: int, b: int) -> float:
         """|N(alpha, beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string
-        beta + n alpha, p <= n <= q, for positive roots alpha = pos[a], beta = pos[b]."""
-        alpha, beta = pos[a], pos[b]
+        beta + n alpha, p <= n <= q, for positive roots alpha = roots[a], beta = roots[b]."""
+        alpha, beta = roots[a], roots[b]
         p, cur = 0, _sub(beta, alpha)
         while cur in row:
             p, cur = p - 1, _sub(cur, alpha)
@@ -289,22 +279,22 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
 
     # a root before gamma in the (height, lex) order has at most its height, so a
     # root gamma - alpha is positive; rows below size are the positive roots
-    for g, gamma in enumerate(pos):
+    for g, gamma in enumerate(roots):
         if sum(gamma) < 2:
             continue
         pairs = [(a, b) for a in range(g)
-                 if (b := row.get(_sub(gamma, pos[a]), -1)) >= a]
+                 if (b := row.get(_sub(gamma, roots[a]), -1)) >= a]
         a1, b1 = pairs[0]  # extraspecial: minimal alpha (always simple)
         put(a1, b1, size + g, n_magnitude(a1, b1))
         m1 = size + a1  # the row of -a1
         for a, b in pairs[1:]:
-            alpha, beta = pos[a], pos[b]
+            alpha, beta = roots[a], roots[b]
             # Jacobi identity on (E_{-a1}, E_alpha, E_beta), all brackets land on E_{b1}
             denom = table[g, m1]
             t1 = table[m1, a]
-            t1 = t1 * table[row[_sub(alpha, pos[a1])], b] if t1 else 0.0
+            t1 = t1 * table[row[_sub(alpha, roots[a1])], b] if t1 else 0.0
             t2 = table[b, m1]
-            t2 = t2 * table[row[_sub(beta, pos[a1])], a] if t2 else 0.0
+            t2 = t2 * table[row[_sub(beta, roots[a1])], a] if t2 else 0.0
             val = -(t1 + t2) / denom
             # an orbit entry not yet written reads as zero and fails here
             want = n_magnitude(a, b)
@@ -314,4 +304,4 @@ def assign_structure_constants(rs: RootSystem) -> RootSystem:
                     f"|N| = {abs(val):.12g}, expected {want:.12g}")
             put(a, b, size + g, val)
 
-    return rs
+    return table

@@ -19,15 +19,17 @@ The root system is built on coefficient tuples and table positions
 (rootsys.generate_positive_roots and assign_structure_constants); the
 generator and assigner below do the same with the Root objects defined here
 and their arithmetic, as the package once did, and the tests require the
-roots, the Gram matrix and the structure constants to agree byte for byte.
-The package finds each |N(a, b)| from the a-string through b on coefficient
-tuples; root_string and n_magnitude walk it with Root objects.
+roots and the structure constants to agree byte for byte. The package finds
+each |N(a, b)| from the a-string through b on coefficient tuples;
+root_string and n_magnitude walk it with Root objects. inner and signed_n
+read <a, b> and N(a, b) from rs.gram and rs.n through their own row map.
 
 Acceptance criteria 03, 04 and 10 read their sample rows from the package
 file samples.json; draw_samples makes them from the seeded generators the
 criteria once drew from, and the tests require the two to be equal.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,12 +184,25 @@ def projection_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
     return {"checks": checks, "passed": passed}
 
 
+@functools.cache
+def _rows(positive_roots):
+    """Coefficient tuple -> row of RootSystem.n: alpha_p at p, -alpha_p at P + p."""
+    size = len(positive_roots)
+    rows = {r: p for p, r in enumerate(positive_roots)}
+    rows.update({tuple(-a for a in r): size + p for p, r in enumerate(positive_roots)})
+    return rows
+
+
+def inner(rs, alpha, beta):
+    """Killing-normalized <alpha, beta> of two coefficient tuples, from rs.gram."""
+    return float(np.array(alpha) @ rs.gram @ np.array(beta))
+
+
 def signed_n(rs, a, b):
     """N(a, b) for roots a, b of either sign, read from the table rs.n."""
-    if rs.n is None:
-        raise RootSystemError("structure constants not assigned")
+    rows = _rows(rs.positive_roots)
     try:
-        return float(rs.n[rs._row[a.coeffs], rs._row[b.coeffs]])
+        return float(rs.n[rows[a.coeffs], rows[b.coeffs]])
     except KeyError as exc:
         raise RootSystemError(f"{exc.args[0]} is not a root") from None
 
@@ -221,17 +236,17 @@ def positive_roots_by_objects(basis):
     for r in ordered:
         if any(m < n for m, n in zip(mu.coeffs, r.coeffs)):
             raise RootSystemError("maximal root does not dominate all positive roots")
-    return rootsys.RootSystem(basis, [r.coeffs for r in ordered])
+    return tuple(r.coeffs for r in ordered)
 
 
-def structure_constants_by_objects(rs):
-    """rootsys.assign_structure_constants with Root arithmetic and signed_n lookups."""
-    if rs.gram is None:
-        rootsys.killing_gram(rs)
-    row = rs._row
+def structure_constants_by_objects(basis, roots, gram):
+    """rootsys.RootSystem.of with Root arithmetic and signed_n lookups in the
+    assignment: the table is filled in place, read through signed_n as it grows."""
+    size = len(roots)
+    rs = rootsys.RootSystem(basis, roots, gram, np.zeros((2 * size, 2 * size)))
+    row = _rows(roots)
     pos = positive_root_objects(rs)
-    size = len(pos)
-    table = rs.n = np.zeros((2 * size, 2 * size))
+    table = rs.n
 
     def put(a, b, val):
         i, j, k = (row[r.coeffs] for r in (a, b, -(a + b)))
@@ -270,7 +285,7 @@ def structure_constants_by_objects(rs):
 
 def is_root(rs, r):
     """Whether the Root r is a root of rs, of either sign."""
-    return r.coeffs in rs._row
+    return r.coeffs in _rows(rs.positive_roots)
 
 
 def root_string(rs, alpha, beta):
@@ -293,7 +308,7 @@ def root_string(rs, alpha, beta):
 def n_magnitude(rs, alpha, beta):
     """|N(alpha,beta)| = sqrt(q(1-p)/2 * <alpha,alpha>) from the alpha-string."""
     p, q = root_string(rs, alpha, beta)
-    return math.sqrt(q * (1 - p) / 2.0 * rs.inner(alpha.coeffs, alpha.coeffs))
+    return math.sqrt(q * (1 - p) / 2.0 * inner(rs, alpha.coeffs, alpha.coeffs))
 
 
 def draw_samples():

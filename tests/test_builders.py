@@ -18,10 +18,7 @@ from crosscontact import compactform, rootsys
 
 def root_system(tag: str, n: int) -> rootsys.RootSystem:
     basis = {"A": rootsys.SimpleBasis.A, "C": rootsys.SimpleBasis.C}.get(tag)
-    rs = rootsys.generate_positive_roots(basis(n) if basis else rootsys.SimpleBasis.F4())
-    rootsys.killing_gram(rs)
-    rootsys.assign_structure_constants(rs)
-    return rs
+    return rootsys.RootSystem.of(basis(n) if basis else rootsys.SimpleBasis.F4())
 
 
 def loop_compact_from_roots(rs: rootsys.RootSystem):

@@ -287,6 +287,11 @@ def test_traced_runs_report_as_untraced(tmp_path, monkeypatch):
     assert restored
     spans = tracer.summary()["spans"]
     assert spans["crossmodel.restricted_frame"]["calls"] == 2  # hp2 and cp2
+    # perfbench's rootsys.build_ms sums these three spans: none may call another
+    # traced function, or its time would count twice
+    for stage in ("generate_positive_roots", "killing_gram", "assign_structure_constants"):
+        span = spans[f"rootsys.{stage}"]
+        assert span["calls"] == 2 and span["incl_s"] == span["self_s"], stage
     self_s = sum(span["self_s"] for span in spans.values())
     assert abs(self_s - seconds) <= 0.01 * seconds
     assert traced == plain

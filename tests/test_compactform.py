@@ -5,17 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import inner
 
 from crosscontact import compactform, rootsys
 from crosscontact.compactform import ToleranceConfig
 
 
-def root_built(tag: str, n: int = 0) -> compactform.CompactLieAlgebra:
+def root_system(tag: str, n: int = 0) -> rootsys.RootSystem:
     basis = {"A": rootsys.SimpleBasis.A, "C": rootsys.SimpleBasis.C}.get(tag)
-    rs = rootsys.generate_positive_roots(basis(n) if basis else rootsys.SimpleBasis.F4())
-    rootsys.killing_gram(rs)
-    rootsys.assign_structure_constants(rs)
-    return compactform.build_compact_from_roots(rs)
+    return rootsys.RootSystem.of(basis(n) if basis else rootsys.SimpleBasis.F4())
+
+
+def root_built(tag: str, n: int = 0) -> compactform.CompactLieAlgebra:
+    return compactform.build_compact_from_roots(root_system(tag, n))
 
 
 @pytest.mark.parametrize("tag,n,dim", [
@@ -39,8 +41,8 @@ def test_so_matrix_model_integrity(n):
 
 def test_cartan_u_pair_bracket():
     """[U0_a, U1_a] = 2 i t_a expanded over the simple-root coordinates."""
-    alg = root_built("A", 2)
-    rs = alg.rootsystem
+    rs = root_system("A", 2)
+    alg = compactform.build_compact_from_roots(rs)
     for i, alpha in enumerate(rs.positive_roots):
         u0 = np.zeros(alg.dim)
         u1 = np.zeros(alg.dim)
@@ -54,27 +56,28 @@ def test_cartan_u_pair_bracket():
 
 def test_cartan_action_rotates_u_pair():
     """[U^a_alpha, i t_k] = (-1)^(a+1) <alpha, alpha_k> U^(a+1)_alpha."""
-    alg = root_built("C", 2)
-    rs = alg.rootsystem
+    rs = root_system("C", 2)
+    alg = compactform.build_compact_from_roots(rs)
     alpha = rs.positive_roots[-1]
     for k in range(rs.rank):
         t = np.zeros(alg.dim)
         t[k] = 1.0
-        inner = rs.inner(alpha, tuple(int(i == k) for i in range(rs.rank)))
+        pairing = inner(rs, alpha, tuple(int(i == k) for i in range(rs.rank)))
         for a in (0, 1):
             u = np.zeros(alg.dim)
             u[alg.u_index[(alpha, a)]] = 1.0
             want = np.zeros(alg.dim)
-            want[alg.u_index[(alpha, 1 - a)]] = (-1) ** (a + 1) * inner
+            want[alg.u_index[(alpha, 1 - a)]] = (-1) ** (a + 1) * pairing
             out = np.einsum("i,j,ijk->k", u, t, alg.dense())
             assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_invariant_form_structure():
-    alg = root_built("A", 3)
-    rank = alg.rootsystem.rank
+    rs = root_system("A", 3)
+    alg = compactform.build_compact_from_roots(rs)
+    rank = rs.rank
     g = alg.inv_form
-    assert np.allclose(g[:rank, :rank], alg.rootsystem.gram)
+    assert np.allclose(g[:rank, :rank], rs.gram)
     assert np.allclose(np.diag(g)[rank:], 2.0)
     assert np.min(np.linalg.eigvalsh(g)) > 0
 

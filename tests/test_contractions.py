@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (axiom_residuals, dense_ad_invariance, loop_bracket_laws, nijenhuis_tensor,
-                     projection_bracket_laws)
+from oracles import (INCLUSIONS, axiom_residuals, dense_ad_invariance, loop_bracket_laws,
+                     nijenhuis_tensor, projection_bracket_laws)
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -733,13 +733,55 @@ def test_ad_invariance_negative_control(space):
     assert not got["passed"]
 
 
+def dense_cbar(frame):
+    """<[e_i, e_j], e_k> over the mbar frame, projected from the dense tensor."""
+    return compactform.bracket_table(frame.alg.dense(), frame.mbar, frame.mbar) \
+        @ (frame.ip @ frame.mbar)
+
+
+def allowed_triples(frame):
+    """True on the entries of cbar whose block triple the inclusion table allows,
+    with both orders of each pair of blocks."""
+    blocks = frame.slices()
+    allowed = np.zeros((frame.dim_mbar,) * 3, dtype=bool)
+    for s1, s2, tgt in INCLUSIONS:
+        for t in tgt:
+            if s1 in blocks and t in blocks:
+                allowed[blocks[s1], blocks[s2], blocks[t]] = True
+                allowed[blocks[s2], blocks[s1], blocks[t]] = True
+    return allowed
+
+
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
 def test_cbar_bytes_equal_dense_projection(space):
-    """cbar is the dense-tensor projection byte for byte, as any sparse kernel must be."""
+    """On the block triples the inclusion table allows, cbar is the dense-tensor
+    projection byte for byte, as any sparse kernel must be."""
     frame = crossmodel.build_frame(space)
-    want = compactform.bracket_table(frame.alg.dense(), frame.mbar, frame.mbar) \
-        @ (frame.ip @ frame.mbar)
-    assert frame.cbar.tobytes() == want.tobytes()
+    allowed = allowed_triples(frame)
+    assert frame.cbar[allowed].tobytes() == dense_cbar(frame)[allowed].tobytes()
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_cbar_zero_outside_inclusions(space):
+    """Outside the allowed block triples cbar is exactly 0, and the dense
+    projection there holds only rounding, below 1e-16."""
+    frame = crossmodel.build_frame(space)
+    outside = ~allowed_triples(frame)
+    assert np.all(frame.cbar[outside] == 0.0)
+    assert np.max(np.abs(dense_cbar(frame)[outside]), initial=0.0) < 1e-16
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_bracket_laws_do_not_read_cbar(space):
+    """verify_bracket_laws reads its own unmasked table: a frame whose cbar is all
+    zeros gives the same checks and verdict bit for bit."""
+    frame = crossmodel.build_frame(space)
+    got = crossmodel.verify_bracket_laws(dataclasses.replace(frame, cbar=np.zeros_like(frame.cbar)))
+    want = crossmodel.verify_bracket_laws(frame)
+    assert got["passed"] == want["passed"]
+    assert list(got["checks"]) == list(want["checks"])
+    for name, value in want["checks"].items():
+        assert np.float64(got["checks"][name]).tobytes() == np.float64(value).tobytes(), name
 
 
 def test_verify_algebra_equals_dense_scan_when_broken(frames):

@@ -77,7 +77,8 @@ def assert_bytes_equal(got: np.ndarray, want: np.ndarray):
 
 @pytest.mark.parametrize("fam,n", sorted(set(ALL_TABLE_SPACES) | set(LADDER_SPACES)))
 def test_orthonormalize_matches_full_gram_schmidt(monkeypatch, fam, n):
-    """Every input that build_pair and restricted_frame orthonormalize, bit for bit."""
+    """A frame orthonormalizes twice, the pair's k and m bases, each bit for bit
+    as a full Gram-Schmidt."""
     calls = []
     grouped = crossmodel._orthonormalize
 
@@ -86,8 +87,10 @@ def test_orthonormalize_matches_full_gram_schmidt(monkeypatch, fam, n):
         return calls[-1][2]
 
     monkeypatch.setattr(crossmodel, "_orthonormalize", record)
-    crossmodel.restricted_frame(crossmodel.build_pair(SpaceId(FAMILY[fam], n)))
-    assert len(calls) >= 3
+    pair = crossmodel.build_pair(SpaceId(FAMILY[fam], n))
+    crossmodel.restricted_frame(pair)
+    assert len(calls) == 2
+    assert {id(got) for _, _, got in calls} == {id(pair.k_basis), id(pair.m_basis)}
     for cols, ip, got in calls:
         assert_bytes_equal(got, full_gram_schmidt(cols, ip))
 
@@ -162,10 +165,11 @@ def test_spectrum_clusters(frames):
 
 
 def test_frame_orthonormal(frames):
-    """The frame (X, xis, zetas) is orthonormal for the invariant form."""
+    """The full frame [X, xis, zetas | h_basis] is an orthonormal basis of g for ip."""
     for frame in frames.values():
-        gram = frame.mbar.T @ frame.ip @ frame.mbar
-        assert np.max(np.abs(gram - np.eye(frame.dim_mbar))) < 1e-9
+        full = np.column_stack((frame.mbar, frame.h_basis))
+        assert full.shape == (frame.alg.dim,) * 2
+        assert np.max(np.abs(full.T @ frame.ip @ full - np.eye(frame.alg.dim))) < 1e-14
 
 
 def test_cartan_vector_normalization(frames):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import (Root, is_root, n_magnitude, positive_root_objects,
+from oracles import (Root, inner, is_root, n_magnitude, positive_root_objects,
                      positive_roots_by_objects, root_string, signed_n,
                      structure_constants_by_objects)
 
@@ -16,9 +16,7 @@ from crosscontact.rootsys import RootSystemError, SimpleBasis
 
 def build(tag: str, n: int = 0) -> rootsys.RootSystem:
     basis = {"A": SimpleBasis.A, "C": SimpleBasis.C}.get(tag)
-    rs = rootsys.generate_positive_roots(basis(n) if basis else SimpleBasis.F4())
-    rootsys.killing_gram(rs)
-    return rs
+    return rootsys.RootSystem.of(basis(n) if basis else SimpleBasis.F4())
 
 
 @pytest.mark.parametrize("tag,n,alg_dim", [
@@ -57,7 +55,7 @@ def test_c_family_long_root_last():
     """In the C-layout used here the last simple root is the long one."""
     rs = build("C", 3)
     simple = [tuple(int(i == j) for i in range(3)) for j in range(3)]
-    lens = [rs.inner(a, a) for a in simple]
+    lens = [inner(rs, a, a) for a in simple]
     assert lens[2] == pytest.approx(2 * lens[0])
     assert lens[0] == pytest.approx(lens[1])
 
@@ -66,21 +64,19 @@ def test_c_family_long_root_last():
 def test_structure_constant_magnitudes(tag, n):
     """|N(a, b)|^2 = q(1 - p)/2 * <a, a> over all positive special pairs."""
     rs = build(tag, n)
-    rootsys.assign_structure_constants(rs)
     pos = positive_root_objects(rs)
     for a in pos:
         for b in pos:
             if a.coeffs >= b.coeffs or not is_root(rs, a + b):
                 continue
             p, q = root_string(rs, a, b)
-            want = math.sqrt(q * (1 - p) / 2.0 * rs.inner(a.coeffs, a.coeffs))
+            want = math.sqrt(q * (1 - p) / 2.0 * inner(rs, a.coeffs, a.coeffs))
             assert abs(signed_n(rs, a, b)) == pytest.approx(want)
 
 
 def test_structure_constant_symmetries():
     """N(a,b) = -N(b,a) = -N(-a,-b) and the cyclic identity for a+b+c = 0."""
     rs = build("C", 3)
-    rootsys.assign_structure_constants(rs)
     pos = positive_root_objects(rs)
     for a in pos:
         for b in pos:
@@ -96,7 +92,6 @@ def test_structure_constant_symmetries():
 
 def test_extraspecial_pairs_positive():
     rs = build("A", 3)
-    rootsys.assign_structure_constants(rs)
     pos = positive_root_objects(rs)
     for gamma in pos:
         if gamma.height < 2:
@@ -165,7 +160,6 @@ def recursive_signed_n(rs: rootsys.RootSystem):
 def test_signed_table_matches_recursive_reduction(tag, n):
     """RootSystem.n equals the recursive reduction bit for bit on all signed pairs."""
     rs = build(tag, n)
-    rootsys.assign_structure_constants(rs)
     oracle = recursive_signed_n(rs)
     pos = positive_root_objects(rs)
     signed = pos + [-r for r in pos]
@@ -174,12 +168,9 @@ def test_signed_table_matches_recursive_reduction(tag, n):
             assert signed_n(rs, a, b) == oracle(a, b), (a.coeffs, b.coeffs)
 
 
-def test_signed_n_rejects_unassigned_and_non_roots():
+def test_signed_n_rejects_non_roots():
     rs = build("A", 3)
     a, b = positive_root_objects(rs)[:2]
-    with pytest.raises(RootSystemError, match="not assigned"):
-        signed_n(rs, a, b)
-    rootsys.assign_structure_constants(rs)
     with pytest.raises(RootSystemError, match="not a root"):
         signed_n(rs, a + a, b)
     with pytest.raises(RootSystemError, match="not a root"):
@@ -208,7 +199,6 @@ def test_invalid_cartan_matrix_rejected():
 def test_pair_table_positions_match_broadcast_search(tag, n):
     """sum_index and diff_index equal a search of every root for every candidate."""
     rs = build(tag, n)
-    rootsys.assign_structure_constants(rs)
     t = rs.pair_tables()
     coeffs = t.coeffs
 
@@ -229,10 +219,8 @@ def test_tuple_build_bytes_equal_root_objects(tag, n):
     """The tuple generator and assigner give the roots, Gram matrix and
     structure constants of the Root-object oracle, byte for byte."""
     rs = build(tag, n)
-    rootsys.assign_structure_constants(rs)
-    want = positive_roots_by_objects(rs.basis)
-    rootsys.killing_gram(want)
-    structure_constants_by_objects(want)
+    roots = positive_roots_by_objects(rs.basis)
+    want = structure_constants_by_objects(rs.basis, roots, rootsys.killing_gram(rs.basis, roots))
     assert rs.positive_roots == want.positive_roots
     assert rs.gram.tobytes() == want.gram.tobytes()
     assert rs.n.tobytes() == want.n.tobytes()
@@ -240,12 +228,11 @@ def test_tuple_build_bytes_equal_root_objects(tag, n):
 
 def test_root_system_rejects_a_non_positive_root():
     with pytest.raises(RootSystemError, match="not positive"):
-        rootsys.RootSystem(SimpleBasis.A(2), [(1, 0), (1, -1)])
+        rootsys.RootSystem(SimpleBasis.A(2), ((1, 0), (1, -1)), np.eye(2), np.zeros((4, 4)))
 
 
 def test_pair_tables_reject_keys_beyond_int64():
     """Coefficients whose box of keys does not fit in an int64 raise, not wrap."""
-    rs = rootsys.RootSystem(SimpleBasis.A(3), [(1 << 21,) * 3])
-    rs.gram, rs.n = np.eye(3), np.zeros((2, 2))
+    rs = rootsys.RootSystem(SimpleBasis.A(3), ((1 << 21,) * 3,), np.eye(3), np.zeros((2, 2)))
     with pytest.raises(RootSystemError, match="integer key"):
         rs.pair_tables()
