@@ -4,35 +4,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
-import os
 import sys
 
-from .compactform import ToleranceConfig
+from .compactform import ToleranceConfig, positive_finite
+from .crossmodel import Family
 from .report import VerificationReport
 from .suites import SUITES, acceptance_report, run_suite, space_from_flags
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _positive(value: float) -> bool:
-    """True for a finite number above zero; inf and nan are not."""
-    return math.isfinite(value) and value > 0
-
-
-def _default_tol() -> float:
-    env = os.environ.get("CROSS_TOL")
-    if env is None:
-        return 1e-9
-    try:
-        val = float(env)
-    except ValueError:
-        val = -1.0
-    if not _positive(val):
-        raise ValueError(f"CROSS_TOL must be a positive finite number, got {env!r}")
-    return val
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -44,8 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one verification suite on one space")
-    run.add_argument("--space", required=True,
-                     choices=["sphere", "rp", "cp", "hp", "cayley"])
+    run.add_argument("--space", required=True, choices=[f.value for f in Family])
     run.add_argument("--n", type=int, default=2,
                      help="dimension parameter (ignored for cayley)")
     run.add_argument("--radius", type=float, default=1.0)
@@ -59,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     acc.add_argument("--grid", type=int, default=5)
 
     for p in (run, acc):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=1e-9,
                        help="a residual counts as zero when it is at most this "
                             "threshold, times its scale where that exceeds 1 "
-                            "(default 1e-9, or CROSS_TOL)")
+                            "(default 1e-9)")
         p.add_argument("--format", default="text", choices=["text", "json"])
         p.add_argument("--output", default=None, help="write report to a file")
     return parser
@@ -84,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        tol_value = args.tol if args.tol is not None else _default_tol()
-        tol = ToleranceConfig(tol_value)
+        tol = ToleranceConfig(args.tol)
         if args.command == "acceptance":
             report = acceptance_report(tol, grid=args.grid)
         elif args.refresh_fixtures:
@@ -101,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
             report = VerificationReport(config={
                 "command": "run", "space": space.label(), "suite": args.suite,
                 "radius": args.radius, "kappa": args.kappa,
-                "tol": tol_value, "grid": args.grid})
-            if not (_positive(args.radius) and _positive(args.kappa)):
+                "tol": args.tol, "grid": args.grid})
+            if not positive_finite(args.radius, args.kappa):
                 raise ValueError("radius and kappa must be positive finite numbers")
             run_suite(space, args.suite, args.radius, args.kappa, args.grid,
                       report, tol)

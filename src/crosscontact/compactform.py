@@ -6,7 +6,8 @@ root-built algebras (su, sp, f4) and the skew-matrix model for so(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +16,11 @@ from .rootsys import RootSystem
 
 class AlgebraError(ValueError):
     pass
+
+
+def positive_finite(*values: float) -> bool:
+    """True iff every value is a finite number above zero; NaN and +-inf are not."""
+    return all(math.isfinite(v) and v > 0 for v in values)  # NaN fails v > 0 too
 
 
 @dataclass(frozen=True)
@@ -28,7 +34,7 @@ class ToleranceConfig:
     threshold: float = 1e-9
 
     def __post_init__(self):  # inf would call every residual zero, NaN none
-        if not (np.isfinite(self.threshold) and self.threshold > 0):
+        if not positive_finite(self.threshold):
             raise ValueError(f"tolerance must be a positive finite number, got {self.threshold}")
 
     def is_zero(self, value: float, scale: float = 1.0) -> bool:
@@ -38,6 +44,12 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def u_basis_index(rank: int, p: int | np.ndarray, a: int) -> int | np.ndarray:
+    """Basis index of U^a (a = 0, 1) of the positive root at position p: the rank
+    Cartan vectors i t_k come first, then U0 and U1 of each positive root in turn."""
+    return rank + 2 * p + a
+
+
 @dataclass
 class CompactLieAlgebra:
     """A real compact Lie algebra: nonzero structure constants plus ad-invariant form.
@@ -45,18 +57,18 @@ class CompactLieAlgebra:
     [e_i, e_j] = sum_k c[i,j,k] e_k, with the nonzero c[i,j,k] stored as the
     rows (i, j, k) of index, in strictly increasing row-major order, and
     values[n] = c[index[n]]. inv_form is a positive multiple of -B (for
-    so(n+1), the trace form).
+    so(n+1), the trace form); its size is the dimension.
     """
 
-    dim: int
-    basis_labels: list[str]
     index: np.ndarray  # (nnz, 3) integers
     values: np.ndarray  # (nnz,) floats, none zero
     inv_form: np.ndarray
-    u_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dim, index, values = self.dim, self.index, self.values
+        index, values, shape = self.index, self.values, np.shape(self.inv_form)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise AlgebraError(f"invariant form must be a square matrix, got shape {shape}")
+        dim = self.dim
         if (np.ndim(index) != 2 or np.shape(index)[1] != 3
                 or not np.issubdtype(np.asarray(index).dtype, np.integer)
                 or np.shape(values) != (len(index),)):
@@ -66,15 +78,14 @@ class CompactLieAlgebra:
             raise AlgebraError(f"bracket entry index out of range for dim {dim}")
         if np.any(np.diff(_flat_key(index, dim)) <= 0):
             raise AlgebraError("bracket entries must be in strictly increasing (i, j, k) order")
-        if np.shape(self.inv_form) != (dim, dim):
-            raise AlgebraError(f"invariant form shape {np.shape(self.inv_form)} "
-                               f"does not match dim {dim}")
-        if len(self.basis_labels) != dim:
-            raise AlgebraError(f"{len(self.basis_labels)} basis labels for dim {dim}")
         if not (np.isfinite(values).all() and np.isfinite(self.inv_form).all()):
             raise AlgebraError("bracket tensor and invariant form must be finite")
         if np.any(values == 0):
             raise AlgebraError("bracket entries must be nonzero")
+
+    @property
+    def dim(self) -> int:
+        return self.inv_form.shape[0]
 
     def dense(self) -> np.ndarray:
         """The dim^3 bracket tensor c, built anew on each call; keep it no longer than a call."""
@@ -114,16 +125,7 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     rank = rs.rank
     pos = rs.positive_roots
     t = rs.pair_tables()
-    dim = rank + 2 * len(pos)
-
-    u_index = {(r, a): rank + 2 * i + a for i, r in enumerate(pos) for a in (0, 1)}
-    labels = [f"it(a{k + 1})" for k in range(rank)]
-    for r in pos:
-        labels += [f"U0{r}", f"U1{r}"]
-
-    def u(p: np.ndarray, a: int) -> np.ndarray:
-        """Basis index of U^a at positive-root positions p."""
-        return rank + 2 * p + a
+    dim = u_basis_index(rank, len(pos), 0)  # one past the last U
 
     # (i, j, k, c[i,j,k]) of every nonzero; each position occurs once
     parts = []
@@ -131,11 +133,12 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
     p, k = np.nonzero(t.pairing)
     for a in (0, 1):
         val = (-1) ** (a + 1) * t.pairing[p, k]
-        parts += [(u(p, a), k, u(p, 1 - a), val), (k, u(p, a), u(p, 1 - a), -val)]
+        ua, ub = u_basis_index(rank, p, a), u_basis_index(rank, p, 1 - a)
+        parts += [(ua, k, ub, val), (k, ua, ub, -val)]
     # [U0_a, U1_a] = 2 i t_a with t_a = sum n_k(a) t_{a_k}
     p, k = np.nonzero(t.coeffs)
-    parts += [(u(p, 0), u(p, 1), k, 2.0 * t.coeffs[p, k]),
-              (u(p, 1), u(p, 0), k, -2.0 * t.coeffs[p, k])]
+    u0, u1 = u_basis_index(rank, p, 0), u_basis_index(rank, p, 1)
+    parts += [(u0, u1, k, 2.0 * t.coeffs[p, k]), (u1, u0, k, -2.0 * t.coeffs[p, k])]
 
     # [U^a_alpha, U^b_beta] for a <= b by the two-term N-formula
     #   (-1)^{ab} N(alpha, beta) U^{a+b}_{alpha+beta}
@@ -153,14 +156,15 @@ def build_compact_from_roots(rs: RootSystem) -> CompactLieAlgebra:
                   np.where(diff_pos, t.diff_index[p, q], t.diff_index[q, p])))
         for coef, gamma in terms:
             hit = coef != 0.0
-            parts += [(u(p[hit], a), u(q[hit], b), u(gamma[hit], sup), coef[hit]),
-                      (u(q[hit], b), u(p[hit], a), u(gamma[hit], sup), -coef[hit])]
+            up, uq, ug = (u_basis_index(rank, x[hit], y)
+                          for x, y in ((p, a), (q, b), (gamma, sup)))
+            parts += [(up, uq, ug, coef[hit]), (uq, up, ug, -coef[hit])]
 
     inv_form = np.zeros((dim, dim))
     inv_form[:rank, :rank] = rs.gram  # -B(it_j, it_k) = B(t_j, t_k)
     inv_form[rank:, rank:] = 2.0 * np.eye(dim - rank)  # -B(U^a, U^a) = 2
 
-    return CompactLieAlgebra(dim, labels, *_entries(dim, parts), inv_form, u_index=u_index)
+    return CompactLieAlgebra(*_entries(dim, parts), inv_form)
 
 
 def build_so_matrix_model(n: int) -> CompactLieAlgebra:
@@ -183,8 +187,7 @@ def build_so_matrix_model(n: int) -> CompactLieAlgebra:
         hit = (p == q) & (x != y)
         parts.append((left[hit], right[hit], index[x[hit], y[hit]],
                       coef * np.sign(y - x)[hit]))
-    labels = [f"A{p + 1}{q + 1}" for p, q in zip(j, k)]
-    return CompactLieAlgebra(dim, labels, *_entries(dim, parts), np.eye(dim))
+    return CompactLieAlgebra(*_entries(dim, parts), np.eye(dim))
 
 
 # The Jacobi join below makes T = sum_m nnz(c[:, :, m]) nnz(c[m]) products,

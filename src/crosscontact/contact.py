@@ -7,13 +7,12 @@ Classification (contact / K-contact / Sasakian) is by explicit residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import homgeo
-from .compactform import DEFAULT_TOL, ToleranceConfig
+from .compactform import DEFAULT_TOL, ToleranceConfig, positive_finite
 from .crossmodel import RestrictedFrame
 from .homgeo import InvariantMetric, MetricParams
 
@@ -25,13 +24,13 @@ class ContactError(ValueError):
 def _require_positive(**values: float) -> None:
     """ContactError unless every value is a finite number above zero."""
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
+        if not positive_finite(value):
             raise ContactError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass
 class AlmostContactStructure:
-    """(phi, char, eta, g) data at the origin on the radius-r slice."""
+    """(phi, char, eta, g) data at the origin on the radius-r slice; eta = a<X,.>."""
 
     frame: RestrictedFrame
     r: float
@@ -39,10 +38,6 @@ class AlmostContactStructure:
     char: np.ndarray  # characteristic vector, frame coordinates
     eta: np.ndarray  # contact covector, frame coordinates
     metric: InvariantMetric
-
-    @property
-    def a_scalar(self) -> float:
-        return self.metric.params.a
 
 
 @dataclass
@@ -73,29 +68,30 @@ def phi_matrix(frame: RestrictedFrame, q_eps: float, q_half: float) -> np.ndarra
     return phi
 
 
-def _char_eta(n: int, a_scalar: float) -> tuple[np.ndarray, np.ndarray]:
+def _char_eta(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """The characteristic vector X/a and the contact covector a<X,.>."""
     char, eta = np.zeros(n), np.zeros(n)
-    char[0], eta[0] = 1.0 / a_scalar, a_scalar
+    char[0], eta[0] = 1.0 / a, a
     return char, eta
 
 
 def phi_q_structure(frame: RestrictedFrame, r: float, q_eps: float, q_half: float,
-                    a_scalar: float, params: MetricParams,
+                    params: MetricParams,
                     tol: ToleranceConfig = DEFAULT_TOL) -> AlmostContactStructure:
-    """Assemble (phi^q, X/a, a<X,.>, g) from the q scalars and metric parameters.
+    """Assemble (phi^q, X/a, a<X,.>, g) from the q scalars and metric parameters,
+    with a = params.a.
 
     The structure is induced from an ambient Hermitian pair, so the metric
     must satisfy b_l = q_l^2 a_l.
     """
-    _require_positive(r=r, a_scalar=a_scalar)
+    _require_positive(r=r)
     for b, q, a in ((params.b_eps, q_eps, params.a_eps),
                     (params.b_half, q_half, params.a_half)):
         if not tol.is_zero(b - q * q * a, scale=b):
             raise ContactError("parameters violate the Hermitian pairing b_l = q_l^2 a_l")
     metric = homgeo.metric_from_params(frame, params)
     phi = phi_matrix(frame, q_eps, q_half)
-    return AlmostContactStructure(frame, r, phi, *_char_eta(frame.dim_mbar, a_scalar),
+    return AlmostContactStructure(frame, r, phi, *_char_eta(frame.dim_mbar, params.a),
                                   metric)
 
 
@@ -104,7 +100,7 @@ def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructu
     _require_positive(r=r)
     le, lh = lambda_r(r)
     params = MetricParams(1.0, 1.0, 1.0, le * le, lh * lh)
-    return phi_q_structure(frame, r, le, lh, 1.0, params)
+    return phi_q_structure(frame, r, le, lh, params)
 
 
 def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
@@ -113,7 +109,7 @@ def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStruct
     le, lh = lambda_r(r)
     s = 1.0 / (2.0 * r)
     params = MetricParams(s, s * s, s * s, 0.25, 1.0 / 16.0)
-    return phi_q_structure(frame, r, le, lh, s, params)
+    return phi_q_structure(frame, r, le, lh, params)
 
 
 def theorem_main_structure(frame: RestrictedFrame, r: float,
@@ -121,7 +117,7 @@ def theorem_main_structure(frame: RestrictedFrame, r: float,
     """The K-contact structure with characteristic vector X/kappa (q identically 1)."""
     _require_positive(kappa=kappa)
     params = MetricParams(kappa, kappa / 2.0, kappa / 4.0, kappa / 2.0, kappa / 4.0)
-    return phi_q_structure(frame, r, 1.0, 1.0, kappa, params)
+    return phi_q_structure(frame, r, 1.0, 1.0, params)
 
 
 def d_eta_matrix(frame: RestrictedFrame) -> np.ndarray:
@@ -212,12 +208,12 @@ def classify_all(structures: list[AlmostContactStructure],
     g = np.diagonal(gram, axis1=-2, axis2=-1)
     char = np.stack([s.char for s in structures])
     eta = np.stack([s.eta for s in structures])
-    a = np.array([s.a_scalar for s in structures])
     f = _on_pairing(np.swapaxes(phi, -2, -1), frame.partner(), "phi")
     if not np.all(np.isfinite(f)):
         raise ContactError("phi must be finite")
     if np.any(char[:, 1:]) or np.any(eta[:, 1:]):
         raise ContactError("char and eta must lie on the Cartan line X")
+    a = eta[:, 0]  # eta = a<X,.>
 
     columns = _pairing_axioms(frame, f, g, char[:, :1], eta[:, :1])
     columns["axioms"] = np.max(np.stack(list(columns.values())), axis=0)

@@ -173,17 +173,6 @@ def _orthonormalize(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
     return np.column_stack(out)
 
 
-def _inner_sigma_signs(rs: rootsys.RootSystem, node: int) -> np.ndarray:
-    """Signs of sigma = Ad_{exp 2 pi i t} on the root basis: (-1)^{n_node(alpha)}."""
-    rank = rs.rank
-    dim = rank + 2 * len(rs.positive_roots)
-    signs = np.ones(dim)
-    for i, r in enumerate(rs.positive_roots):
-        if r[node] % 2 == 1:
-            signs[rank + 2 * i] = signs[rank + 2 * i + 1] = -1.0
-    return signs
-
-
 def _root_system_for(space: SpaceId) -> rootsys.RootSystem:
     if space.family is Family.COMPLEX_PROJECTIVE:
         basis = rootsys.SimpleBasis.A(space.n)
@@ -204,11 +193,16 @@ def build_pair(space: SpaceId) -> SymmetricPair:
     else:
         rs = _root_system_for(space)
         alg = compactform.build_compact_from_roots(rs)
-        # inner involution at node 1 (cp, hp) or node 4 in the paper's F4 layout;
-        # the seed is U0 of the simple root at that node
+        # inner involution sigma = Ad_{exp 2 pi i t} at node 1 (cp, hp) or node 4
+        # in the paper's F4 layout: (-1)^{n_node(alpha)} on U0_alpha and U1_alpha
         node = 3 if space.family is Family.CAYLEY_PLANE else 0
-        signs = _inner_sigma_signs(rs, node)
-        seed = alg.u_index[(tuple(int(i == node) for i in range(rs.rank)), 0)]
+        odd = np.flatnonzero([r[node] % 2 for r in rs.positive_roots])
+        signs = np.ones(alg.dim)
+        for a in (0, 1):
+            signs[compactform.u_basis_index(rs.rank, odd, a)] = -1.0
+        # the seed is U0 of the simple root at that node
+        simple = tuple(int(i == node) for i in range(rs.rank))
+        seed = compactform.u_basis_index(rs.rank, rs.positive_roots.index(simple), 0)
 
     pair = SymmetricPair(space, alg, signs, seed)
     if pair.dim_m != space.base_dim:

@@ -7,12 +7,11 @@ alpha(u, v) = [u, v]/2 + U(u, v), obtained from the Gram linear system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compactform import DEFAULT_TOL, ToleranceConfig
+from .compactform import DEFAULT_TOL, ToleranceConfig, positive_finite
 from .crossmodel import RestrictedFrame
 
 
@@ -31,8 +30,7 @@ class MetricParams:
     b_half: float
 
     def __post_init__(self):
-        # math.isfinite first: every comparison with a NaN is False
-        if not all(math.isfinite(v) and v > 0 for v in self.as_tuple()):
+        if not positive_finite(*self.as_tuple()):
             raise GeometryError(f"metric parameters must be positive finite numbers, "
                                 f"got {self.as_tuple()!r}")
 
@@ -45,10 +43,9 @@ class InvariantMetric:
     """Invariant metric as its Gram matrix in the restricted-root frame.
 
     The Gram matrix must be diagonal: the U-map solves its Gram system by
-    dividing by the diagonal.
+    dividing by the diagonal. metric_from_params builds the diagonal family.
     """
 
-    params: MetricParams
     gram: np.ndarray
 
     def __post_init__(self):
@@ -71,7 +68,7 @@ def gram_diagonal(frame: RestrictedFrame, coeffs: np.ndarray) -> np.ndarray:
 
 def metric_from_params(frame: RestrictedFrame, params: MetricParams) -> InvariantMetric:
     """Assemble the diagonal Gram matrix of the metric with these block coefficients."""
-    return InvariantMetric(params, np.diag(gram_diagonal(frame, params.as_tuple())))
+    return InvariantMetric(np.diag(gram_diagonal(frame, params.as_tuple())))
 
 
 def u_block(frame: RestrictedFrame, gram_diag: np.ndarray, rows: slice,

@@ -56,13 +56,12 @@ def cartan_matrix_F4() -> np.ndarray:
 class SimpleBasis:
     """A basis of simple roots given by its Cartan matrix."""
 
-    rank: int
     cartan_matrix: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.cartan_matrix)
-        if c.shape != (self.rank, self.rank):
-            raise RootSystemError("Cartan matrix shape does not match rank")
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise RootSystemError("Cartan matrix must be square")
         if not np.all(np.diag(c) == 2):
             raise RootSystemError("Cartan matrix diagonal must be 2")
         off = c - np.diag(np.diag(c))
@@ -73,15 +72,19 @@ class SimpleBasis:
 
     @classmethod
     def A(cls, n: int) -> "SimpleBasis":
-        return cls(n, cartan_matrix_A(n))
+        return cls(cartan_matrix_A(n))
 
     @classmethod
     def C(cls, n: int) -> "SimpleBasis":
-        return cls(n, cartan_matrix_C(n))
+        return cls(cartan_matrix_C(n))
 
     @classmethod
     def F4(cls) -> "SimpleBasis":
-        return cls(4, cartan_matrix_F4())
+        return cls(cartan_matrix_F4())
+
+    @property
+    def rank(self) -> int:
+        return len(self.cartan_matrix)
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,14 @@ from .crossmodel import Family, RestrictedFrame, SpaceId
 from .homgeo import MetricParams
 from .report import Check, VerificationReport
 
-FAMILY_BY_FLAG = {
-    "sphere": Family.SPHERE, "rp": Family.REAL_PROJECTIVE,
-    "cp": Family.COMPLEX_PROJECTIVE, "hp": Family.QUATERNIONIC_PROJECTIVE,
-    "cayley": Family.CAYLEY_PLANE,
-}
-
-
 def space_from_flags(space: str, n: int) -> SpaceId:
-    if space not in FAMILY_BY_FLAG:
+    """The space of a --space flag, a Family value, and its n."""
+    try:
+        family = Family(space)
+    except ValueError:
         raise ValueError(f"unknown space {space!r}; choose from "
-                         f"{sorted(FAMILY_BY_FLAG)}")
-    return SpaceId(FAMILY_BY_FLAG[space], n)
+                         f"{sorted(f.value for f in Family)}") from None
+    return SpaceId(family, n)
 
 
 def suite_table1(space: SpaceId, r: float, kappa: float, grid: int,
@@ -305,7 +301,7 @@ def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
         # a row without a drawn (a_eps, a_half) forces the criterion to hold
         ae, ah = drawn or (a * le / (2 * r * qe), a * lh / (2 * r * qh))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        structures.append(contact.phi_q_structure(frame, r, qe, qh, a, params))
+        structures.append(contact.phi_q_structure(frame, r, qe, qh, params))
         wants.append(abs(ae - a * le / (2 * r * qe)) < 1e-9
                      and abs(ah - a * lh / (2 * r * qh)) < 1e-9)
     flags = [cls.flags["contact_metric"] for cls in contact.classify_all(structures, tol)]

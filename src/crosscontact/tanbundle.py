@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import contact
-from .compactform import DEFAULT_TOL, ToleranceConfig
+from .compactform import DEFAULT_TOL, ToleranceConfig, positive_finite
 from .crossmodel import RestrictedFrame
 from .homgeo import MetricParams, gram_diagonal
 
@@ -24,13 +24,8 @@ class BundleError(ValueError):
     pass
 
 
-def _positive_finite(*values: float) -> bool:
-    """True iff every value is a number in (0, inf); a NaN fails every comparison."""
-    return all(0 < v < np.inf for v in values)
-
-
 def _require_radius(t: float) -> None:
-    if not _positive_finite(t):
+    if not positive_finite(t):
         raise BundleError(f"radial coordinate must be a positive finite number, got {t!r}")
 
 
@@ -43,7 +38,7 @@ def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
     """J^q at (o, t) on frame-plus-radial coordinates."""
     qe, qh = q_values(q, t)
-    if not _positive_finite(qe, qh):
+    if not positive_finite(qe, qh):
         raise BundleError(f"q must be positive and finite on the sampled domain, "
                           f"got {(qe, qh)!r}")
     n = frame.dim_mbar
@@ -59,7 +54,7 @@ def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
     """Gram of the invariant ambient metric at (o, t), radial slot last."""
     _require_radius(t)
     vals = {k: float(fns[k](t)) for k in FNS_KEYS}
-    if not _positive_finite(*vals.values()):
+    if not positive_finite(*vals.values()):
         raise BundleError(f"metric functions must be positive finite numbers at the "
                           f"sample, got {vals!r}")
     coeffs = [vals[k] for k in ("a", "a_eps", "a_half", "b_eps", "b_half")]
@@ -122,4 +117,4 @@ def induce_slice_structure(frame: RestrictedFrame, fns: dict[str, RadialFunction
     params = MetricParams(float(fns["a"](r)), float(fns["a_eps"](r)),
                           float(fns["a_half"](r)), float(fns["b_eps"](r)),
                           float(fns["b_half"](r)))
-    return contact.phi_q_structure(frame, r, qe, qh, params.a, params, tol=tol)
+    return contact.phi_q_structure(frame, r, qe, qh, params, tol=tol)

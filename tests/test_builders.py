@@ -22,15 +22,12 @@ def root_system(tag: str, n: int) -> rootsys.RootSystem:
 
 
 def loop_compact_from_roots(rs: rootsys.RootSystem):
-    """(bracket tensor, inv form, labels, u_index), one root pair at a time."""
+    """(bracket tensor, inv form, u_index), one root pair at a time."""
     rank = rs.rank
     pos = positive_root_objects(rs)
     dim = rank + 2 * len(pos)
     gram = rs.gram
     u_index = {(r.coeffs, a): rank + 2 * i + a for i, r in enumerate(pos) for a in (0, 1)}
-    labels = [f"it(a{k + 1})" for k in range(rank)]
-    for r in pos:
-        labels += [f"U0{r.coeffs}", f"U1{r.coeffs}"]
     c = np.zeros((dim, dim, dim))
 
     def add_u(i: int, j: int, gamma: Root, a: int, coef: float):
@@ -78,7 +75,7 @@ def loop_compact_from_roots(rs: rootsys.RootSystem):
     inv_form[:rank, :rank] = gram
     for i in range(rank, dim):
         inv_form[i, i] = 2.0
-    return c, inv_form, labels, u_index
+    return c, inv_form, u_index
 
 
 def assert_entries_are(alg, c):
@@ -89,7 +86,7 @@ def assert_entries_are(alg, c):
 
 
 def loop_so_matrix_model(n: int):
-    """(bracket tensor, labels) of so(n+1), one matrix commutator per basis pair."""
+    """The bracket tensor of so(n+1), one matrix commutator per basis pair."""
     m = n + 1
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
     index = {p: i for i, p in enumerate(pairs)}
@@ -109,7 +106,7 @@ def loop_so_matrix_model(n: int):
                 if val != 0.0:
                     c[i, l, t] = val
                     c[l, i, t] = -val
-    return c, [f"A{j + 1}{k + 1}" for j, k in pairs]
+    return c
 
 
 @pytest.mark.parametrize("tag,n", [("A", n) for n in range(2, 7)]
@@ -118,18 +115,17 @@ def test_root_built_matches_loop(tag, n):
     """su(3)..su(7), sp(2)..sp(5) and f4: CP^2..CP^6, HP^1..HP^4, CaP2."""
     rs = root_system(tag, n)
     alg = compactform.build_compact_from_roots(rs)
-    c, inv_form, labels, u_index = loop_compact_from_roots(rs)
+    c, inv_form, u_index = loop_compact_from_roots(rs)
     assert_entries_are(alg, c)
     assert np.array_equal(alg.inv_form, inv_form)
-    assert alg.basis_labels == labels
-    assert alg.u_index == u_index
+    assert {(r, a): compactform.u_basis_index(rs.rank, p, a)
+            for p, r in enumerate(rs.positive_roots) for a in (0, 1)} == u_index
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_so_model_matches_loop(n):
     """so(3)..so(11): S^2..S^10 and RP^2..RP^6."""
     alg = compactform.build_so_matrix_model(n)
-    c, labels = loop_so_matrix_model(n)
+    c = loop_so_matrix_model(n)
     assert_entries_are(alg, c)
     assert np.array_equal(alg.inv_form, np.eye(alg.dim))
-    assert alg.basis_labels == labels

@@ -1,4 +1,4 @@
-"""Command-line interface: exit codes, report formats, environment overrides."""
+"""Command-line interface: exit codes, report formats, the benchmark's child process."""
 
 import functools
 import importlib.util
@@ -104,25 +104,11 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"),
                                         ("--radius", "nan"), ("--radius", "inf"),
                                         ("--kappa", "nan"), ("--kappa", "inf")])
-def test_non_finite_inputs_rejected(capsys, monkeypatch, flag, value):
+def test_non_finite_inputs_rejected(capsys, flag, value):
     """inf and nan are usage errors, never a vacuous pass or a failed check."""
     code, out, err = run_cli(capsys, "run", "--space", "cp", "--suite", "sasakian",
                              flag, value)
     assert code == 2 and "error:" in err and out == ""
-    monkeypatch.setenv("CROSS_TOL", value)
-    code, out, err = run_cli(capsys, "run", "--space", "cp", "--suite", "sasakian")
-    assert code == 2 and "error:" in err and "CROSS_TOL" in err and out == ""
-
-
-def test_cross_tol_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CROSS_TOL", "1e-6")
-    code, out, _ = run_cli(capsys, "run", "--space", "cp", "--n", "2",
-                           "--suite", "brackets", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["config"]["tol"] == 1e-6
-    monkeypatch.setenv("CROSS_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "run", "--space", "cp", "--suite", "brackets")
-    assert code == 2 and "CROSS_TOL" in err
 
 
 def test_failing_check_exits_one(capsys, monkeypatch):
@@ -233,10 +219,9 @@ def test_gate_and_cayley_leave_numpy_ma_unimported():
     assert proc.stdout.strip() == "False"
 
 
-def test_benchmark_commands_match_reference(tmp_path, monkeypatch, capsys):
+def test_benchmark_commands_match_reference(tmp_path, capsys):
     """Every command keyed in perfbench/reference.json exits 0 with the sorted
     [name, passed, details] it pins, so an added, renamed or dropped check fails here."""
-    monkeypatch.delenv("CROSS_TOL", raising=False)
     reference = json.loads((Path(__file__).resolve().parent.parent
                             / "perfbench" / "reference.json").read_text())
     assert len(reference) == 32
@@ -257,7 +242,6 @@ def test_traced_runs_report_as_untraced(tmp_path, monkeypatch):
         "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    monkeypatch.delenv("CROSS_TOL", raising=False)
     argvs = [["run", "--space", "hp", "--n", "2", "--suite", "brackets"],
              ["run", "--space", "cp", "--n", "2", "--suite", "all"]]
 
@@ -295,3 +279,35 @@ def test_traced_runs_report_as_untraced(tmp_path, monkeypatch):
     self_s = sum(span["self_s"] for span in spans.values())
     assert abs(self_s - seconds) <= 0.01 * seconds
     assert traced == plain
+
+
+def test_benchmark_child_process_runs(tmp_path):
+    """perfbench/child.py, the process the benchmark starts, run from the repo root
+    as the benchmark runs it: the probe builds the pair of its space without a
+    raise, and a traced run exits 0, puts every wrapped function back and
+    writes its report."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    run_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_module)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cpu = str(sorted(os.sched_getaffinity(0))[0])
+    report = tmp_path / "report.json"
+    argv = ["run", "--space", "cp", "--n", "2", "--suite", "table1",
+            "--format", "json", "--output", str(report)]
+    results = []
+    for k, child_spec in enumerate(({"probe": run_module.PROBE},
+                                    {"argvs": [argv], "trace": True})):
+        spec_path, result_path = tmp_path / f"spec{k}.json", tmp_path / f"result{k}.json"
+        spec_path.write_text(json.dumps(child_spec))
+        proc = subprocess.run([sys.executable, "perfbench/child.py", str(spec_path),
+                               str(result_path), cpu],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(result_path.read_text()))
+    probe, traced = results
+    assert probe["rc"] == 0 and probe["exception"] is None
+    assert [(c["rc"], c["raised"]) for c in traced["calls"]] == [(0, None)]
+    assert traced["trace"]["restored"]
+    assert json.loads(report.read_text())["checks"]

@@ -43,11 +43,11 @@ def test_cartan_u_pair_bracket():
     """[U0_a, U1_a] = 2 i t_a expanded over the simple-root coordinates."""
     rs = root_system("A", 2)
     alg = compactform.build_compact_from_roots(rs)
-    for i, alpha in enumerate(rs.positive_roots):
+    for p, alpha in enumerate(rs.positive_roots):
         u0 = np.zeros(alg.dim)
         u1 = np.zeros(alg.dim)
-        u0[alg.u_index[(alpha, 0)]] = 1.0
-        u1[alg.u_index[(alpha, 1)]] = 1.0
+        u0[compactform.u_basis_index(rs.rank, p, 0)] = 1.0
+        u1[compactform.u_basis_index(rs.rank, p, 1)] = 1.0
         out = np.einsum("i,j,ijk->k", u0, u1, alg.dense())
         want = np.zeros(alg.dim)
         want[:rs.rank] = 2.0 * np.array(alpha, dtype=float)
@@ -58,16 +58,16 @@ def test_cartan_action_rotates_u_pair():
     """[U^a_alpha, i t_k] = (-1)^(a+1) <alpha, alpha_k> U^(a+1)_alpha."""
     rs = root_system("C", 2)
     alg = compactform.build_compact_from_roots(rs)
-    alpha = rs.positive_roots[-1]
+    p, alpha = len(rs.positive_roots) - 1, rs.positive_roots[-1]
     for k in range(rs.rank):
         t = np.zeros(alg.dim)
         t[k] = 1.0
         pairing = inner(rs, alpha, tuple(int(i == k) for i in range(rs.rank)))
         for a in (0, 1):
             u = np.zeros(alg.dim)
-            u[alg.u_index[(alpha, a)]] = 1.0
+            u[compactform.u_basis_index(rs.rank, p, a)] = 1.0
             want = np.zeros(alg.dim)
-            want[alg.u_index[(alpha, 1 - a)]] = (-1) ** (a + 1) * pairing
+            want[compactform.u_basis_index(rs.rank, p, 1 - a)] = (-1) ** (a + 1) * pairing
             out = np.einsum("i,j,ijk->k", u, t, alg.dense())
             assert np.max(np.abs(out - want)) < 1e-12
 
@@ -115,34 +115,34 @@ def test_jacobi_tolerance_scales_with_the_tensor(frames):
     assert out["passed"]
 
 def test_malformed_algebra_rejected():
-    """Entries, shapes and labels that disagree with dim, and non-finite or zero
-    entries, raise AlgebraError."""
+    """A form that is not square, entries and shapes that disagree with its size,
+    and non-finite or zero entries raise AlgebraError."""
     alg = compactform.build_so_matrix_model(3)
-    idx, v, g, labels = alg.index, alg.values, alg.inv_form, alg.basis_labels
+    idx, v, g = alg.index, alg.values, alg.inv_form
     past_end, negative, zero, inf = idx.copy(), idx.copy(), v.copy(), v.copy()
     past_end[-1, 2] = alg.dim
     negative[0, 0] = -1
     zero[3] = 0.0
     inf[3] = np.inf
     bad = [
-        (alg.dim + 1, labels, idx, v, g),
-        (alg.dim, labels, past_end, v, g),
-        (alg.dim, labels, idx, v, g[:-1]),
-        (alg.dim, labels[:-1], idx, v, g),
-        (alg.dim, labels, idx, np.full_like(v, np.nan), g),
-        (alg.dim, labels, idx, v, np.where(np.eye(alg.dim) > 0, np.inf, 0.0)),
-        (alg.dim, labels, negative, v, g),
-        (alg.dim, labels, idx[:, :2], v, g),
-        (alg.dim, labels, idx.astype(float), v, g),
-        (alg.dim, labels, idx, v[:-1], g),
-        (alg.dim, labels, idx[::-1], v[::-1], g),  # not in row-major order
-        (alg.dim, labels, np.repeat(idx, 2, axis=0), np.repeat(v, 2), g),  # repeated
-        (alg.dim, labels, idx, zero, g),
-        (alg.dim, labels, idx, inf, g),
+        (past_end, v, g),
+        (idx, v, g[:-1]),  # not square
+        (idx, v, g[0]),  # not 2-D
+        (idx, v, g[:-1, :-1]),  # square, but the entries reach past it
+        (idx, np.full_like(v, np.nan), g),
+        (idx, v, np.where(np.eye(alg.dim) > 0, np.inf, 0.0)),
+        (negative, v, g),
+        (idx[:, :2], v, g),
+        (idx.astype(float), v, g),
+        (idx, v[:-1], g),
+        (idx[::-1], v[::-1], g),  # not in row-major order
+        (np.repeat(idx, 2, axis=0), np.repeat(v, 2), g),  # repeated
+        (idx, zero, g),
+        (idx, inf, g),
     ]
-    for dim, lab, ii, vv, gg in bad:
+    for ii, vv, gg in bad:
         with pytest.raises(compactform.AlgebraError):
-            compactform.CompactLieAlgebra(dim, lab, ii, vv, gg)
+            compactform.CompactLieAlgebra(ii, vv, gg)
 
 
 def test_nan_tensor_fails_verification():
@@ -172,3 +172,13 @@ def test_verify_algebra_memory(tag, n):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * alg.dim ** 3 * 8
+
+
+def test_algebra_holds_its_entries_and_form():
+    """The algebra record is its bracket entries and invariant form; the dimension
+    is the size of the form, and the basis layout is u_basis_index."""
+    fields = tuple(f.name for f in dataclasses.fields(compactform.CompactLieAlgebra))
+    assert fields == ("index", "values", "inv_form")
+    assert compactform.build_so_matrix_model(3).dim == 6  # so(4)
+    rs = root_system("A", 2)
+    assert root_built("A", 2).dim == compactform.u_basis_index(rs.rank, len(rs.positive_roots), 0)

@@ -1,17 +1,18 @@
 """Almost contact metric structures: axioms, classification, main theorem."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import nijenhuis_tensor
 
-from crosscontact import contact, crossmodel, fixtures, suites
+from crosscontact import contact, crossmodel, fixtures, homgeo, suites
 from crosscontact.compactform import DEFAULT_TOL
 from crosscontact.contact import ContactError
 from crosscontact.crossmodel import Family, SpaceId
-from crosscontact.homgeo import MetricParams
+from crosscontact.homgeo import GeometryError, MetricParams
 from crosscontact.report import VerificationReport
 
 RADII = (0.5, 1.0, 2.0)
@@ -51,7 +52,7 @@ def test_d_eta_values(cp2):
     x = basis_vec(cp2, 0)
     xi_e, ze_e = basis_vec(cp2, s["m_eps"].start), basis_vec(cp2, s["k_eps"].start)
     xi_h, ze_h = basis_vec(cp2, s["m_half"].start), basis_vec(cp2, s["k_half"].start)
-    d_eta = st.a_scalar * contact.d_eta_matrix(cp2)
+    d_eta = st.eta[0] * contact.d_eta_matrix(cp2)
     assert xi_e @ d_eta @ ze_e == pytest.approx(0.5)
     assert xi_h @ d_eta @ ze_h == pytest.approx(0.25)
     for u in (xi_e, ze_e, xi_h, ze_h):
@@ -160,7 +161,8 @@ def test_theorem_flags_do_not_depend_on_radius(cp2):
 
 def test_theorem_params_instantiation(frames):
     st = contact.theorem_main_structure(frames["cp3"], 2.0, 3.0)
-    assert st.metric.params.as_tuple() == (3.0, 1.5, 0.75, 1.5, 0.75)
+    params = MetricParams(3.0, 1.5, 0.75, 1.5, 0.75)
+    assert np.array_equal(st.metric.gram, homgeo.metric_from_params(frames["cp3"], params).gram)
     assert st.char[0] == pytest.approx(1.0 / 3.0)
     assert st.eta[0] == pytest.approx(3.0)
 
@@ -282,7 +284,7 @@ def test_phi_q_reproduces_standard(cp2):
     r = 1.3
     std = contact.standard_structure(cp2, r)
     params = MetricParams(1, 1, 1, r * r, r * r / 4)
-    other = contact.phi_q_structure(cp2, r, r, r / 2, 1.0, params)
+    other = contact.phi_q_structure(cp2, r, r, r / 2, params)
     assert np.array_equal(std.phi, other.phi)
     assert np.array_equal(std.metric.gram, other.metric.gram)
 
@@ -290,7 +292,7 @@ def test_phi_q_reproduces_standard(cp2):
 def test_induced_mode_rejects_mismatched_params(cp2):
     params = MetricParams(1, 1, 1, 3.0, 1.0)  # b_eps != q_eps^2 a_eps
     with pytest.raises(ContactError):
-        contact.phi_q_structure(cp2, 1.0, 1.0, 0.5, 1.0, params)
+        contact.phi_q_structure(cp2, 1.0, 1.0, 0.5, params)
 
 
 @pytest.mark.parametrize(
@@ -309,7 +311,7 @@ def test_k_contact_negative_control(space):
         for q in (0.5, 1.0, 2.0):
             ae, ah = a * le / (2 * r * q), a * lh / (2 * r * q)
             params = MetricParams(a, ae, ah, q * q * ae, q * q * ah)
-            cls = contact.classify(contact.phi_q_structure(frame, r, q, q, a, params))
+            cls = contact.classify(contact.phi_q_structure(frame, r, q, q, params))
             if q == 1.0:
                 assert cls.flags["sasakian"], (r, cls.residuals)
             else:
@@ -333,17 +335,21 @@ def test_invalid_inputs(cp2):
                                       (1.0, 0.0), (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)])
 def test_radius_and_kappa_must_be_positive_finite(cp2, r, kappa):
     """r = 0 used to divide by zero, r = -1 to report a unique scan, and a NaN
-    or inf to give a non-unique scan with a NaN margin or a Sasakian verdict."""
+    or inf to give a non-unique scan with a NaN margin or a Sasakian verdict.
+    phi_q_structure takes a from its parameters, which reject a bad a."""
     if kappa == 1.0:
         for build in (contact.standard_structure, contact.rectified_structure):
             with pytest.raises(ContactError, match="positive finite"):
                 build(cp2, r)
+        with pytest.raises(ContactError, match="positive finite"):
+            contact.phi_q_structure(cp2, r, 1.0, 1.0, MetricParams(1, 1, 1, 1, 1))
+    else:
+        with pytest.raises(GeometryError, match="positive finite"):
+            MetricParams(kappa, 1, 1, 1, 1)
     with pytest.raises(ContactError, match="positive finite"):
         contact.uniqueness_scan(cp2, r, kappa)
     with pytest.raises(ContactError, match="positive finite"):
         contact.classify(contact.theorem_main_structure(cp2, r, kappa))
-    with pytest.raises(ContactError, match="positive finite"):
-        contact.phi_q_structure(cp2, r, 1.0, 1.0, kappa, MetricParams(1, 1, 1, 1, 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -391,3 +397,12 @@ def test_uniqueness_scan_peak_memory(frames):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_structure_takes_a_from_its_params(cp2):
+    """phi_q_structure reads a once, from params: eta = a<X,.> and char = X/a."""
+    names = list(inspect.signature(contact.phi_q_structure).parameters)
+    assert names == ["frame", "r", "q_eps", "q_half", "params", "tol"]
+    params = MetricParams(0.9, 0.4, 1.1, 0.6 ** 2 * 0.4, 1.7 ** 2 * 1.1)
+    st = contact.phi_q_structure(cp2, 1.3, 0.6, 1.7, params)
+    assert st.eta[0] == params.a and st.char[0] == 1.0 / params.a

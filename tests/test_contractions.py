@@ -91,9 +91,9 @@ def dense_classify(structure, tol=compactform.DEFAULT_TOL):
     axioms = max(residuals.values())
     residuals["axioms"] = axioms
     residuals["contact"] = float(np.max(np.abs(
-        g @ structure.phi - structure.a_scalar * contact.d_eta_matrix(frame))))
+        g @ structure.phi - structure.eta[0] * contact.d_eta_matrix(frame))))
     residuals["killing"] = float(homgeo.killing_residual(
-        frame, np.diagonal(g), structure.a_scalar * structure.char))
+        frame, np.diagonal(g), structure.eta[0] * structure.char))
     residuals["nijenhuis"] = float(np.max(np.abs(nijenhuis_tensor(structure))))
     residuals["nabla_phi"] = nabla_phi_residual(structure)
 
@@ -125,7 +125,7 @@ def oracle_structures(frame, seed):
         else:
             ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        out.append(contact.phi_q_structure(frame, r, qe, qh, a, params))
+        out.append(contact.phi_q_structure(frame, r, qe, qh, params))
     return out
 
 
@@ -434,7 +434,7 @@ def invariance_structures(frame):
     return [contact.theorem_main_structure(frame, 0.7, 1.3),
             contact.standard_structure(frame, 0.5), contact.standard_structure(frame, 2.0),
             contact.rectified_structure(frame, 1.0),
-            contact.phi_q_structure(frame, 1.3, 0.6, 1.7, 0.9,
+            contact.phi_q_structure(frame, 1.3, 0.6, 1.7,
                                     MetricParams(0.9, 0.4, 1.1, 0.6 ** 2 * 0.4, 1.7 ** 2 * 1.1))]
 
 
@@ -638,8 +638,7 @@ def test_jacobi_join_fixed_points():
     """The cyclic sum is three times cc on a fixed point (a, a, a) of the rotation,
     and the Jacobi and ad-invariance joins of an all-zero (abelian) tensor are empty."""
     c = np.zeros((3, 3, 3))
-    alg = compactform.CompactLieAlgebra(3, ["x", "y", "z"], np.zeros((0, 3), dtype=int),
-                                        np.zeros(0), np.eye(3))
+    alg = compactform.CompactLieAlgebra(np.zeros((0, 3), dtype=int), np.zeros(0), np.eye(3))
     residuals = compactform.verify_algebra(alg)["residuals"]
     assert residuals["jacobi"] == residuals["ad_invariance"] == 0.0
     c[0, 0, 0], c[1, 1, 1], c[2, 0, 1] = 1.0, 2.0, 0.5

@@ -1,5 +1,7 @@
 """Invariant metrics, the U-map and its closed forms, geometric predicates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,4 +237,9 @@ def test_non_diagonal_gram_rejected(cp2):
     gram = homgeo.metric_from_params(cp2, params).gram.copy()
     gram[1, 2] = gram[2, 1] = 0.1
     with pytest.raises(GeometryError):
-        homgeo.InvariantMetric(params, gram)
+        homgeo.InvariantMetric(gram)
+
+
+def test_metric_is_its_gram_matrix():
+    """MetricParams only constructs a metric; the metric holds its Gram matrix alone."""
+    assert tuple(f.name for f in dataclasses.fields(homgeo.InvariantMetric)) == ("gram",)

@@ -1,5 +1,6 @@
 """Root systems: closure generation, Killing products, structure constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,9 +188,13 @@ def test_root_negation_involution(coeffs):
 
 def test_invalid_cartan_matrix_rejected():
     with pytest.raises(RootSystemError):
-        SimpleBasis(2, np.array([[2, 1], [1, 2]]))
+        SimpleBasis(np.array([[2, 1], [1, 2]]))
     with pytest.raises(RootSystemError):
-        SimpleBasis(2, np.array([[2, -1], [0, 2]]))
+        SimpleBasis(np.array([[2, -1], [0, 2]]))
+    with pytest.raises(RootSystemError, match="square"):
+        SimpleBasis(np.array([[2, -1, 0], [-1, 2, -1]]))
+    with pytest.raises(RootSystemError, match="square"):
+        SimpleBasis(np.array([2, 2]))
     with pytest.raises(RootSystemError):
         rootsys.cartan_matrix_C(1)
 
@@ -236,3 +241,9 @@ def test_pair_tables_reject_keys_beyond_int64():
     rs = rootsys.RootSystem(SimpleBasis.A(3), ((1 << 21,) * 3,), np.eye(3), np.zeros((2, 2)))
     with pytest.raises(RootSystemError, match="integer key"):
         rs.pair_tables()
+
+
+def test_simple_basis_is_its_cartan_matrix():
+    """The rank is the size of the Cartan matrix, not a second field."""
+    assert tuple(f.name for f in dataclasses.fields(SimpleBasis)) == ("cartan_matrix",)
+    assert (SimpleBasis.A(3).rank, SimpleBasis.C(4).rank, SimpleBasis.F4().rank) == (3, 4, 4)
