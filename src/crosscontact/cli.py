@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--space", required=True, choices=[f.value for f in Family])
     run.add_argument("--n", type=int, default=2,
                      help="dimension parameter (ignored for cayley)")
-    run.add_argument("--radius", type=float, default=1.0)
+    run.add_argument("--radius", type=float, default=1.0,
+                     help="slice radius; it names the sasakian and uniqueness checks only")
     run.add_argument("--kappa", type=float, default=1.0)
     run.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])
     run.add_argument("--grid", type=int, default=5)

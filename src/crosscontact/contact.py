@@ -7,7 +7,7 @@ Classification (contact / K-contact / Sasakian) is by explicit residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,10 +30,9 @@ def _require_positive(**values: float) -> None:
 
 @dataclass
 class AlmostContactStructure:
-    """(phi, char, eta, g) data at the origin on the radius-r slice; eta = a<X,.>."""
+    """(phi, char, eta, g) data at the origin of a slice; eta = a<X,.>."""
 
     frame: RestrictedFrame
-    r: float
     phi: np.ndarray
     char: np.ndarray  # characteristic vector, frame coordinates
     eta: np.ndarray  # contact covector, frame coordinates
@@ -75,24 +74,23 @@ def _char_eta(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return char, eta
 
 
-def phi_q_structure(frame: RestrictedFrame, r: float, q_eps: float, q_half: float,
-                    params: MetricParams,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> AlmostContactStructure:
-    """Assemble (phi^q, X/a, a<X,.>, g) from the q scalars and metric parameters,
-    with a = params.a.
+def hermitian_pairing(q: tuple[float, float], a: tuple[float, float],
+                      b: tuple[float, float], tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True iff b_l = q_l^2 a_l on the eps and eps/2 blocks, each at its own scale b_l."""
+    return all(tol.is_zero(bl - ql * ql * al, scale=bl) for ql, al, bl in zip(q, a, b))
 
-    The structure is induced from an ambient Hermitian pair, so the metric
-    must satisfy b_l = q_l^2 a_l.
-    """
-    _require_positive(r=r)
-    for b, q, a in ((params.b_eps, q_eps, params.a_eps),
-                    (params.b_half, q_half, params.a_half)):
-        if not tol.is_zero(b - q * q * a, scale=b):
-            raise ContactError("parameters violate the Hermitian pairing b_l = q_l^2 a_l")
+
+def phi_q_structure(frame: RestrictedFrame, q_eps: float, q_half: float, params: MetricParams,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> AlmostContactStructure:
+    """Assemble (phi^q, X/a, a<X,.>, g) from the q scalars and metric parameters, with
+    a = params.a. The structure is induced from an ambient Hermitian pair, so the
+    metric must satisfy hermitian_pairing."""
+    if not hermitian_pairing((q_eps, q_half), (params.a_eps, params.a_half),
+                             (params.b_eps, params.b_half), tol):
+        raise ContactError("parameters violate the Hermitian pairing b_l = q_l^2 a_l")
     metric = homgeo.metric_from_params(frame, params)
     phi = phi_matrix(frame, q_eps, q_half)
-    return AlmostContactStructure(frame, r, phi, *_char_eta(frame.dim_mbar, params.a),
-                                  metric)
+    return AlmostContactStructure(frame, phi, *_char_eta(frame.dim_mbar, params.a), metric)
 
 
 def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
@@ -100,7 +98,7 @@ def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructu
     _require_positive(r=r)
     le, lh = lambda_r(r)
     params = MetricParams(1.0, 1.0, 1.0, le * le, lh * lh)
-    return phi_q_structure(frame, r, le, lh, params)
+    return phi_q_structure(frame, le, lh, params)
 
 
 def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
@@ -109,15 +107,18 @@ def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStruct
     le, lh = lambda_r(r)
     s = 1.0 / (2.0 * r)
     params = MetricParams(s, s * s, s * s, 0.25, 1.0 / 16.0)
-    return phi_q_structure(frame, r, le, lh, params)
+    return phi_q_structure(frame, le, lh, params)
 
 
-def theorem_main_structure(frame: RestrictedFrame, r: float,
-                           kappa: float) -> AlmostContactStructure:
-    """The K-contact structure with characteristic vector X/kappa (q identically 1)."""
+def theorem_params(kappa: float) -> MetricParams:
+    """The theorem's metric (kappa, kappa/2, kappa/4, kappa/2, kappa/4); it has no r in it."""
     _require_positive(kappa=kappa)
-    params = MetricParams(kappa, kappa / 2.0, kappa / 4.0, kappa / 2.0, kappa / 4.0)
-    return phi_q_structure(frame, r, 1.0, 1.0, params)
+    return MetricParams(kappa, kappa / 2.0, kappa / 4.0, kappa / 2.0, kappa / 4.0)
+
+
+def theorem_main_structure(frame: RestrictedFrame, kappa: float) -> AlmostContactStructure:
+    """The K-contact structure with characteristic vector X/kappa (q identically 1)."""
+    return phi_q_structure(frame, 1.0, 1.0, theorem_params(kappa))
 
 
 def d_eta_matrix(frame: RestrictedFrame) -> np.ndarray:
@@ -283,34 +284,28 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
 SCAN_SPAN = 2.0
 
 
-def uniqueness_scan(frame: RestrictedFrame, r: float, kappa: float,
-                    grid_size: int = 5, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def uniqueness_scan(frame: RestrictedFrame, kappa: float, grid_size: int = 5,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Log-grid scan showing only the theorem parameters admit a K-contact structure.
 
-    Returns the summary: the scanned axes, how many points there are and how
-    many pass, whether the theorem point passes and is the only one to, and
-    the smallest failing and largest passing residual.
+    The grid is centered on theorem_params(kappa). Returns the summary: the
+    scanned axes, how many points there are and how many pass, whether the
+    theorem point passes and is the only one to, and the smallest failing and
+    largest passing residual.
     """
     if grid_size < 3:
         raise ContactError("grid needs at least 3 points per axis")
-    _require_positive(r=r, kappa=kappa)
-    le, lh = lambda_r(r)
-    target = {"a_eps": kappa * le / (2 * r), "a_half": kappa * lh / (2 * r),
-              "b_eps": kappa * le / (2 * r), "b_half": kappa * lh / (2 * r)}
+    theorem, center = theorem_params(kappa), (grid_size - 1) // 2
     axes = ["a_eps", "b_eps"] + (["a_half", "b_half"] if frame.m_half else [])
-    grids = {k: np.geomspace(target[k] / SCAN_SPAN, target[k] * SCAN_SPAN, grid_size)
-             for k in axes}
-    # force the exact theorem point onto the center of each axis
-    center = (grid_size - 1) // 2
-    for k in axes:
-        grids[k][center] = target[k]
-
     # grid indices of every point, last axis fastest (itertools.product order)
     index = np.indices((grid_size,) * len(axes)).reshape(len(axes), -1).T
-    vals = {k: grids[k][index[:, n]] for n, k in enumerate(axes)}
-    ones = np.ones(len(index))
-    coeffs = np.stack([kappa * ones, vals["a_eps"], vals.get("a_half", ones),
-                       vals["b_eps"], vals.get("b_half", ones)], axis=-1)
+    columns = [f.name for f in fields(theorem)]  # the order of theorem.as_tuple()
+    coeffs = np.tile(theorem.as_tuple(), (len(index), 1))  # one metric per grid point
+    for n, k in enumerate(axes):
+        target = getattr(theorem, k)
+        grid = np.geomspace(target / SCAN_SPAN, target * SCAN_SPAN, grid_size)
+        grid[center] = target  # the exact theorem point at the center of each axis
+        coeffs[:, columns.index(k)] = grid[index[:, n]]
     residuals = _k_contact_candidate_residuals(
         frame, kappa, homgeo.gram_diagonal(frame, coeffs))
     passed = np.abs(residuals) <= tol.threshold  # tol.is_zero, per point

@@ -273,8 +273,7 @@ class RestrictedFrame:
     h_basis: np.ndarray
     mbar: np.ndarray  # columns: X, xi_eps, xi_half, zeta_eps, zeta_half
     cbar: np.ndarray  # projected bracket tensor on the mbar frame
-    spectrum_m: np.ndarray  # eigenvalues of ad_X^2 on m and on k
-    spectrum_k: np.ndarray
+    spectrum_m: np.ndarray  # eigenvalues of ad_X^2 on m
 
     @property
     def dim_mbar(self) -> int:
@@ -358,7 +357,7 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     # so unit ip-norm columns are orthonormal under ip
     mb, kb = (b / np.sqrt(np.sum(b * (ip @ b), axis=0)) for b in (pair.m_basis, pair.k_basis))
     m_groups, wm = _eigen_split(mb.T @ ip @ sq @ mb, mb, (0.0, -1.0, -0.25))
-    k_groups, wk = _eigen_split(kb.T @ ip @ sq @ kb, kb, (0.0, -1.0, -0.25))
+    k_groups, _ = _eigen_split(kb.T @ ip @ sq @ kb, kb, (0.0, -1.0, -0.25))
 
     if m_groups[0.0].shape[1] != 1:
         raise ModelError("Cartan subspace is not one-dimensional")
@@ -388,7 +387,7 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
                 allowed[blocks[s1], blocks[s2], blocks[t]] = True
                 allowed[blocks[s2], blocks[s1], blocks[t]] = True
     cbar = np.where(allowed, _frame_brackets(alg, ip, mbar, mbar, mbar), 0.0)
-    return RestrictedFrame(pair.space, alg, ip, *got, h_basis, mbar, cbar, wm, wk)
+    return RestrictedFrame(pair.space, alg, ip, *got, h_basis, mbar, cbar, wm)
 
 
 @functools.cache

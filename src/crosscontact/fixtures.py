@@ -28,9 +28,9 @@ def compute_fixtures() -> dict[str, float]:
         "cp2_standard_r0.5_nijenhuis_max":
             contact.classify(std).residuals["nijenhuis"],
         "cp2_uniqueness_r1_kappa1_grid5_min_failing_residual":
-            contact.uniqueness_scan(cp2, 1.0, 1.0, 5)["min_failing_residual"],
+            contact.uniqueness_scan(cp2, 1.0, 5)["min_failing_residual"],
         "hp1_uniqueness_r1_kappa1_grid5_min_failing_residual":
-            contact.uniqueness_scan(hp1, 1.0, 1.0, 5)["min_failing_residual"],
+            contact.uniqueness_scan(hp1, 1.0, 5)["min_failing_residual"],
     }
 
 

@@ -8,7 +8,6 @@ module both read the CRITERIA registry.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -134,8 +133,9 @@ def suite_tashiro(space: SpaceId, r: float, kappa: float, grid: int,
 
 def suite_sasakian(space: SpaceId, r: float, kappa: float, grid: int,
                    rep: VerificationReport, tol: ToleranceConfig) -> None:
+    """The theorem structure at kappa; r only names the check."""
     frame = crossmodel.build_frame(space)
-    cls = contact.classify(contact.theorem_main_structure(frame, r, kappa), tol)
+    cls = contact.classify(contact.theorem_main_structure(frame, kappa), tol)
     rep.add(f"sasakian/{space.label()}/r={r}/kappa={kappa}",
             "the q=1 K-contact structure is Sasakian (both normality checks)",
             cls.flags["sasakian"],
@@ -144,8 +144,9 @@ def suite_sasakian(space: SpaceId, r: float, kappa: float, grid: int,
 
 def suite_uniqueness(space: SpaceId, r: float, kappa: float, grid: int,
                      rep: VerificationReport, tol: ToleranceConfig) -> None:
+    """The uniqueness scan around the theorem point at kappa; r only names the check."""
     frame = crossmodel.build_frame(space)
-    scan = contact.uniqueness_scan(frame, r, kappa, grid, tol=tol)
+    scan = contact.uniqueness_scan(frame, kappa, grid, tol=tol)
     rep.add(f"uniqueness/{space.label()}/r={r}/kappa={kappa}",
             "only the distinguished parameters admit a K-contact structure",
             scan["unique"] and scan["min_failing_residual"] > 1e-3,
@@ -301,7 +302,7 @@ def criterion_04_contact_criterion_biconditional(tol: ToleranceConfig,
         # a row without a drawn (a_eps, a_half) forces the criterion to hold
         ae, ah = drawn or (a * le / (2 * r * qe), a * lh / (2 * r * qh))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        structures.append(contact.phi_q_structure(frame, r, qe, qh, params))
+        structures.append(contact.phi_q_structure(frame, qe, qh, params))
         wants.append(abs(ae - a * le / (2 * r * qe)) < 1e-9
                      and abs(ah - a * lh / (2 * r * qh)) < 1e-9)
     flags = [cls.flags["contact_metric"] for cls in contact.classify_all(structures, tol)]
@@ -320,14 +321,14 @@ def criterion_05_tashiro_radius_sweep(tol: ToleranceConfig, grid: int) -> Check:
 
 
 def criterion_06_main_theorem_matrix(tol: ToleranceConfig, grid: int) -> Check:
-    """Sasakian over 5 spaces x r in {1/2,1,2} x kappa in {1/2,1,3}, with both
-    normality residuals below 1e-8 (so the two checks agree)."""
+    """Sasakian over 5 spaces x kappa in {1/2,1,3}, with both normality residuals
+    below 1e-8 (so the two checks agree). r is not an axis: the theorem holds for
+    every r > 0, and at the origin its structure has no r in it (theorem_params)."""
     ok, worst = True, 0.0
     for space in REPRESENTATIVE_SPACES:
         frame = crossmodel.build_frame(space)
-        for cls in contact.classify_all(
-                [contact.theorem_main_structure(frame, r, kappa) for r, kappa
-                 in itertools.product((0.5, 1.0, 2.0), (0.5, 1.0, 3.0))], tol):
+        for cls in contact.classify_all([contact.theorem_main_structure(frame, kappa)
+                                         for kappa in (0.5, 1.0, 3.0)], tol):
             ok = ok and cls.flags["sasakian"]
             worst = max(worst, cls.residuals["nijenhuis"], cls.residuals["nabla_phi"])
     return Check("criterion-06/main_theorem",
@@ -350,7 +351,7 @@ def criterion_08_sphere_metric_coincidence(tol: ToleranceConfig,
                                            grid: int) -> Check:
     """On the sphere the kappa = 1/2 theorem metric is a quarter of the standard one."""
     frame = crossmodel.build_frame(SpaceId(Family.SPHERE, 4))
-    g_main = contact.theorem_main_structure(frame, 1.0, 0.5).metric.gram
+    g_main = contact.theorem_main_structure(frame, 0.5).metric.gram
     g_std = contact.standard_structure(frame, 1.0).metric.gram
     res = float(np.max(np.abs(g_main - 0.25 * g_std)))
     return Check("criterion-08/sphere_coincidence",

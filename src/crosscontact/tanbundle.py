@@ -18,6 +18,7 @@ from .homgeo import MetricParams, gram_diagonal
 RadialFunction = Callable[[float], float]
 
 FNS_KEYS = ("a", "b", "a_eps", "a_half", "b_eps", "b_half")
+_PARAM_KEYS = ("a", "a_eps", "a_half", "b_eps", "b_half")  # the MetricParams order
 
 
 class BundleError(ValueError):
@@ -32,7 +33,7 @@ def _require_radius(t: float) -> None:
 def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
     """(q_eps, q_half)(t) = q evaluated on the restricted-root values at t."""
     _require_radius(t)
-    return float(q(t)), float(q(t / 2.0))
+    return tuple(float(q(lam)) for lam in contact.lambda_r(t))
 
 
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
@@ -57,7 +58,7 @@ def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
     if not positive_finite(*vals.values()):
         raise BundleError(f"metric functions must be positive finite numbers at the "
                           f"sample, got {vals!r}")
-    coeffs = [vals[k] for k in ("a", "a_eps", "a_half", "b_eps", "b_half")]
+    coeffs = [vals[k] for k in _PARAM_KEYS]
     # np.square is x * x, as in gram_diagonal: the a^2 and b^2 slots round alike
     return np.diag(np.append(gram_diagonal(frame, coeffs), np.square(vals["b"])))
 
@@ -76,15 +77,19 @@ def gf_fns(f: RadialFunction) -> dict[str, RadialFunction]:
             "b_eps": lambda t: f(t) / 2.0, "b_half": lambda t: f(t) / 4.0}
 
 
+def _sample(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
+            tol: ToleranceConfig) -> tuple[tuple[float, float], dict[str, float], bool]:
+    """(q_eps, q_half) and the six metric values at t, each evaluated once, and
+    whether they pair: a = b, and b_l = q_l^2 a_l by contact.hermitian_pairing."""
+    qv, v = q_values(q, t), {k: float(fns[k](t)) for k in FNS_KEYS}
+    return qv, v, tol.is_zero(v["a"] - v["b"], scale=v["a"]) and contact.hermitian_pairing(
+        qv, (v["a_eps"], v["a_half"]), (v["b_eps"], v["b_half"]), tol)
+
+
 def is_hermitian(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff a = b and b_l = q_l^2 a_l at the sample t."""
-    qe, qh = q_values(q, t)
-    a, b = float(fns["a"](t)), float(fns["b"](t))
-    checks = [a - b,
-              float(fns["b_eps"](t)) - qe * qe * float(fns["a_eps"](t)),
-              float(fns["b_half"](t)) - qh * qh * float(fns["a_half"](t))]
-    return all(tol.is_zero(c, scale=max(abs(a), 1.0)) for c in checks)
+    return _sample(fns, q, t, tol)[2]
 
 
 # radii at which extension_admissible samples q(t)/t, decreasing towards 0
@@ -111,10 +116,7 @@ def induce_slice_structure(frame: RestrictedFrame, fns: dict[str, RadialFunction
                            tol: ToleranceConfig = DEFAULT_TOL
                            ) -> contact.AlmostContactStructure:
     """Almost contact metric structure induced on the radius-r slice."""
-    if not is_hermitian(fns, q, r, tol):
+    qv, v, hermitian = _sample(fns, q, r, tol)
+    if not hermitian:
         raise BundleError("ambient pair is not Hermitian at the slice radius")
-    qe, qh = q_values(q, r)
-    params = MetricParams(float(fns["a"](r)), float(fns["a_eps"](r)),
-                          float(fns["a_half"](r)), float(fns["b_eps"](r)),
-                          float(fns["b_half"](r)))
-    return contact.phi_q_structure(frame, r, qe, qh, params, tol=tol)
+    return contact.phi_q_structure(frame, *qv, MetricParams(*(v[k] for k in _PARAM_KEYS)), tol)

@@ -27,6 +27,9 @@ read <a, b> and N(a, b) from rs.gram and rs.n through their own row map.
 Acceptance criteria 03, 04 and 10 read their sample rows from the package
 file samples.json; draw_samples makes them from the seeded generators the
 criteria once drew from, and the tests require the two to be equal.
+
+CAYLEY_PARAMS are the (radius, kappa) pairs of the benchmark's cayley
+workload, which several tests sweep.
 """
 
 import functools
@@ -63,6 +66,11 @@ class Root:
 
     def sort_key(self):
         return (self.height, self.coeffs)
+
+
+# the (radius, kappa) pairs of the benchmark's cayley workload
+CAYLEY_PARAMS = ((0.37, 2.3), (1.7, 0.6), (0.8, 1.9), (1.25, 0.75),
+                 (0.6, 0.45), (2.0, 3.0), (1.0, 1.5), (0.45, 1.2))
 
 
 def positive_root_objects(rs):

@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from oracles import CAYLEY_PARAMS
 
 from crosscontact import cli
 from crosscontact.report import VerificationReport
@@ -230,6 +231,30 @@ def test_benchmark_commands_match_reference(tmp_path, capsys):
         assert cli.main(key.split() + ["--format", "json", "--output", str(out)]) == 0, key
         checks = json.loads(out.read_text())["checks"]
         assert sorted([c["name"], c["passed"], c["details"]] for c in checks) == want, key
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("space", [("cp", "2"), ("hp", "1"), ("cayley", "2")],
+                         ids=lambda s: s[0])
+def test_reports_do_not_depend_on_radius(tmp_path, capsys, space):
+    """At every (r, kappa) of the benchmark's cayley workload, run --suite all
+    reports what it reports at (1, kappa), apart from the r= in check names,
+    config.radius and wall_time: no verdict, residual or detail reads r."""
+    out = tmp_path / "report.json"
+
+    def report(r, kappa):
+        argv = ["run", "--space", space[0], "--n", space[1], "--suite", "all",
+                "--radius", repr(r), "--kappa", repr(kappa),
+                "--format", "json", "--output", str(out)]
+        assert cli.main(argv) == 0, argv
+        data = json.loads(out.read_text())
+        del data["wall_time"], data["config"]["radius"]
+        for check in data["checks"]:
+            check["name"] = check["name"].replace(f"/r={r}/", "/r=*/")
+        return data
+
+    for r, kappa in CAYLEY_PARAMS:
+        assert report(r, kappa) == report(1.0, kappa), (r, kappa)
     capsys.readouterr()
 
 

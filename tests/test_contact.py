@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import nijenhuis_tensor
+from oracles import CAYLEY_PARAMS, nijenhuis_tensor
 
 from crosscontact import contact, crossmodel, fixtures, homgeo, suites
 from crosscontact.compactform import DEFAULT_TOL
@@ -33,7 +33,7 @@ def bracket_mbar(frame, u, v):
 def all_structures(frame):
     out = [contact.standard_structure(frame, r) for r in RADII]
     out += [contact.rectified_structure(frame, r) for r in RADII]
-    out += [contact.theorem_main_structure(frame, 1.0, k) for k in KAPPAS]
+    out += [contact.theorem_main_structure(frame, k) for k in KAPPAS]
     return out
 
 
@@ -117,7 +117,7 @@ def test_almost_contact_negative_control(frames):
     """phi scaled by 1 + 1e-3 misses phi^2 = -1 + char eta by about 2e-3, so the
     theorem structure loses every flag, almost_contact_metric first."""
     for frame in frames.values():
-        st = contact.theorem_main_structure(frame, 1.0, 1.0)
+        st = contact.theorem_main_structure(frame, 1.0)
         assert all(contact.classify(st).flags.values())
         cls = contact.classify(dataclasses.replace(st, phi=st.phi * (1 + 1e-3)))
         assert cls.residuals["phi_squared"] == pytest.approx(2e-3, rel=1e-3)
@@ -135,7 +135,7 @@ def test_k_contact_not_sasakian_negative_control(cp2):
     frame = dataclasses.replace(cp2, cbar=cbar)
     assert np.array_equal(frame.cbar[0], cp2.cbar[0])
     assert np.array_equal(frame.cbar[:, :, 0], cp2.cbar[:, :, 0])
-    cls = contact.classify(contact.theorem_main_structure(frame, 1.0, 1.0))
+    cls = contact.classify(contact.theorem_main_structure(frame, 1.0))
     assert cls.flags == {"almost_contact_metric": True, "contact_metric": True,
                          "k_contact": True, "sasakian": False}
     assert cls.residuals["axioms"] == cls.residuals["contact"] \
@@ -145,22 +145,15 @@ def test_k_contact_not_sasakian_negative_control(cp2):
 
 def test_theorem_structure_is_sasakian(frames):
     for frame in frames.values():
-        for r in RADII:
-            for k in KAPPAS:
-                cls = contact.classify(contact.theorem_main_structure(frame, r, k))
-                assert cls.flags["sasakian"]
-                assert cls.residuals["nijenhuis"] < 1e-8
-                assert cls.residuals["nabla_phi"] < 1e-8
-
-
-def test_theorem_flags_do_not_depend_on_radius(cp2):
-    ref = contact.classify(contact.theorem_main_structure(cp2, 0.5, 1.0)).flags
-    for r in (1.0, 2.0):
-        assert contact.classify(contact.theorem_main_structure(cp2, r, 1.0)).flags == ref
+        for k in KAPPAS:
+            cls = contact.classify(contact.theorem_main_structure(frame, k))
+            assert cls.flags["sasakian"]
+            assert cls.residuals["nijenhuis"] < 1e-8
+            assert cls.residuals["nabla_phi"] < 1e-8
 
 
 def test_theorem_params_instantiation(frames):
-    st = contact.theorem_main_structure(frames["cp3"], 2.0, 3.0)
+    st = contact.theorem_main_structure(frames["cp3"], 3.0)
     params = MetricParams(3.0, 1.5, 0.75, 1.5, 0.75)
     assert np.array_equal(st.metric.gram, homgeo.metric_from_params(frames["cp3"], params).gram)
     assert st.char[0] == pytest.approx(1.0 / 3.0)
@@ -170,7 +163,7 @@ def test_theorem_params_instantiation(frames):
 def test_phi_commutes_with_ad_x(frames):
     """For the q = 1 structure, phi acts as ad_X scaled per eigenspace."""
     for frame in frames.values():
-        st = contact.theorem_main_structure(frame, 1.0, 1.0)
+        st = contact.theorem_main_structure(frame, 1.0)
         ad_x = frame.cbar[0].T  # ad_X in frame coordinates (column j -> [X, e_j])
         s = frame.slices()
         comm = ad_x @ st.phi - st.phi @ ad_x
@@ -183,7 +176,7 @@ def test_phi_commutes_with_ad_x(frames):
 
 def test_eps_block_bracket_identities(cp2):
     """On the eps blocks: [phi u, v] + [u, phi v] = 0 and [phi u, phi v] = [u, v]."""
-    st = contact.theorem_main_structure(cp2, 1.0, 1.0)
+    st = contact.theorem_main_structure(cp2, 1.0)
     s = cp2.slices()
     idx = list(range(s["m_eps"].start, s["m_eps"].stop)) \
         + list(range(s["k_eps"].start, s["k_eps"].stop))
@@ -200,7 +193,7 @@ def test_eps_block_bracket_identities(cp2):
 
 def test_half_block_bracket_identities(cp2):
     """On the eps/2 blocks the eps-part of brackets flips sign under phi."""
-    st = contact.theorem_main_structure(cp2, 1.0, 1.0)
+    st = contact.theorem_main_structure(cp2, 1.0)
     s = cp2.slices()
     idx = list(range(s["m_half"].start, s["m_half"].stop)) \
         + list(range(s["k_half"].start, s["k_half"].stop))
@@ -221,7 +214,7 @@ def test_half_block_bracket_identities(cp2):
 
 def test_mixed_block_bracket_identity(cp2):
     """[phi u, phi v] = [u, v] for u in the eps blocks and v in m_{eps/2}."""
-    st = contact.theorem_main_structure(cp2, 1.0, 1.0)
+    st = contact.theorem_main_structure(cp2, 1.0)
     s = cp2.slices()
     eps = list(range(s["m_eps"].start, s["m_eps"].stop)) \
         + list(range(s["k_eps"].start, s["k_eps"].stop))
@@ -237,7 +230,7 @@ def test_mixed_block_bracket_identity(cp2):
 
 def test_nijenhuis_vanishes_on_char(frames):
     for frame in frames.values():
-        n = nijenhuis_tensor(contact.theorem_main_structure(frame, 1.0, 2.0))
+        n = nijenhuis_tensor(contact.theorem_main_structure(frame, 2.0))
         for j in range(frame.dim_mbar):
             assert np.max(np.abs(n[0, j])) < 1e-9
         u = np.ones(frame.dim_mbar)
@@ -258,7 +251,7 @@ def test_standard_structure_nijenhuis_fixture(cp2):
 def test_uniqueness_scan(frames):
     fx = fixtures.load_fixtures()
     for label in ("cp2", "hp1"):
-        scan = contact.uniqueness_scan(frames[label], 1.0, 1.0, 5)
+        scan = contact.uniqueness_scan(frames[label], 1.0, 5)
         assert scan["unique"]
         assert scan["n_passed"] == 1 and scan["theorem_point_passed"]
         assert scan["min_failing_residual"] > 1e-3
@@ -268,14 +261,14 @@ def test_uniqueness_scan(frames):
 
 def test_uniqueness_scan_sphere_axes(sphere4):
     """Constant-curvature spaces scan a two-parameter grid only."""
-    scan = contact.uniqueness_scan(sphere4, 1.0, 1.0, 3)
+    scan = contact.uniqueness_scan(sphere4, 1.0, 3)
     assert scan["axes"] == ["a_eps", "b_eps"]
     assert scan["n_points"] == 9 and scan["unique"]
 
 
 def test_sphere_metric_coincidence(sphere4):
     """At kappa = 1/2 the theorem metric is a quarter of the standard one."""
-    g_main = contact.theorem_main_structure(sphere4, 1.0, 0.5).metric.gram
+    g_main = contact.theorem_main_structure(sphere4, 0.5).metric.gram
     g_std = contact.standard_structure(sphere4, 1.0).metric.gram
     assert np.max(np.abs(g_main - 0.25 * g_std)) < 1e-12
 
@@ -284,7 +277,7 @@ def test_phi_q_reproduces_standard(cp2):
     r = 1.3
     std = contact.standard_structure(cp2, r)
     params = MetricParams(1, 1, 1, r * r, r * r / 4)
-    other = contact.phi_q_structure(cp2, r, r, r / 2, params)
+    other = contact.phi_q_structure(cp2, r, r / 2, params)
     assert np.array_equal(std.phi, other.phi)
     assert np.array_equal(std.metric.gram, other.metric.gram)
 
@@ -292,7 +285,7 @@ def test_phi_q_reproduces_standard(cp2):
 def test_induced_mode_rejects_mismatched_params(cp2):
     params = MetricParams(1, 1, 1, 3.0, 1.0)  # b_eps != q_eps^2 a_eps
     with pytest.raises(ContactError):
-        contact.phi_q_structure(cp2, 1.0, 1.0, 0.5, params)
+        contact.phi_q_structure(cp2, 1.0, 0.5, params)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +304,7 @@ def test_k_contact_negative_control(space):
         for q in (0.5, 1.0, 2.0):
             ae, ah = a * le / (2 * r * q), a * lh / (2 * r * q)
             params = MetricParams(a, ae, ah, q * q * ae, q * q * ah)
-            cls = contact.classify(contact.phi_q_structure(frame, r, q, q, params))
+            cls = contact.classify(contact.phi_q_structure(frame, q, q, params))
             if q == 1.0:
                 assert cls.flags["sasakian"], (r, cls.residuals)
             else:
@@ -324,32 +317,31 @@ def test_invalid_inputs(cp2):
     with pytest.raises(ContactError):
         contact.standard_structure(cp2, -1.0)
     with pytest.raises(ContactError):
-        contact.theorem_main_structure(cp2, 1.0, 0.0)
+        contact.theorem_main_structure(cp2, 0.0)
     with pytest.raises(ContactError):
-        contact.uniqueness_scan(cp2, 1.0, 1.0, grid_size=2)
+        contact.uniqueness_scan(cp2, 1.0, grid_size=2)
     with pytest.raises(ContactError):
-        contact.uniqueness_scan(cp2, 1.0, -1.0)
+        contact.uniqueness_scan(cp2, -1.0)
 
 
 @pytest.mark.parametrize("r, kappa", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
                                       (1.0, 0.0), (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)])
 def test_radius_and_kappa_must_be_positive_finite(cp2, r, kappa):
-    """r = 0 used to divide by zero, r = -1 to report a unique scan, and a NaN
-    or inf to give a non-unique scan with a NaN margin or a Sasakian verdict.
-    phi_q_structure takes a from its parameters, which reject a bad a."""
+    """r = 0 used to divide by zero, and kappa = -1 to report a unique scan, a
+    NaN or inf kappa to give a non-unique scan with a NaN margin or a Sasakian
+    verdict. Only the standard and rectified structures read r; the theorem
+    structure and the scan read kappa alone, and MetricParams rejects a bad a."""
     if kappa == 1.0:
         for build in (contact.standard_structure, contact.rectified_structure):
             with pytest.raises(ContactError, match="positive finite"):
                 build(cp2, r)
-        with pytest.raises(ContactError, match="positive finite"):
-            contact.phi_q_structure(cp2, r, 1.0, 1.0, MetricParams(1, 1, 1, 1, 1))
     else:
         with pytest.raises(GeometryError, match="positive finite"):
             MetricParams(kappa, 1, 1, 1, 1)
-    with pytest.raises(ContactError, match="positive finite"):
-        contact.uniqueness_scan(cp2, r, kappa)
-    with pytest.raises(ContactError, match="positive finite"):
-        contact.classify(contact.theorem_main_structure(cp2, r, kappa))
+        with pytest.raises(ContactError, match="positive finite"):
+            contact.uniqueness_scan(cp2, kappa)
+        with pytest.raises(ContactError, match="positive finite"):
+            contact.classify(contact.theorem_main_structure(cp2, kappa))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -384,7 +376,7 @@ def test_off_pairing_entry_rejected(cp2, entry):
     cbar = cp2.cbar.copy()
     cbar[entry] = 1e-3
     with pytest.raises(ContactError, match="pairing"):
-        contact.uniqueness_scan(dataclasses.replace(cp2, cbar=cbar), 1.0, 1.0)
+        contact.uniqueness_scan(dataclasses.replace(cp2, cbar=cbar), 1.0)
 
 
 def test_uniqueness_scan_peak_memory(frames):
@@ -392,7 +384,7 @@ def test_uniqueness_scan_peak_memory(frames):
     frame = frames["CaP2"]
     tracemalloc.start()
     try:
-        contact.uniqueness_scan(frame, 1.0, 1.0, 5)
+        contact.uniqueness_scan(frame, 1.0, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,7 +394,43 @@ def test_uniqueness_scan_peak_memory(frames):
 def test_structure_takes_a_from_its_params(cp2):
     """phi_q_structure reads a once, from params: eta = a<X,.> and char = X/a."""
     names = list(inspect.signature(contact.phi_q_structure).parameters)
-    assert names == ["frame", "r", "q_eps", "q_half", "params", "tol"]
+    assert names == ["frame", "q_eps", "q_half", "params", "tol"]
     params = MetricParams(0.9, 0.4, 1.1, 0.6 ** 2 * 0.4, 1.7 ** 2 * 1.1)
-    st = contact.phi_q_structure(cp2, 1.3, 0.6, 1.7, params)
+    st = contact.phi_q_structure(cp2, 0.6, 1.7, params)
     assert st.eta[0] == params.a and st.char[0] == 1.0 / params.a
+
+
+def test_signatures_take_only_what_they_read():
+    """r enters only the structures built from lambda(r); the record holds no r."""
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(contact.theorem_params) == ["kappa"]
+    assert names(contact.theorem_main_structure) == ["frame", "kappa"]
+    assert names(contact.uniqueness_scan) == ["frame", "kappa", "grid_size", "tol"]
+    assert names(contact.standard_structure) == names(contact.rectified_structure) \
+        == ["frame", "r"]
+    assert [f.name for f in dataclasses.fields(contact.AlmostContactStructure)] == \
+        ["frame", "phi", "char", "eta", "metric"]
+
+
+@pytest.mark.parametrize("label", ["sphere4", "cp2", "hp1", "CaP2"])
+def test_scan_center_is_the_theorem_structure(frames, label, monkeypatch):
+    """The scan's center point has the Gram diagonal of the theorem structure
+    bit for bit, at every kappa of the benchmark's cayley pairs."""
+    frame = frames[label]
+    kernel = contact._k_contact_candidate_residuals
+    diags = []
+
+    def capture(frame, kappa, d):
+        diags.append(d)
+        return kernel(frame, kappa, d)
+
+    monkeypatch.setattr(contact, "_k_contact_candidate_residuals", capture)
+    for _, kappa in CAYLEY_PARAMS:
+        for grid in (3, 5, 6):
+            scan = contact.uniqueness_scan(frame, kappa, grid)
+            shape = (grid,) * len(scan["axes"])
+            center = np.ravel_multi_index(((grid - 1) // 2,) * len(shape), shape)
+            want = np.diagonal(contact.theorem_main_structure(frame, kappa).metric.gram)
+            assert np.array_equal(diags.pop()[center], want), (kappa, grid)

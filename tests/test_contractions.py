@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (INCLUSIONS, axiom_residuals, dense_ad_invariance, loop_bracket_laws,
-                     nijenhuis_tensor, projection_bracket_laws)
+from oracles import (CAYLEY_PARAMS, INCLUSIONS, axiom_residuals, dense_ad_invariance,
+                     loop_bracket_laws, nijenhuis_tensor, projection_bracket_laws)
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -109,11 +109,10 @@ def dense_classify(structure, tol=compactform.DEFAULT_TOL):
 
 
 def oracle_structures(frame, seed):
-    """66 structures: 9 theorem, 6 standard, 6 rectified and 45 random phi^q ones,
+    """60 structures: 3 theorem, 6 standard, 6 rectified and 45 random phi^q ones,
     15 of which satisfy the contact condition a_l = a lambda_l / (2 r q_l)."""
     rng = np.random.default_rng(seed)
-    out = [contact.theorem_main_structure(frame, r, k)
-           for r in (0.5, 1.0, 2.0) for k in (0.5, 1.0, 3.0)]
+    out = [contact.theorem_main_structure(frame, k) for k in (0.5, 1.0, 3.0)]
     radii = (0.25, 0.5, 1.0, 2.0, 0.37, 1.7)
     out += [contact.standard_structure(frame, r) for r in radii]
     out += [contact.rectified_structure(frame, r) for r in radii]
@@ -125,7 +124,7 @@ def oracle_structures(frame, seed):
         else:
             ae, ah = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
         params = MetricParams(a, ae, ah, qe * qe * ae, qh * qh * ah)
-        out.append(contact.phi_q_structure(frame, r, qe, qh, params))
+        out.append(contact.phi_q_structure(frame, qe, qh, params))
     return out
 
 
@@ -232,7 +231,7 @@ def k_contact_candidate_residual(frame, kappa, params):
 def test_nijenhuis_matches_dense(frames, label):
     frame = frames[label]
     rng = np.random.default_rng(40)
-    base = contact.theorem_main_structure(frame, 1.0, 1.0)
+    base = contact.theorem_main_structure(frame, 1.0)
     for _ in range(3):
         st = dataclasses.replace(base, phi=rng.normal(size=base.phi.shape))
         assert_rel_close(nijenhuis_tensor(st), dense_nijenhuis(st))
@@ -244,7 +243,7 @@ def test_nijenhuis_equals_two_product_form(frames, label):
     pairing classify's normality residual is its largest entry."""
     frame = frames[label]
     rng = np.random.default_rng(47)
-    structures = [contact.theorem_main_structure(frame, 0.37, 2.3),
+    structures = [contact.theorem_main_structure(frame, 2.3),
                   contact.standard_structure(frame, 1.0)]
     structures += [dataclasses.replace(structures[0], phi=rng.normal(size=(frame.dim_mbar,) * 2))
                    for _ in range(3)]
@@ -261,7 +260,7 @@ def test_nabla_phi_matches_dense(frames, label):
     residual bit for bit, and the max of the einsum lhs - rhs."""
     frame = frames[label]
     rng = np.random.default_rng(43)
-    base = contact.theorem_main_structure(frame, 1.0, 1.0)
+    base = contact.theorem_main_structure(frame, 1.0)
     for _ in range(3):
         params = MetricParams(*np.exp(rng.uniform(-1.5, 1.5, 5)))
         st = dataclasses.replace(base, phi=contact.phi_matrix(frame, *np.exp(rng.normal(size=2))),
@@ -283,7 +282,7 @@ ORACLE_SPACES = ([SpaceId(Family.SPHERE, n) for n in range(2, 8)]
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=SpaceId.label)
 def test_classify_equals_dense(space):
     """classify on the support of cbar gives the dense form's flags and residual
-    dicts bit for bit, on 66 structures per space (990 in all)."""
+    dicts bit for bit, on 60 structures per space (900 in all)."""
     frame = crossmodel.build_frame(space)
     for st in oracle_structures(frame, 11):
         got, want = contact.classify(st), dense_classify(st)
@@ -330,7 +329,7 @@ def test_support_entries_equal_dense(frames, label):
         frame, paired_blocks(frame, lambda m: np.linalg.qr(rng.normal(size=(m, m)))[0]))
     for fr in (frame, rotated, without_x_brackets(frame), sparsely_perturbed(frame, rng)):
         p = fr.partner()
-        base = contact.theorem_main_structure(fr, 1.0, 1.0)
+        base = contact.theorem_main_structure(fr, 1.0)
         for _ in range(3):
             params = MetricParams(*np.exp(rng.uniform(-1.5, 1.5, 5)))
             st = dataclasses.replace(
@@ -358,12 +357,12 @@ def test_classify_all_rejects_bad_stacks(frames):
     """Structures on two frames, a phi off the pairing, a non-finite phi and a
     characteristic vector off X all raise."""
     cp2, hp1 = frames["cp2"], frames["hp1"]
-    st = contact.theorem_main_structure(cp2, 1.0, 1.0)
+    st = contact.theorem_main_structure(cp2, 1.0)
     with pytest.raises(ContactError, match="one frame"):
-        contact.classify_all([st, contact.theorem_main_structure(hp1, 1.0, 1.0)])
+        contact.classify_all([st, contact.theorem_main_structure(hp1, 1.0)])
     copy = dataclasses.replace(cp2)  # equal, but another frame
     with pytest.raises(ContactError, match="one frame"):
-        contact.classify_all([st, contact.theorem_main_structure(copy, 1.0, 1.0)])
+        contact.classify_all([st, contact.theorem_main_structure(copy, 1.0)])
     phi = st.phi.copy()
     phi[1, 2] = 1e-3
     assert cp2.partner()[2] != 1
@@ -386,7 +385,7 @@ def test_replaced_cbar_derives_a_fresh_support(frames, label):
     """A frame made by dataclasses.replace with a perturbed cbar derives its own
     support: the Nijenhuis residual moves by the perturbation, as the dense one does."""
     frame = frames[label]
-    st = contact.theorem_main_structure(frame, 1.0, 1.0)
+    st = contact.theorem_main_structure(frame, 1.0)
     assert contact.classify(st).residuals["nijenhuis"] < 1e-12
     outside = np.ones(frame.dim_mbar ** 3, dtype=bool)
     outside[np.ravel_multi_index(frame.paired_support["nijenhuis"], frame.cbar.shape)] = False
@@ -431,10 +430,10 @@ def rotation(rng):
 
 
 def invariance_structures(frame):
-    return [contact.theorem_main_structure(frame, 0.7, 1.3),
+    return [contact.theorem_main_structure(frame, 1.3),
             contact.standard_structure(frame, 0.5), contact.standard_structure(frame, 2.0),
             contact.rectified_structure(frame, 1.0),
-            contact.phi_q_structure(frame, 1.3, 0.6, 1.7,
+            contact.phi_q_structure(frame, 0.6, 1.7,
                                     MetricParams(0.9, 0.4, 1.1, 0.6 ** 2 * 0.4, 1.7 ** 2 * 1.1))]
 
 
@@ -469,17 +468,17 @@ def test_scan_and_closed_forms_are_frame_independent(frames, label, seed):
     the rotated frame: the rotation fills in entries of about 1e-17."""
     frame = frames[label]
     rng = np.random.default_rng(seed)
-    r, kappa = (float(v) for v in np.exp(rng.uniform(-1, 1, 2)))
+    kappa = float(np.exp(rng.uniform(-1, 1)))
     params = [MetricParams(*np.exp(rng.uniform(-2.3, 2.3, 5))) for _ in range(3)]
     permuted = paired_change_of_frame(frame, paired_blocks(frame, signed_permutation(rng)))
-    assert contact.uniqueness_scan(permuted, r, kappa) == contact.uniqueness_scan(frame, r, kappa)
+    assert contact.uniqueness_scan(permuted, kappa) == contact.uniqueness_scan(frame, kappa)
     got = suites.lemma_u_closed_forms_residual(permuted, params)
     assert got.shape == (3,)
     assert np.array_equal(got, suites.lemma_u_closed_forms_residual(frame, params))
     rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation(rng)))
     assert np.all(suites.lemma_u_closed_forms_residual(rotated, params) < 1e-9)
     with pytest.raises(ContactError, match="pairing"):
-        contact.uniqueness_scan(rotated, r, kappa)
+        contact.uniqueness_scan(rotated, kappa)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -801,12 +800,13 @@ def test_verify_algebra_equals_dense_scan_when_broken(frames):
         assert not got["passed"]
 
 
-def scan_grid_params(r, kappa, axes, grid):
+def scan_grid_params(kappa, axes, grid):
     """The uniqueness scan's grid points, in itertools.product order, with the
-    theorem value at index (grid - 1) // 2 of each axis."""
+    theorem value kappa/2 (eps axes) or kappa/4 (half axes) at index
+    (grid - 1) // 2 of each axis."""
     grids = []
     for k in axes:
-        t = kappa * (r if k.endswith("eps") else r / 2.0) / (2 * r)
+        t = kappa / 2.0 if k.endswith("eps") else kappa / 4.0
         g = np.geomspace(t / 2.0, t * 2.0, grid)
         g[(grid - 1) // 2] = t
         grids.append(g)
@@ -830,12 +830,12 @@ def test_uniqueness_scan_matches_pointwise(frames, label, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(contact, "_k_contact_candidate_residuals", capture)
-    for r, kappa in ((1.0, 1.0), (0.37, 2.3)):
-        scan = contact.uniqueness_scan(frame, r, kappa, 5)
+    for kappa in (1.0, 2.3):
+        scan = contact.uniqueness_scan(frame, kappa, 5)
         [(diags, got)] = calls
         calls.clear()
         axes = scan["axes"]
-        combos = scan_grid_params(r, kappa, axes, 5)
+        combos = scan_grid_params(kappa, axes, 5)
         assert scan["n_points"] == len(got) == len(combos) == 5 ** len(axes)
         want = []
         for p, params in enumerate(combos):
@@ -852,12 +852,12 @@ def test_uniqueness_scan_matches_pointwise(frames, label, monkeypatch):
 def test_uniqueness_scan_grid_6_matches_pointwise(cp2):
     """A 4-axis grid of size 6 has 1296 points, and only the theorem point
     passes, as many as the pointwise residuals count."""
-    scan = contact.uniqueness_scan(cp2, 1.0, 1.0, grid_size=6)
+    scan = contact.uniqueness_scan(cp2, 1.0, grid_size=6)
     assert scan["axes"] == ["a_eps", "b_eps", "a_half", "b_half"]
     assert scan["n_points"] == 1296
     assert scan["n_passed"] == 1 and scan["unique"]
     want = [k_contact_candidate_residual(cp2, 1.0, params)
-            for params in scan_grid_params(1.0, 1.0, scan["axes"], 6)]
+            for params in scan_grid_params(1.0, scan["axes"], 6)]
     assert scan["n_passed"] == np.count_nonzero(np.array(want) <= 1e-9)
 
 def dense_candidate_residuals(frame, kappa, diags):
@@ -868,11 +868,6 @@ def dense_candidate_residuals(frame, kappa, diags):
     axioms = axiom_residuals(phi, diags[:, :, None] * np.eye(frame.dim_mbar), char, eta)
     return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]),
                       homgeo.killing_residual(frame, diags, kappa * char))
-
-
-# the (radius, kappa) pairs of the benchmark's cayley workload
-CAYLEY_PARAMS = ((0.37, 2.3), (1.7, 0.6), (0.8, 1.9), (1.25, 0.75),
-                 (0.6, 0.45), (2.0, 3.0), (1.0, 1.5), (0.45, 1.2))
 
 
 @pytest.mark.parametrize("space", suites.TABLE1_SPACES + [SpaceId(Family.SPHERE, 10)],
@@ -889,9 +884,9 @@ def test_scan_residuals_equal_dense(space, monkeypatch):
         return got
 
     monkeypatch.setattr(contact, "_k_contact_candidate_residuals", both)
-    for r, kappa in CAYLEY_PARAMS:
+    for _, kappa in CAYLEY_PARAMS:
         for grid in (3, 5):
-            contact.uniqueness_scan(frame, r, kappa, grid)
+            contact.uniqueness_scan(frame, kappa, grid)
     assert equal == [True] * 2 * len(CAYLEY_PARAMS)
 
 

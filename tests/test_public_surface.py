@@ -6,10 +6,14 @@ function and each public method of a module-level class to be named (as a
 bare name or an attribute) somewhere in ``src/`` or ``demos/`` outside its own
 ``def``. Names are matched as identifiers, not resolved to their owners.
 
-A second walk pins the functions of ``src/`` that build the dense bracket
+A second walk requires each field of a ``src/`` dataclass to be read as an
+attribute somewhere in ``src/`` or ``demos/``: a field that nothing reads is a
+fact the record holds for no one.
+
+A third walk pins the functions of ``src/`` that build the dense bracket
 tensor with ``.dense()``: the list may only shrink (ROADMAP item 6).
 
-A third check requires ``pyproject.toml`` to ship every data file of the
+A fourth check requires ``pyproject.toml`` to ship every data file of the
 package, so an installed gate finds its fixtures and samples.
 """
 
@@ -69,6 +73,29 @@ def test_every_public_function_has_a_caller():
               if not named_outside(list(trees.values()), name, node)}
     assert sorted(unused - ALLOWED) == []
     assert sorted(ALLOWED - unused) == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    def name(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+    return any(name(d) == "dataclass" for d in node.decorator_list)
+
+
+def test_every_record_field_has_a_reader():
+    """Each annotated field of a src/ dataclass is read as an attribute (matched
+    by identifier) in src/ or demos/; there is no allowlist."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f"{path.stem}.{cls.name}.{item.target.id}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls in trees[path].body if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    assert fields, "no dataclass fields found"
+    assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in read) == []
 
 
 def calls_dense(node: ast.FunctionDef) -> bool:

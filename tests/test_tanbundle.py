@@ -109,9 +109,10 @@ def test_induced_slice_matches_theorem_structure(frames):
         for label in ("cp2", "hp1"):
             frame = frames[label]
             got = tanbundle.induce_slice_structure(frame, fns, lambda t: 1.0, r)
-            want = contact.theorem_main_structure(frame, r, kappa)
-            assert np.max(np.abs(got.phi - want.phi)) < 1e-12
-            assert np.max(np.abs(got.metric.gram - want.metric.gram)) < 1e-12
+            want = contact.theorem_main_structure(frame, kappa)
+            for name in ("phi", "char", "eta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got.metric.gram, want.metric.gram)
 
 
 def test_induced_slices_are_sasakian(frames):
@@ -119,6 +120,39 @@ def test_induced_slices_are_sasakian(frames):
         fns = tanbundle.gf_fns(lambda t: 2.0 / (1.0 + t * t))
         st = tanbundle.induce_slice_structure(frame, fns, lambda t: 1.0, 1.5)
         assert contact.classify(st).flags["sasakian"]
+
+
+@pytest.mark.parametrize("vals, hermitian", [
+    # b_eps - a_eps = -5e-8: within 1e-9 of a = 100, not of b_eps = 1
+    ({"a": 100.0, "b": 100.0, "a_eps": 1 + 5e-8, "a_half": 1.0, "b_eps": 1.0,
+      "b_half": 1.0}, False),
+    # b_eps - a_eps = 5e-9: within 1e-9 of b_eps = 1000, not of a = 1
+    ({"a": 1.0, "b": 1.0, "a_eps": 1000.0, "a_half": 1.0, "b_eps": 1000.0 * (1 + 5e-12),
+      "b_half": 1.0}, True),
+], ids=["large_a", "large_b_eps"])
+def test_one_hermitian_pairing_rule(cp2, vals, hermitian):
+    """is_hermitian and the slice induction state b_l = q_l^2 a_l at one scale,
+    b_l: with q = 1 at t = 1 they agree on both sides of the rule."""
+    fns = {k: (lambda t, v=v: v) for k, v in vals.items()}
+    assert tanbundle.is_hermitian(fns, lambda t: 1.0, 1.0) == hermitian
+    if hermitian:
+        st = tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+        assert st.eta[0] == vals["a"]
+    else:
+        with pytest.raises(BundleError, match="not Hermitian"):
+            tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+
+
+def test_slice_induction_evaluates_the_pair_once(cp2):
+    """q and each of the six metric functions are called once per slice."""
+    calls = []
+
+    def counted(name, fn):
+        return lambda t: calls.append(name) or fn(t)
+
+    fns = {k: counted(k, f) for k, f in tanbundle.gf_fns(lambda t: 1.5).items()}
+    tanbundle.induce_slice_structure(cp2, fns, counted("q", lambda t: 1.0), 0.8)
+    assert sorted(calls) == sorted(["q", "q", *tanbundle.FNS_KEYS])
 
 
 def test_non_hermitian_pair_rejected(cp2):
