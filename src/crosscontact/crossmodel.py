@@ -123,54 +123,32 @@ class SymmetricPair:
     @functools.cached_property
     def k_basis(self) -> np.ndarray:
         """Columns: an orthonormal basis of k (algebra coordinates)."""
-        return _orthonormalize(np.eye(self.alg.dim)[:, self.signs > 0], self.alg.inv_form)
+        return _orthonormal_basis(self.alg.inv_form, self.signs > 0)
 
     @functools.cached_property
     def m_basis(self) -> np.ndarray:
         """Columns: an orthonormal basis of m (algebra coordinates)."""
-        return _orthonormalize(np.eye(self.alg.dim)[:, self.signs < 0], self.alg.inv_form)
+        return _orthonormal_basis(self.alg.inv_form, self.signs < 0)
 
 
-def _coupled_groups(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
-    """Group of each column, labelled by the group's first column.
+def _orthonormal_basis(form: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt under form of the basis vectors e_i with on[i], in index order.
 
-    Columns i and j are coupled when ip[r, s] != 0 for some r in the support
-    of column i and s in that of column j; a group is a class of the
-    transitive closure. A vector of one group and a vector of another have an
-    inner product that is a sum of exact zeros.
+    That is L^-T for the Cholesky factor L of their Gram block, placed at the
+    rows of the selection. The block is read straight from the form, so the
+    factor is as well conditioned as the form itself. A pivot L_jj is the
+    norm that Gram-Schmidt divides by at column j.
     """
-    nz = (cols != 0).astype(float)
-    coupled = (nz.T @ (ip != 0) @ nz) > 0
-    # each pass hands every column the least label among its neighbours
-    group = np.arange(cols.shape[1])
-    while True:
-        least = np.min(np.where(coupled, group, group.size), axis=1, initial=group.size)
-        least = np.minimum(group, least)
-        if np.array_equal(least, group):
-            return group
-        group = least
-
-
-def _orthonormalize(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
-    """Deterministic modified Gram-Schmidt of the columns w.r.t. ip.
-
-    Each column is projected off the earlier columns of its coupled group
-    only: the projection onto a column of another group has an exact zero
-    coefficient.
-    """
-    done: dict[int, list[np.ndarray]] = {}
-    out = []
-    for j, g in enumerate(_coupled_groups(cols, ip)):
-        v = cols[:, j].astype(float).copy()
-        earlier = done.setdefault(g, [])
-        for u in earlier:
-            v -= (u @ ip @ v) * u
-        nrm = np.sqrt(v @ ip @ v)
-        if nrm < 1e-12:
-            raise ModelError("dependent vectors in orthonormalization")
-        earlier.append(v / nrm)
-        out.append(earlier[-1])
-    return np.column_stack(out)
+    try:
+        low = np.linalg.cholesky(form[np.ix_(on, on)])
+        dependent = np.min(np.diagonal(low), initial=np.inf) < 1e-12
+    except np.linalg.LinAlgError:
+        dependent = True
+    if dependent:
+        raise ModelError("dependent vectors in orthonormalization")
+    out = np.zeros((len(form), len(low)))
+    out[on] = np.linalg.inv(low).T
+    return out
 
 
 def _root_system_for(space: SpaceId) -> rootsys.RootSystem:

@@ -31,17 +31,29 @@ def _require_radius(t: float) -> None:
 
 
 def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
-    """(q_eps, q_half)(t) = q evaluated on the restricted-root values at t."""
+    """(q_eps, q_half)(t) = q evaluated on the restricted-root values at t,
+    each a positive finite number."""
     _require_radius(t)
-    return tuple(float(q(lam)) for lam in contact.lambda_r(t))
+    qv = tuple(float(q(lam)) for lam in contact.lambda_r(t))
+    if not positive_finite(*qv):
+        raise BundleError(f"q must be positive and finite on the sampled domain, "
+                          f"got {qv!r}")
+    return qv
+
+
+def _metric_values(fns: dict[str, RadialFunction], t: float) -> dict[str, float]:
+    """The six metric functions at t, each a positive finite number."""
+    _require_radius(t)
+    vals = {k: float(fns[k](t)) for k in FNS_KEYS}
+    if not positive_finite(*vals.values()):
+        raise BundleError(f"metric functions must be positive finite numbers at the "
+                          f"sample, got {vals!r}")
+    return vals
 
 
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
     """J^q at (o, t) on frame-plus-radial coordinates."""
     qe, qh = q_values(q, t)
-    if not positive_finite(qe, qh):
-        raise BundleError(f"q must be positive and finite on the sampled domain, "
-                          f"got {(qe, qh)!r}")
     n = frame.dim_mbar
     j = np.zeros((n + 1, n + 1))
     j[:n, :n] = contact.phi_matrix(frame, qe, qh)
@@ -53,11 +65,7 @@ def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray
 def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
                    t: float) -> np.ndarray:
     """Gram of the invariant ambient metric at (o, t), radial slot last."""
-    _require_radius(t)
-    vals = {k: float(fns[k](t)) for k in FNS_KEYS}
-    if not positive_finite(*vals.values()):
-        raise BundleError(f"metric functions must be positive finite numbers at the "
-                          f"sample, got {vals!r}")
+    vals = _metric_values(fns, t)
     coeffs = [vals[k] for k in _PARAM_KEYS]
     # np.square is x * x, as in gram_diagonal: the a^2 and b^2 slots round alike
     return np.diag(np.append(gram_diagonal(frame, coeffs), np.square(vals["b"])))
@@ -81,7 +89,7 @@ def _sample(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
             tol: ToleranceConfig) -> tuple[tuple[float, float], dict[str, float], bool]:
     """(q_eps, q_half) and the six metric values at t, each evaluated once, and
     whether they pair: a = b, and b_l = q_l^2 a_l by contact.hermitian_pairing."""
-    qv, v = q_values(q, t), {k: float(fns[k](t)) for k in FNS_KEYS}
+    qv, v = q_values(q, t), _metric_values(fns, t)
     return qv, v, tol.is_zero(v["a"] - v["b"], scale=v["a"]) and contact.hermitian_pairing(
         qv, (v["a_eps"], v["a_half"]), (v["b_eps"], v["b_half"]), tol)
 

@@ -57,7 +57,8 @@ LADDER_SPACES = ([("sphere", n) for n in range(2, 10)] + [("rp", n) for n in ran
 
 
 def full_gram_schmidt(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt against every earlier column, as the frame used to be built."""
+    """Modified Gram-Schmidt against every earlier column: the reference for the
+    Cholesky-built bases."""
     out = []
     for j in range(cols.shape[1]):
         v = cols[:, j].astype(float).copy()
@@ -77,37 +78,38 @@ def assert_bytes_equal(got: np.ndarray, want: np.ndarray):
 
 @pytest.mark.parametrize("fam,n", sorted(set(ALL_TABLE_SPACES) | set(LADDER_SPACES)))
 def test_orthonormalize_matches_full_gram_schmidt(monkeypatch, fam, n):
-    """A frame orthonormalizes twice, the pair's k and m bases, each bit for bit
-    as a full Gram-Schmidt."""
+    """A frame orthonormalizes twice, the pair's k and m bases. Each agrees with a
+    full Gram-Schmidt within 1e-13 (at most 1.1e-14, on CaP2's Cartan block), and
+    bit for bit where its Gram block is diagonal: m on every space, k on S^n and RP^n."""
     calls = []
-    grouped = crossmodel._orthonormalize
+    cholesky = crossmodel._orthonormal_basis
 
-    def record(cols, ip):
-        calls.append((cols, ip, grouped(cols, ip)))
+    def record(form, on):
+        calls.append((form, on, cholesky(form, on)))
         return calls[-1][2]
 
-    monkeypatch.setattr(crossmodel, "_orthonormalize", record)
+    monkeypatch.setattr(crossmodel, "_orthonormal_basis", record)
     pair = crossmodel.build_pair(SpaceId(FAMILY[fam], n))
     crossmodel.restricted_frame(pair)
     assert len(calls) == 2
     assert {id(got) for _, _, got in calls} == {id(pair.k_basis), id(pair.m_basis)}
-    for cols, ip, got in calls:
-        assert_bytes_equal(got, full_gram_schmidt(cols, ip))
+    for form, on, got in calls:
+        want = full_gram_schmidt(np.eye(len(form))[:, on], form)
+        assert np.max(np.abs(got - want)) < 1e-13
+        block = form[np.ix_(on, on)]
+        diagonal = not np.any(block - np.diag(np.diagonal(block)))
+        assert diagonal == (got is pair.m_basis or fam in ("sphere", "rp"))
+        if diagonal:
+            assert_bytes_equal(got, want)
 
 
-def test_orthonormalize_dense_columns_match():
-    """Dense columns under a random SPD form are one group: plain Gram-Schmidt."""
+def gram_schmidt_forms():
+    """(form, selection) pairs: a random SPD form, a block-diagonal form whose
+    blocks interleave in index order, and a path 0-1-...-5 that couples every
+    pair of vectors only through a chain."""
     rng = np.random.default_rng(11)
-    for dim, ncols in ((5, 5), (12, 7), (30, 30)):
-        a = rng.normal(size=(dim, dim))
-        ip = a @ a.T + dim * np.eye(dim)
-        cols = rng.normal(size=(dim, ncols))
-        assert np.all(crossmodel._coupled_groups(cols, ip) == 0)
-        assert_bytes_equal(crossmodel._orthonormalize(cols, ip), full_gram_schmidt(cols, ip))
-
-
-def test_orthonormalize_interleaved_groups_match():
-    """A block-diagonal form whose blocks' columns interleave in column order."""
+    a = rng.normal(size=(30, 30))
+    yield a @ a.T + 30 * np.eye(30), rng.random(30) < 0.7
     rng = np.random.default_rng(12)
     blocks = [3, 1, 4, 2]
     dim = sum(blocks)
@@ -117,36 +119,52 @@ def test_orthonormalize_interleaved_groups_match():
         rows = np.flatnonzero(owner == b)
         a = rng.normal(size=(len(rows), len(rows)))
         ip[np.ix_(rows, rows)] = a @ a.T + len(rows) * np.eye(len(rows))
-    col_block = rng.permutation(np.repeat(np.arange(len(blocks)), blocks))
-    cols = np.zeros((dim, dim))
-    for j, b in enumerate(col_block):
-        rows = np.flatnonzero(owner == b)
-        cols[rows, j] = rng.normal(size=len(rows))
-    groups = crossmodel._coupled_groups(cols, ip)
-    assert len(set(groups.tolist())) == len(blocks)
-    assert all(len(set(groups[col_block == b].tolist())) == 1 for b in range(len(blocks)))
-    assert_bytes_equal(crossmodel._orthonormalize(cols, ip), full_gram_schmidt(cols, ip))
+    yield ip, np.arange(dim) != 5
+    yield 2.0 * np.eye(6) - 0.5 * (np.eye(6, k=1) + np.eye(6, k=-1)), np.ones(6, dtype=bool)
 
 
-def test_orthonormalize_groups_close_over_chains():
-    """Columns joined only through a chain of couplings form one group."""
-    n = 6
-    ip = 2.0 * np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))  # a path 0-1-...-5
-    cols = np.eye(n)[:, [0, 2, 4, 1, 3, 5]]
-    assert np.all(crossmodel._coupled_groups(cols, ip) == 0)
-    got = crossmodel._orthonormalize(cols, ip)
-    assert_bytes_equal(got, full_gram_schmidt(cols, ip))
-    assert np.max(np.abs(got.T @ ip @ got - np.eye(n))) < 1e-12
+@pytest.mark.parametrize("form, on", gram_schmidt_forms(),
+                         ids=["random_spd", "interleaved", "path"])
+def test_orthonormal_basis_matches_gram_schmidt(form, on):
+    """The Cholesky basis is orthonormal under the form, zero off the selection,
+    and agrees with Gram-Schmidt of the selected basis vectors within 1e-15
+    (measured: at most 2.8e-17 on each form)."""
+    got = crossmodel._orthonormal_basis(form, on)
+    assert got.shape == (len(form), np.count_nonzero(on))
+    assert not np.any(got[~on])
+    assert np.max(np.abs(got.T @ form @ got - np.eye(got.shape[1]))) < 1e-15
+    assert np.max(np.abs(got - full_gram_schmidt(np.eye(len(form))[:, on], form))) < 1e-15
 
 
 def test_orthonormalize_rejects_dependent_columns():
-    ip = np.diag([1.0, 2.0, 3.0, 4.0])
-    dependent = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0],
-                          [0.0, 0.0, 0.0]])
-    zero = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    for cols in (dependent, zero):
-        with pytest.raises(ModelError):
-            crossmodel._orthonormalize(cols, ip)
+    """The selection e_0, e_1 is rejected when its Gram block is singular or
+    indefinite, or when a Cholesky pivot (the Gram-Schmidt norm) is positive but
+    below 1e-12; e_2 alone is accepted under each form."""
+    on = np.array([True, True, False])
+    for form in (np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                 np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                 np.diag([1.0, 1e-26, 1.0])):  # pivot 1e-13
+        with pytest.raises(ModelError, match="dependent vectors"):
+            crossmodel._orthonormal_basis(form, on)
+        assert crossmodel._orthonormal_basis(form, ~on).shape == (3, 1)
+
+
+@pytest.mark.parametrize("fam,n", LADDER_SPACES + [("sphere", 10)])
+def test_frame_does_not_depend_on_the_k_basis(fam, n):
+    """mbar, cbar and the m spectrum are read from m alone, so a rotated basis of
+    k leaves them bit for bit; the projector onto h agrees within 1e-13 (measured:
+    at most 9.6e-15, on CaP2)."""
+    space = SpaceId(FAMILY[fam], n)
+    want = crossmodel.restricted_frame(crossmodel.build_pair(space))
+    pair = crossmodel.build_pair(space)
+    dim_k = pair.k_basis.shape[1]
+    rot, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(dim_k, dim_k)))
+    pair.__dict__["k_basis"] = pair.k_basis @ rot
+    got = crossmodel.restricted_frame(pair)
+    for name in ("mbar", "cbar", "spectrum_m"):
+        assert_bytes_equal(getattr(got, name), getattr(want, name))
+    project = [f.h_basis @ f.h_basis.T @ f.ip for f in (got, want)]
+    assert np.max(np.abs(project[0] - project[1])) < 1e-13
 
 
 def test_frames_built_once(frames):

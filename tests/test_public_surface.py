@@ -11,7 +11,7 @@ attribute somewhere in ``src/`` or ``demos/``: a field that nothing reads is a
 fact the record holds for no one.
 
 A third walk pins the functions of ``src/`` that build the dense bracket
-tensor with ``.dense()``: the list may only shrink (ROADMAP item 6).
+tensor with ``.dense()``: the list may only shrink (ROADMAP item 8).
 
 A fourth check requires ``pyproject.toml`` to ship every data file of the
 package, so an installed gate finds its fixtures and samples.

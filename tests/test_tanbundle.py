@@ -170,15 +170,22 @@ def test_invalid_inputs(cp2):
         tanbundle.ambient_metric(cp2, tanbundle.sasaki_fns(), -2.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("slot", ["eps", "half"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("slot", ["eps", "half", "both"])
 def test_jq_q_must_be_positive_finite(cp2, slot, bad):
-    """q at t (the eps slot) or at t/2 (the half slot) must be positive and finite:
-    min(qe, qh) <= 0 let a NaN through into J."""
+    """q at t (the eps slot) or at t/2 (the half slot) must be positive and finite,
+    wherever it is sampled: min(qe, qh) <= 0 let a NaN through into J, and
+    is_hermitian, which reads only q^2, took q = -1 for q = 1."""
     t = 1.0
-    at = t if slot == "eps" else t / 2.0
+    at = {"eps": (t,), "half": (t / 2.0,), "both": (t, t / 2.0)}[slot]
+    q = lambda s: bad if s in at else 1.0  # noqa: E731
+    fns = tanbundle.gf_fns(lambda s: 1.5)
     with pytest.raises(BundleError, match="positive and finite"):
-        tanbundle.jq_matrix(cp2, lambda s: bad if s == at else 1.0, t)
+        tanbundle.jq_matrix(cp2, q, t)
+    with pytest.raises(BundleError, match="positive and finite"):
+        tanbundle.is_hermitian(fns, q, t)
+    with pytest.raises(BundleError, match="positive and finite"):
+        tanbundle.induce_slice_structure(cp2, fns, q, t)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -1.0])
@@ -191,12 +198,19 @@ def test_radial_coordinate_must_be_positive_finite(cp2, t):
 
 
 @pytest.mark.parametrize("key, bad", [("a_eps", np.nan), ("b", np.inf),
-                                      ("b_half", np.nan), ("a", -np.inf)])
+                                      ("b_half", np.nan), ("a", -np.inf),
+                                      ("b_eps", -1.0), ("all", -1.0)])
 def test_metric_functions_must_be_positive_finite(cp2, key, bad):
-    """min(values) <= 0 let a NaN into the Gram matrix and an inf into its radial slot."""
-    fns = dict(tanbundle.sasaki_fns(), **{key: lambda t: bad})
+    """min(values) <= 0 let a NaN into the Gram matrix and an inf into its radial
+    slot, and is_hermitian took six metric functions of -1 for a Hermitian pair."""
+    keys = tanbundle.FNS_KEYS if key == "all" else (key,)
+    fns = dict(tanbundle.sasaki_fns(), **{k: (lambda t: bad) for k in keys})
     with pytest.raises(BundleError, match="positive finite"):
         tanbundle.ambient_metric(cp2, fns, 1.0)
+    with pytest.raises(BundleError, match="positive finite"):
+        tanbundle.is_hermitian(fns, identity, 1.0)
+    with pytest.raises(BundleError, match="positive finite"):
+        tanbundle.induce_slice_structure(cp2, fns, identity, 1.0)
 
 
 def test_base_point_pair_consistency(cp2):
