@@ -25,7 +25,7 @@ def main() -> None:
         frame = crossmodel.build_frame(space)
         laws = crossmodel.verify_bracket_laws(frame)
         worst = max(laws["checks"].values())
-        print(f"{space.label():>8} {frame.alg.dim:>6} {space.base_dim:>8} "
+        print(f"{space.label():>8} {frame.alg.dim:>6} {1 + frame.m_eps + frame.m_half:>8} "
               f"{frame.m_eps:>6} {frame.m_half:>8} "
               f"{frame.h_basis.shape[1]:>6} {worst:>13.2e}")
     # the frame is orthonormal and ad_X^2 has the advertised spectrum

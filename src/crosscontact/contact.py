@@ -93,12 +93,17 @@ def phi_q_structure(frame: RestrictedFrame, q_eps: float, q_half: float, params:
     return AlmostContactStructure(frame, phi, *_char_eta(frame.dim_mbar, params.a), metric)
 
 
-def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
-    """The structure induced by the Sasaki metric on the radius-r sphere bundle."""
+def standard_params(r: float) -> MetricParams:
+    """The Sasaki metric at radius r: (1, 1, 1, lambda_eps(r)^2, lambda_half(r)^2)."""
     _require_positive(r=r)
     le, lh = lambda_r(r)
-    params = MetricParams(1.0, 1.0, 1.0, le * le, lh * lh)
-    return phi_q_structure(frame, le, lh, params)
+    return MetricParams(1.0, 1.0, 1.0, le * le, lh * lh)
+
+
+def standard_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:
+    """The structure induced by the Sasaki metric on the radius-r sphere bundle."""
+    params = standard_params(r)
+    return phi_q_structure(frame, *lambda_r(r), params)
 
 
 def rectified_structure(frame: RestrictedFrame, r: float) -> AlmostContactStructure:

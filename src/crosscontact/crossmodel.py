@@ -55,38 +55,10 @@ class SpaceId:
         elif self.n < 2:
             raise ModelError(f"{fam.value} needs n >= 2")
 
-    @property
-    def base_dim(self) -> int:
-        return {Family.SPHERE: self.n, Family.REAL_PROJECTIVE: self.n,
-                Family.COMPLEX_PROJECTIVE: 2 * self.n,
-                Family.QUATERNIONIC_PROJECTIVE: 4 * self.n,
-                Family.CAYLEY_PLANE: 16}[self.family]
-
     def label(self) -> str:
         if self.family is Family.CAYLEY_PLANE:
             return "CaP2"
         return f"{self.family.value}{self.n}"
-
-
-def table1_multiplicities(space: SpaceId) -> tuple[int, int]:
-    """(m_eps, m_half) for the restricted roots of the space."""
-    n = space.n
-    return {Family.SPHERE: (n - 1, 0), Family.REAL_PROJECTIVE: (n - 1, 0),
-            Family.COMPLEX_PROJECTIVE: (1, 2 * n - 2),
-            Family.QUATERNIONIC_PROJECTIVE: (3, 4 * n - 4),
-            Family.CAYLEY_PLANE: (7, 8)}[space.family]
-
-
-def table1_h_dim(space: SpaceId) -> int:
-    """dim of the centralizer h of the Cartan line, per the classification table."""
-    n = space.n
-    if space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
-        return (n - 1) * (n - 2) // 2  # so(n-1)
-    if space.family is Family.COMPLEX_PROJECTIVE:
-        return 1 + (n - 1) ** 2 - 1  # R + su(n-1)
-    if space.family is Family.QUATERNIONIC_PROJECTIVE:
-        return 3 + (n - 1) * (2 * n - 1)  # sp(1) + sp(n-1)
-    return 21  # so(7)
 
 
 @dataclass
@@ -115,10 +87,6 @@ class SymmetricPair:
             raise ModelError("sigma is not an automorphism of the bracket")
         if not (0 <= self.seed < self.alg.dim and s[self.seed] < 0):
             raise ModelError(f"seed {self.seed} is not a basis index in m")
-
-    @property
-    def dim_m(self) -> int:
-        return int(np.count_nonzero(self.signs < 0))
 
     @functools.cached_property
     def k_basis(self) -> np.ndarray:
@@ -151,41 +119,31 @@ def _orthonormal_basis(form: np.ndarray, on: np.ndarray) -> np.ndarray:
     return out
 
 
-def _root_system_for(space: SpaceId) -> rootsys.RootSystem:
+def build_pair(space: SpaceId) -> SymmetricPair:
+    """The symmetric pair of the space: its algebra, sigma and the seed of X."""
+    if space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
+        alg = compactform.build_so_matrix_model(space.n)
+        # the basis A_jk (j < k) is j-major, so m (the A_1k row) comes first, seed A12
+        return SymmetricPair(space, alg, np.where(np.arange(alg.dim) < space.n, -1.0, 1.0), 0)
     if space.family is Family.COMPLEX_PROJECTIVE:
         basis = rootsys.SimpleBasis.A(space.n)
     elif space.family is Family.QUATERNIONIC_PROJECTIVE:
         basis = rootsys.SimpleBasis.C(space.n + 1)
     else:
         basis = rootsys.SimpleBasis.F4()
-    return rootsys.RootSystem.of(basis)
-
-
-def build_pair(space: SpaceId) -> SymmetricPair:
-    """The symmetric pair of the space: its algebra, sigma and the seed of X."""
-    if space.family in (Family.SPHERE, Family.REAL_PROJECTIVE):
-        alg = compactform.build_so_matrix_model(space.n)
-        # the basis A_jk (j < k) is j-major, so m (the A_1k row) comes first
-        signs = np.where(np.arange(alg.dim) < space.n, -1.0, 1.0)
-        seed = 0  # A12
-    else:
-        rs = _root_system_for(space)
-        alg = compactform.build_compact_from_roots(rs)
-        # inner involution sigma = Ad_{exp 2 pi i t} at node 1 (cp, hp) or node 4
-        # in the paper's F4 layout: (-1)^{n_node(alpha)} on U0_alpha and U1_alpha
-        node = 3 if space.family is Family.CAYLEY_PLANE else 0
-        odd = np.flatnonzero([r[node] % 2 for r in rs.positive_roots])
-        signs = np.ones(alg.dim)
-        for a in (0, 1):
-            signs[compactform.u_basis_index(rs.rank, odd, a)] = -1.0
-        # the seed is U0 of the simple root at that node
-        simple = tuple(int(i == node) for i in range(rs.rank))
-        seed = compactform.u_basis_index(rs.rank, rs.positive_roots.index(simple), 0)
-
-    pair = SymmetricPair(space, alg, signs, seed)
-    if pair.dim_m != space.base_dim:
-        raise ModelError(f"dim m = {pair.dim_m}, expected {space.base_dim}")
-    return pair
+    rs = rootsys.RootSystem.of(basis)
+    alg = compactform.build_compact_from_roots(rs)
+    # inner involution sigma = Ad_{exp 2 pi i t} at node 1 (cp, hp) or node 4
+    # in the paper's F4 layout: (-1)^{n_node(alpha)} on U0_alpha and U1_alpha
+    node = 3 if space.family is Family.CAYLEY_PLANE else 0
+    odd = np.flatnonzero([r[node] % 2 for r in rs.positive_roots])
+    signs = np.ones(alg.dim)
+    for a in (0, 1):
+        signs[compactform.u_basis_index(rs.rank, odd, a)] = -1.0
+    # the seed is U0 of the simple root at that node
+    simple = tuple(int(i == node) for i in range(rs.rank))
+    seed = compactform.u_basis_index(rs.rank, rs.positive_roots.index(simple), 0)
+    return SymmetricPair(space, alg, signs, seed)
 
 
 def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,9 +285,11 @@ def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
 
 
 def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
-    """Extract the restricted-root frame from the spectrum of ad_X^2."""
+    """Extract the restricted-root frame from the spectrum of ad_X^2.
+
+    The frame is built from the algebra alone: its multiplicities are what the
+    spectrum gives, and suites.suite_table1 checks them against the table."""
     x, ad, ip = choose_cartan_vector(pair)
-    alg = pair.alg
     sq = ad @ ad
     # the pair's bases are orthonormal under inv_form, and ip = inv_form / <x, x>,
     # so unit ip-norm columns are orthonormal under ip
@@ -346,26 +306,22 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     zeta_half = -2.0 * (ad @ xi_half)
     h_basis = k_groups[0.0]
 
-    cols = [x.reshape(-1, 1), xi_eps, xi_half, zeta_eps, zeta_half]
-    mbar = np.column_stack([c for c in cols if c.shape[1]])
+    mbar = np.column_stack([x, xi_eps, xi_half, zeta_eps, zeta_half])
     if np.max(np.abs(mbar.T @ ip @ mbar - np.eye(mbar.shape[1]))) > 1e-8:
         raise ModelError("mbar frame is not orthonormal")
 
-    got, want = (xi_eps.shape[1], xi_half.shape[1]), table1_multiplicities(pair.space)
-    if got != want:
-        raise ModelError(f"multiplicities {got} != table {want}")
-
+    me, mh = xi_eps.shape[1], xi_half.shape[1]
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>, set to 0 on the
     # block triples outside the inclusion table, where it holds only rounding
-    blocks = _block_slices(*got)
+    blocks = _block_slices(me, mh)
     allowed = np.zeros((mbar.shape[1],) * 3, dtype=bool)
     for s1, s2, tgt in INCLUSIONS:
         for t in tgt:
             if "h" not in (s1, t):  # the table's second block is never h
                 allowed[blocks[s1], blocks[s2], blocks[t]] = True
                 allowed[blocks[s2], blocks[s1], blocks[t]] = True
-    cbar = np.where(allowed, _frame_brackets(alg, ip, mbar, mbar, mbar), 0.0)
-    return RestrictedFrame(pair.space, alg, ip, *got, h_basis, mbar, cbar, wm)
+    cbar = np.where(allowed, _frame_brackets(pair.alg, ip, mbar, mbar, mbar), 0.0)
+    return RestrictedFrame(pair.space, pair.alg, ip, me, mh, h_basis, mbar, cbar, wm)
 
 
 @functools.cache

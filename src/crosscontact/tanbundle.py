@@ -6,6 +6,7 @@ functions are plain positive evaluators; only pointwise values are used.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable
 
 import numpy as np
@@ -18,32 +19,38 @@ from .homgeo import MetricParams, gram_diagonal
 RadialFunction = Callable[[float], float]
 
 FNS_KEYS = ("a", "b", "a_eps", "a_half", "b_eps", "b_half")
-_PARAM_KEYS = ("a", "a_eps", "a_half", "b_eps", "b_half")  # the MetricParams order
+_PARAM_KEYS = tuple(f.name for f in fields(MetricParams))  # FNS_KEYS less the radial b
 
 
 class BundleError(ValueError):
     pass
 
 
-def _require_radius(t: float) -> None:
-    if not positive_finite(t):
-        raise BundleError(f"radial coordinate must be a positive finite number, got {t!r}")
+def _positive(name: str, value: float) -> float:
+    """value, which must be a positive finite number: BundleError otherwise."""
+    if not positive_finite(value):
+        raise BundleError(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _require_q(*values: float) -> None:
+    if not positive_finite(*values):
+        raise BundleError(f"q must be positive and finite on the sampled domain, "
+                          f"got {values!r}")
 
 
 def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
     """(q_eps, q_half)(t) = q evaluated on the restricted-root values at t,
     each a positive finite number."""
-    _require_radius(t)
+    _positive("radial coordinate", t)
     qv = tuple(float(q(lam)) for lam in contact.lambda_r(t))
-    if not positive_finite(*qv):
-        raise BundleError(f"q must be positive and finite on the sampled domain, "
-                          f"got {qv!r}")
+    _require_q(*qv)
     return qv
 
 
 def _metric_values(fns: dict[str, RadialFunction], t: float) -> dict[str, float]:
     """The six metric functions at t, each a positive finite number."""
-    _require_radius(t)
+    _positive("radial coordinate", t)
     vals = {k: float(fns[k](t)) for k in FNS_KEYS}
     if not positive_finite(*vals.values()):
         raise BundleError(f"metric functions must be positive finite numbers at the "
@@ -71,18 +78,20 @@ def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
     return np.diag(np.append(gram_diagonal(frame, coeffs), np.square(vals["b"])))
 
 
+def _params_fns(params: Callable[[float], MetricParams], b: RadialFunction) -> dict:
+    """The six metric functions: b on the radial slot, the others read off params(t)."""
+    return {k: b if k == "b" else (lambda t, k=k: getattr(params(t), k)) for k in FNS_KEYS}
+
+
 def sasaki_fns() -> dict[str, RadialFunction]:
-    """Metric functions of the Sasaki metric: unit on lifts, lambda^2 on zeta blocks."""
-    return {"a": lambda t: 1.0, "b": lambda t: 1.0,
-            "a_eps": lambda t: 1.0, "a_half": lambda t: 1.0,
-            "b_eps": lambda t: t * t, "b_half": lambda t: t * t / 4.0}
+    """The Sasaki metric: contact.standard_params(t) on G/H and unit on the radial slot."""
+    return _params_fns(contact.standard_params, lambda t: 1.0)
 
 
 def gf_fns(f: RadialFunction) -> dict[str, RadialFunction]:
-    """The J^1-compatible family: a = b = f, a_l = b_l = f(t) lambda(t) / (2t)."""
-    return {"a": f, "b": f,
-            "a_eps": lambda t: f(t) / 2.0, "a_half": lambda t: f(t) / 4.0,
-            "b_eps": lambda t: f(t) / 2.0, "b_half": lambda t: f(t) / 4.0}
+    """The J^1-compatible family: b = f and contact.theorem_params(f(t)) on G/H.
+    f(t) must be a positive finite number, as every metric value here."""
+    return _params_fns(lambda t: contact.theorem_params(_positive("f", float(f(t)))), f)
 
 
 def _sample(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
@@ -105,8 +114,11 @@ PROBE_TS = np.geomspace(1e-1, 1e-6, 11)
 
 
 def extension_admissible(q: RadialFunction) -> str:
-    """'yes'/'no'/'inconclusive' verdict on 0 < lim_{t->0} q(t)/t < inf."""
-    ratios = np.array([float(q(t)) / t for t in PROBE_TS])
+    """'yes'/'no'/'inconclusive' verdict on 0 < lim_{t->0} q(t)/t < inf.
+    Each sampled q(t) must be a positive finite number, as in q_values."""
+    values = [float(q(t)) for t in PROBE_TS]
+    _require_q(*values)
+    ratios = np.array(values) / PROBE_TS
     tail = ratios[-5:]
     spread = (tail.max() - tail.min()) / max(abs(tail).max(), 1e-300)
     if spread < 1e-3 and tail.min() > 0:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from oracles import loop_bracket_laws, projection_bracket_laws, sigma_automorphism_residual
 
-from crosscontact import compactform, contact, crossmodel
+from crosscontact import compactform, contact, crossmodel, rootsys, suites
+from crosscontact.compactform import DEFAULT_TOL
 from crosscontact.crossmodel import Family, ModelError, SpaceId
+from crosscontact.report import VerificationReport
 
 ALL_TABLE_SPACES = (
     [("sphere", n) for n in range(2, 7)]
@@ -29,10 +31,10 @@ def test_table_row(fam, n):
     """dim, multiplicities and isotropy dimension match the classification table."""
     space = SpaceId(FAMILY[fam], n)
     frame = crossmodel.build_frame(space)
-    me, mh = crossmodel.table1_multiplicities(space)
-    assert (frame.m_eps, frame.m_half) == (me, mh)
-    assert frame.dim_mbar == 2 * space.base_dim - 1
-    assert frame.h_basis.shape[1] == crossmodel.table1_h_dim(space)
+    row = suites.table1(space)
+    assert (frame.m_eps, frame.m_half) == (row.m_eps, row.m_half)
+    assert frame.dim_mbar == 2 * row.base_dim - 1
+    assert frame.h_basis.shape[1] == row.h_dim
 
 
 @pytest.mark.parametrize("space", [SpaceId(Family.CAYLEY_PLANE),
@@ -54,6 +56,81 @@ def test_frame_keeps_no_dense_tensor(space):
 LADDER_SPACES = ([("sphere", n) for n in range(2, 10)] + [("rp", n) for n in range(2, 7)]
                  + [("cp", n) for n in range(2, 7)] + [("hp", n) for n in range(1, 5)]
                  + [("cayley", 2)])
+
+
+def classical_dims(family: Family, n: int) -> tuple[int, int]:
+    """(dim G, dim K) of the space's isometry and isotropy algebras, from the
+    dimensions of the classical groups alone."""
+    if family in (Family.SPHERE, Family.REAL_PROJECTIVE):
+        return n * (n + 1) // 2, n * (n - 1) // 2  # so(n+1), so(n)
+    if family is Family.COMPLEX_PROJECTIVE:
+        return n * (n + 2), n * n  # su(n+1), s(u(1) + u(n))
+    if family is Family.QUATERNIONIC_PROJECTIVE:
+        return (n + 1) * (2 * n + 3), 3 + n * (2 * n + 1)  # sp(n+1), sp(1) + sp(n)
+    return 52, 36  # f4, spin(9)
+
+
+# every family at every n up to 12; every n names the one Cayley plane
+ORACLE_SPACES = list(dict.fromkeys(
+    SpaceId(f, n) for f in Family
+    for n in range(1 if f is Family.QUATERNIONIC_PROJECTIVE else 2, 13)))
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=SpaceId.label)
+def test_table1_agrees_with_classical_group_dimensions(space):
+    """An oracle that shares no code with table1 or the builders: dim m is
+    dim G - dim K, the restricted roots fill m less the Cartan line, and h,
+    the centralizer of that line in k, has dim G - dim m - m_eps - m_half."""
+    dim_g, dim_k = classical_dims(space.family, space.n)
+    dim_m = dim_g - dim_k
+    row = suites.table1(space)
+    assert row.base_dim == dim_m == 1 + row.m_eps + row.m_half
+    assert row.h_dim == dim_g - dim_m - row.m_eps - row.m_half
+
+
+@pytest.mark.parametrize("fam,n", LADDER_SPACES)
+def test_built_frame_has_the_classical_dimensions(fam, n):
+    """The built algebra is dim G, and the frame splits it as the oracle does."""
+    space = SpaceId(FAMILY[fam], n)
+    frame = crossmodel.build_frame(space)
+    dim_g, dim_k = classical_dims(space.family, space.n)
+    dim_m = dim_g - dim_k
+    assert frame.alg.dim == dim_g
+    assert (1 + frame.m_eps + frame.m_half, frame.h_basis.shape[1]) == (dim_m, dim_k - dim_m + 1)
+
+
+def test_wrong_label_fails_every_table1_check(monkeypatch):
+    """The frame is built from the algebra alone: the CP^2 pair under the label
+    CP^3 gives the CP^2 frame, and only suite_table1, which reads the table,
+    sees the mismatch, in all three of its checks."""
+    pair = dataclasses.replace(crossmodel.build_pair(SpaceId(Family.COMPLEX_PROJECTIVE, 2)),
+                               space=SpaceId(Family.COMPLEX_PROJECTIVE, 3))
+    frame = crossmodel.restricted_frame(pair)
+    assert (frame.m_eps, frame.m_half, frame.h_basis.shape[1]) == (1, 2, 1)
+    monkeypatch.setattr(crossmodel, "build_frame", lambda space: frame)
+    rep = VerificationReport(config={})
+    suites.suite_table1(pair.space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
+    assert {c.name: (c.passed, c.details) for c in rep.checks} == {
+        "table1/cp3/multiplicities": (False, "got (1, 2), want (1, 4)"),
+        "table1/cp3/base_dim": (False, "dim mbar = 7 != 2*6-1"),
+        "table1/cp3/h_dim": (False, "got 1, want 4"),
+    }
+
+
+def test_rank_two_pair_is_rejected():
+    """Gr_2(C^4), su(4) with sigma at the middle node of A_3, has a
+    two-dimensional Cartan subspace: the rank-one hypothesis fails."""
+    rs = rootsys.RootSystem.of(rootsys.SimpleBasis.A(3))
+    alg = compactform.build_compact_from_roots(rs)
+    odd = np.flatnonzero([r[1] % 2 for r in rs.positive_roots])
+    signs = np.ones(alg.dim)
+    for a in (0, 1):
+        signs[compactform.u_basis_index(rs.rank, odd, a)] = -1.0
+    seed = compactform.u_basis_index(rs.rank, rs.positive_roots.index((0, 1, 0)), 0)
+    pair = crossmodel.SymmetricPair(SpaceId(Family.COMPLEX_PROJECTIVE, 3), alg, signs, seed)
+    assert np.count_nonzero(pair.signs < 0) == 8  # the real dimension of Gr_2(C^4)
+    with pytest.raises(ModelError, match="^Cartan subspace is not one-dimensional$"):
+        crossmodel.restricted_frame(pair)
 
 
 def full_gram_schmidt(cols: np.ndarray, ip: np.ndarray) -> np.ndarray:
@@ -264,7 +341,8 @@ def test_any_seed_in_m_gives_the_same_geometry(space):
     pair = crossmodel.build_pair(space)
     for seed in np.flatnonzero(pair.signs < 0)[[0, 1, -1]]:
         frame = crossmodel.restricted_frame(dataclasses.replace(pair, seed=int(seed)))
-        assert (frame.m_eps, frame.m_half) == crossmodel.table1_multiplicities(space)
+        row = suites.table1(space)
+        assert (frame.m_eps, frame.m_half) == (row.m_eps, row.m_half)
         laws = crossmodel.verify_bracket_laws(frame)
         assert laws["passed"], (seed, laws["checks"])
         cls = contact.classify(contact.theorem_main_structure(frame, 1.3))

@@ -13,7 +13,11 @@ fact the record holds for no one.
 A third walk pins the functions of ``src/`` that build the dense bracket
 tensor with ``.dense()``: the list may only shrink (ROADMAP item 8).
 
-A fourth check requires ``pyproject.toml`` to ship every data file of the
+A fourth walk pins where ``src/`` names ``table1``, the classification
+table: only inside ``suites.suite_table1``, which checks frames against it,
+so no construction can read the answer it is checked against.
+
+A fifth check requires ``pyproject.toml`` to ship every data file of the
 package, so an installed gate finds its fixtures and samples.
 """
 
@@ -112,6 +116,25 @@ def test_dense_callers_are_pinned():
                if calls_dense(node)}
     assert sorted(callers - DENSE_CALLERS) == []
     assert sorted(DENSE_CALLERS - callers) == []
+
+
+TABLE1_READERS = {"suites.suite_table1"}
+
+
+def test_table1_readers_are_pinned():
+    """Every name, attribute or import of table1 in src/ lies in TABLE1_READERS
+    (a name outside every function counts as the module's)."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): qualified for qualified, node in all_defs(tree, path.stem)
+                 for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "table1") or \
+                    (isinstance(node, ast.Attribute) and node.attr == "table1") or \
+                    (isinstance(node, ast.alias) and node.name == "table1"):
+                readers.add(owner.get(id(node), path.stem))
+    assert sorted(readers) == sorted(TABLE1_READERS)
 
 
 def test_package_data_lists_every_data_file():

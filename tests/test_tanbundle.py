@@ -88,6 +88,38 @@ def test_extension_admissible(q, verdict):
     assert tanbundle.extension_admissible(q) == verdict
 
 
+@pytest.mark.parametrize("q", [lambda t: -1.0, lambda t: np.nan, lambda t: -t],
+                         ids=["minus_one", "nan", "minus_t"])
+def test_extension_admissible_needs_positive_finite_q(q):
+    """q = -1 answered "no", and q = NaN and q = -t "inconclusive"."""
+    with pytest.raises(BundleError, match="positive and finite"):
+        tanbundle.extension_admissible(q)
+
+
+def test_radial_families_keep_their_closed_forms():
+    """sasaki_fns and gf_fns read contact.standard_params and contact.theorem_params,
+    bit for bit the closed forms (1, 1, 1, 1, t^2, t^2/4) and f (1, 1, 1/2, 1/4,
+    1/2, 1/4) in the order a, b, a_eps, a_half, b_eps, b_half."""
+    f = lambda t: 2.0 / (1.0 + t * t)  # noqa: E731
+    for t in np.geomspace(1e-6, 1e6, 301):
+        t = float(t)
+        sasaki, gf = tanbundle.sasaki_fns(), tanbundle.gf_fns(f)
+        assert [sasaki[k](t) for k in tanbundle.FNS_KEYS] == [1.0, 1.0, 1.0, 1.0, t * t,
+                                                             t * t / 4.0]
+        assert [gf[k](t) for k in tanbundle.FNS_KEYS] == [f(t), f(t), f(t) / 2.0, f(t) / 4.0,
+                                                         f(t) / 2.0, f(t) / 4.0]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_gf_family_needs_positive_finite_f(cp2, bad):
+    """A bad f(t) raises BundleError, as every other bad value of the slice layer."""
+    fns = tanbundle.gf_fns(lambda t: bad)
+    with pytest.raises(BundleError, match="f must be a positive finite number"):
+        tanbundle.ambient_metric(cp2, fns, 1.0)
+    with pytest.raises(BundleError, match="f must be a positive finite number"):
+        tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+
+
 def test_induced_slice_matches_standard_structure(cp2):
     """The Sasaki pair induces the standard structure on every slice."""
     fns = tanbundle.sasaki_fns()
