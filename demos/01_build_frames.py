@@ -33,8 +33,10 @@ def main() -> None:
     gram = frame.mbar.T @ frame.ip @ frame.mbar
     print("\ncp2 frame Gram deviation from identity:",
           f"{np.max(np.abs(gram - np.eye(frame.dim_mbar))):.2e}")
-    print("cp2 spectrum of ad_X^2 on m:",
-          sorted({float(v) for v in np.round(frame.spectrum_m, 9)}))
+    m = frame.mbar[:, :frame.slices()["m_half"].stop]  # X and the xi's span m
+    ad = frame.alg.ad(frame.mbar[:, 0])
+    spectrum = np.linalg.eigvalsh(m.T @ frame.ip @ ad @ ad @ m)
+    print("cp2 spectrum of ad_X^2 on m:", sorted({float(v) for v in np.round(spectrum, 9)}))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Each space is realized at the Lie-algebra level: an involution splits g into
 k + m, a Cartan vector X in m is normalized so that ad_X^2 has eigenvalue -1
 on the top restricted-root space, and the frame (a, m_eps, m_half, k_eps,
-k_half, h) is extracted from the spectrum of ad_X^2.
+k_half, h) is read from one eigendecomposition of ad_X^2 on m, with h the
+orthogonal complement in k of the zetas.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import compactform, rootsys
 from .compactform import DEFAULT_TOL, CompactLieAlgebra, ToleranceConfig
 
-EIGEN_CLUSTER_TOL = 1e-7  # eigenvalues are second-order quantities
+FRAME_TOL = 1e-8  # eigenvalue levels of -ad_X^2 and the frame's orthonormality
 
 
 class ModelError(ValueError):
@@ -146,29 +147,6 @@ def build_pair(space: SpaceId) -> SymmetricPair:
     return SymmetricPair(space, alg, signs, seed)
 
 
-def choose_cartan_vector(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized Cartan vector X, the matrix of ad_X and the rescaled inner product.
-
-    X is the pair's seed direction scaled so that -ad_X^2 has top eigenvalue 1
-    on m, and the inner product is rescaled so <X, X> = 1.
-    """
-    alg, s, ip = pair.alg, pair.seed, pair.alg.inv_form
-    seed = np.zeros(alg.dim)
-    seed[s] = 1.0
-    ad = alg.ad(seed)
-    sq = -(ad @ ad)
-    # restrict to m in the orthonormal m-frame
-    mb = pair.m_basis
-    op = mb.T @ ip @ sq @ mb
-    top = float(np.max(np.linalg.eigvalsh((op + op.T) / 2)))
-    if top <= 0:
-        raise ModelError("seed direction has no negative ad^2 eigenvalue on m")
-    x = seed / np.sqrt(top)
-    xx = float(x @ ip @ x)
-    # the seed is the basis vector e_s, so x[s] ad_seed is alg.ad(x) bit for bit
-    return x, x[s] * ad, ip / xx
-
-
 def _block_slices(me: int, mh: int) -> dict[str, slice]:
     """The blocks of mbar for the multiplicities me = m_eps and mh = m_half."""
     return {"a": slice(0, 1),
@@ -209,7 +187,6 @@ class RestrictedFrame:
     h_basis: np.ndarray
     mbar: np.ndarray  # columns: X, xi_eps, xi_half, zeta_eps, zeta_half
     cbar: np.ndarray  # projected bracket tensor on the mbar frame
-    spectrum_m: np.ndarray  # eigenvalues of ad_X^2 on m
 
     @property
     def dim_mbar(self) -> int:
@@ -264,51 +241,54 @@ def _frame_brackets(alg: CompactLieAlgebra, ip: np.ndarray, rows: np.ndarray,
     return compactform.bracket_table(alg.dense(), rows, cols) @ (ip @ comps)
 
 
-def _eigen_split(op: np.ndarray, frame_cols: np.ndarray,
-                 targets: tuple[float, ...]) -> tuple[dict[float, np.ndarray], np.ndarray]:
-    """Cluster eigenvectors of a symmetric operator to the target eigenvalues."""
-    w, v = np.linalg.eigh((op + op.T) / 2)
-    groups: dict[float, list[np.ndarray]] = {t: [] for t in targets}
-    for i, val in enumerate(w):
-        hits = [t for t in targets if abs(val - t) < EIGEN_CLUSTER_TOL]
-        if len(hits) != 1:
-            raise ModelError(f"stray ad_X^2 eigenvalue {val!r}: not a rank-one frame")
-        vec = frame_cols @ v[:, i]
-        # deterministic sign: largest-magnitude coordinate positive
-        k = int(np.argmax(np.abs(vec)))
-        if vec[k] < 0:
-            vec = -vec
-        groups[hits[0]].append(vec)
-    out = {t: (np.column_stack(g) if g else np.zeros((frame_cols.shape[0], 0)))
-           for t, g in groups.items()}
-    return out, w
-
-
 def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
-    """Extract the restricted-root frame from the spectrum of ad_X^2.
+    """Extract the restricted-root frame from one eigendecomposition of ad_seed^2 on m.
 
-    The frame is built from the algebra alone: its multiplicities are what the
-    spectrum gives, and suites.suite_table1 checks them against the table."""
-    x, ad, ip = choose_cartan_vector(pair)
-    sq = ad @ ad
-    # the pair's bases are orthonormal under inv_form, and ip = inv_form / <x, x>,
-    # so unit ip-norm columns are orthonormal under ip
-    mb, kb = (b / np.sqrt(np.sum(b * (ip @ b), axis=0)) for b in (pair.m_basis, pair.k_basis))
-    m_groups, wm = _eigen_split(mb.T @ ip @ sq @ mb, mb, (0.0, -1.0, -0.25))
-    k_groups, _ = _eigen_split(kb.T @ ip @ sq @ kb, kb, (0.0, -1.0, -0.25))
-
-    if m_groups[0.0].shape[1] != 1:
+    X is the seed scaled so that -ad_X^2 has top eigenvalue 1 on m, and ip is
+    rescaled so <X, X> = 1. The eigenvectors at levels 1 and 1/4 of -ad_X^2
+    are the xi's, each zeta is -[X, xi] / lambda, and h = ker ad_X on k is
+    the orthogonal complement of the zetas in k, since ad_X is skew and maps
+    m onto their span. The frame is built from the algebra alone: its
+    multiplicities are what the spectrum gives, and suites.suite_table1
+    checks them against the table."""
+    alg, s, form = pair.alg, pair.seed, pair.alg.inv_form
+    seed = np.zeros(alg.dim)
+    seed[s] = 1.0
+    ad = alg.ad(seed)
+    op = pair.m_basis.T @ form @ -(ad @ ad) @ pair.m_basis
+    w, v = np.linalg.eigh((op + op.T) / 2)
+    # each eigenvalue of -ad_X^2 = -ad_seed^2 / w[-1] goes to the nearest level
+    ratio, levels = w / w[-1], np.array([0.0, 1.0, 0.25])
+    level = np.argmin(np.abs(ratio[:, None] - levels), axis=1)
+    stray = ~(np.abs(ratio - levels[level]) < FRAME_TOL)  # NaN is stray too
+    if np.any(stray):
+        raise ModelError(f"stray ad_X^2 eigenvalue {-ratio[stray][0]}: not a rank-one frame")
+    if np.count_nonzero(level == 0) != 1:
         raise ModelError("Cartan subspace is not one-dimensional")
-    # eigh columns in an orthonormal frame are orthonormal
-    xi_eps, xi_half = m_groups[-1.0], m_groups[-0.25]
+    x = seed / np.sqrt(w[-1])
+    # the seed is the basis vector e_s, so x[s] ad_seed is alg.ad(x) bit for bit
+    ad, ip = x[s] * ad, form / float(x @ form @ x)
+    # the pair's bases are orthonormal under inv_form, and ip = inv_form / <x, x>,
+    # so unit ip-norm columns are orthonormal under ip, and so are the eigh columns in them
+    mb, kb = (b / np.sqrt(np.sum(b * (ip @ b), axis=0)) for b in (pair.m_basis, pair.k_basis))
+    vecs = mb @ v
+    # deterministic sign: largest-magnitude coordinate positive
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(w))]
+    vecs = np.where(lead < 0, -vecs, vecs)
+    xi_eps, xi_half = vecs[:, level == 1], vecs[:, level == 2]
     # zeta = -(1/lambda_R(X)) [X, xi]
-    zeta_eps = -(ad @ xi_eps)
-    zeta_half = -2.0 * (ad @ xi_half)
-    h_basis = k_groups[0.0]
+    zetas = np.column_stack((-(ad @ xi_eps), -2.0 * (ad @ xi_half)))
+    # k basis columns that no zeta reads are in h as they are; Householder QR
+    # completes the zetas on the others, continuously in its input
+    coords = kb.T @ ip @ zetas
+    hit = np.any(coords != 0, axis=1)
+    h_basis = np.column_stack((kb[:, ~hit], kb[:, hit] @ np.linalg.qr(
+        coords[hit], mode="complete")[0][:, zetas.shape[1]:]))
 
-    mbar = np.column_stack([x, xi_eps, xi_half, zeta_eps, zeta_half])
-    if np.max(np.abs(mbar.T @ ip @ mbar - np.eye(mbar.shape[1]))) > 1e-8:
-        raise ModelError("mbar frame is not orthonormal")
+    mbar = np.column_stack([x, xi_eps, xi_half, zetas])
+    full = np.column_stack((mbar, h_basis))
+    if not np.max(np.abs(full.T @ ip @ full - np.eye(full.shape[1]))) < FRAME_TOL:
+        raise ModelError("[mbar | h] frame is not orthonormal")
 
     me, mh = xi_eps.shape[1], xi_half.shape[1]
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>, set to 0 on the
@@ -321,7 +301,7 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
                 allowed[blocks[s1], blocks[s2], blocks[t]] = True
                 allowed[blocks[s2], blocks[s1], blocks[t]] = True
     cbar = np.where(allowed, _frame_brackets(pair.alg, ip, mbar, mbar, mbar), 0.0)
-    return RestrictedFrame(pair.space, pair.alg, ip, me, mh, h_basis, mbar, cbar, wm)
+    return RestrictedFrame(pair.space, pair.alg, ip, me, mh, h_basis, mbar, cbar)
 
 
 @functools.cache

@@ -228,9 +228,9 @@ def test_orthonormalize_rejects_dependent_columns():
 
 @pytest.mark.parametrize("fam,n", LADDER_SPACES + [("sphere", 10)])
 def test_frame_does_not_depend_on_the_k_basis(fam, n):
-    """mbar, cbar and the m spectrum are read from m alone, so a rotated basis of
-    k leaves them bit for bit; the projector onto h agrees within 1e-13 (measured:
-    at most 9.6e-15, on CaP2)."""
+    """mbar and cbar are read from m alone, so a rotated basis of k leaves them
+    bit for bit; the projector onto h agrees within 1e-13 (measured: at most
+    9.6e-15, on CaP2)."""
     space = SpaceId(FAMILY[fam], n)
     want = crossmodel.restricted_frame(crossmodel.build_pair(space))
     pair = crossmodel.build_pair(space)
@@ -238,10 +238,67 @@ def test_frame_does_not_depend_on_the_k_basis(fam, n):
     rot, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(dim_k, dim_k)))
     pair.__dict__["k_basis"] = pair.k_basis @ rot
     got = crossmodel.restricted_frame(pair)
-    for name in ("mbar", "cbar", "spectrum_m"):
+    for name in ("mbar", "cbar"):
         assert_bytes_equal(getattr(got, name), getattr(want, name))
     project = [f.h_basis @ f.h_basis.T @ f.ip for f in (got, want)]
     assert np.max(np.abs(project[0] - project[1])) < 1e-13
+
+
+H_SPACES = ([SpaceId(Family.COMPLEX_PROJECTIVE, n) for n in range(3, 8)]
+            + [SpaceId(Family.QUATERNIONIC_PROJECTIVE, n) for n in range(2, 5)]
+            + [SpaceId(Family.CAYLEY_PLANE)])
+
+
+@pytest.mark.parametrize("space", H_SPACES, ids=SpaceId.label)
+def test_h_basis_is_continuous_in_the_k_basis(space):
+    """h is completed from the k basis by Householder QR, which is continuous in
+    its input: moving every nonzero of the k basis by one ulp, up or down at
+    random, moves h_basis by at most 1e-13 (measured: at most 2.1e-14, on CaP2)
+    and leaves mbar bit for bit. A raw eigh basis of the degenerate kernel of
+    ad_X on k moved by 1.6 (CP^3) up to 62 (CaP2)."""
+    pair = crossmodel.build_pair(space)
+    want = crossmodel.restricted_frame(pair)
+    kb = pair.k_basis
+    up = np.random.default_rng(len(kb)).random(kb.shape) < 0.5
+    moved = np.nextafter(kb, np.where(up, np.inf, -np.inf))
+    pair.__dict__["k_basis"] = np.where(kb != 0, moved, 0.0)
+    got = crossmodel.restricted_frame(pair)
+    assert np.count_nonzero(got.h_basis - want.h_basis) > 0  # the ulps reach h
+    assert np.max(np.abs(got.h_basis - want.h_basis)) <= 1e-13
+    assert_bytes_equal(got.mbar, want.mbar)
+
+
+@pytest.mark.parametrize("fam,n", LADDER_SPACES)
+def test_frame_calls_eigh_once(monkeypatch, fam, n):
+    """One eigendecomposition per frame: -ad_seed^2 on m gives X, the xis and
+    their levels, and h is the complement of the zetas, with no eigh on k."""
+    pair = crossmodel.build_pair(SpaceId(FAMILY[fam], n))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, real=getattr(np.linalg, name), name=name):
+            calls.append(name)
+            return real(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    crossmodel.restricted_frame(pair)
+    assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("t", range(8))
+def test_frame_guards_reject_a_scaled_bracket_output(t):
+    """Scale by 1.3 every structure constant c[i, j, t] of CP^2 with output index t.
+    For t in {0, 2, 3, 5, 6, 7} an ad_X^2 eigenvalue on m leaves its level and
+    the frame is refused; the frame is orthonormal on 6 and 7, so only the
+    level guard sees those two. For t in {1, 4} the frame is still built."""
+    pair = crossmodel.build_pair(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
+    alg = pair.alg
+    scaled = dataclasses.replace(alg, values=np.where(alg.index[:, 2] == t, 1.3, 1.0) * alg.values)
+    pair = dataclasses.replace(pair, alg=scaled)
+    if t in (1, 4):
+        frame = crossmodel.restricted_frame(pair)
+        assert (frame.m_eps, frame.m_half, frame.h_basis.shape[1]) == (1, 2, 1)
+    else:
+        with pytest.raises(ModelError, match="^stray ad_X\\^2 eigenvalue "):
+            crossmodel.restricted_frame(pair)
 
 
 def test_frames_built_once(frames):
@@ -251,20 +308,31 @@ def test_frames_built_once(frames):
     assert frames["cp2"] is crossmodel.build_frame(space)
 
 
-def k_spectrum(frame):
-    """Eigenvalues of ad_X^2 on k, in the frame's ip-orthonormal basis of k:
-    the zeta columns of mbar and the columns of h_basis."""
-    s = frame.slices()
-    kb = np.column_stack((frame.mbar[:, s["k_eps"].start:s["k_half"].stop], frame.h_basis))
+def ad_x_squared_spectrum(frame, basis):
+    """Eigenvalues of ad_X^2 on the span of the ip-orthonormal columns of basis."""
     ad = frame.alg.ad(frame.mbar[:, 0])
-    op = kb.T @ frame.ip @ ad @ ad @ kb
+    op = basis.T @ frame.ip @ ad @ ad @ basis
     return np.linalg.eigvalsh((op + op.T) / 2)
+
+
+def m_spectrum(frame):
+    """Eigenvalues of ad_X^2 on m, in the frame's basis of m: the X and xi
+    columns of mbar."""
+    return ad_x_squared_spectrum(frame, frame.mbar[:, :frame.slices()["m_half"].stop])
+
+
+def k_spectrum(frame):
+    """Eigenvalues of ad_X^2 on k, in the frame's basis of k: the zeta columns
+    of mbar and the columns of h_basis."""
+    s = frame.slices()
+    return ad_x_squared_spectrum(frame, np.column_stack(
+        (frame.mbar[:, s["k_eps"].start:s["k_half"].stop], frame.h_basis)))
 
 
 def test_spectrum_clusters(frames):
     """ad_X^2 has eigenvalues exactly in {0, -1, -1/4} on m and k."""
     for frame in frames.values():
-        for w in (frame.spectrum_m, k_spectrum(frame)):
+        for w in (m_spectrum(frame), k_spectrum(frame)):
             dist = np.min(np.abs(w[:, None] - np.array([0.0, -1.0, -0.25])), axis=1)
             assert np.max(dist) < 1e-9
 
@@ -282,7 +350,7 @@ def test_cartan_vector_normalization(frames):
     for frame in frames.values():
         x = frame.mbar[:, frame.slices()["a"]][:, 0]
         assert x @ frame.ip @ x == pytest.approx(1.0)
-        assert np.min(frame.spectrum_m) == pytest.approx(-1.0)
+        assert np.min(m_spectrum(frame)) == pytest.approx(-1.0)
 
 
 def test_sigma_is_automorphism(frames):
@@ -547,7 +615,7 @@ def test_hp1_and_s4_agree_on_invariants(frames):
                 and np.max(np.min(np.abs(b[:, None] - a[None]), axis=1)) < tol)
 
     for frame in (hp1, s4):
-        assert same_set(frame.spectrum_m, s4.spectrum_m)
+        assert same_set(m_spectrum(frame), m_spectrum(s4))
         assert same_set(k_spectrum(frame), k_spectrum(s4))
         sv = np.linalg.svd(frame.cbar.reshape(frame.dim_mbar, -1), compute_uv=False)
         assert sv == pytest.approx([np.sqrt(6.0)] + [np.sqrt(2.0)] * 6, abs=tol)
