@@ -100,10 +100,34 @@ class CompactLieAlgebra:
         return np.bincount(k * self.dim + j, weights=w,
                            minlength=self.dim ** 2).reshape(self.dim, self.dim)
 
+    def brackets_with(self, ys: np.ndarray) -> np.ndarray:
+        """Y[i, q, k] = sum_j c[i,j,k] ys[j,q], the coordinates of [e_i, y_q].
 
-def bracket_table(c: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys, c the dense tensor."""
-    return np.tensordot(xs, ys.T @ c, axes=(0, 0))
+        The entries are joined with the nonzeros of ys on j, so each entry is
+        read once per nonzero in its row of ys, and each Y entry sums its
+        rounded terms in j order. No dim^3 array is formed; Y is dim^2 times
+        the columns of ys.
+        """
+        dim, nq = self.dim, ys.shape[1]
+        entry, q, w = _join_nonzeros(self.index[:, 1], ys)
+        i, _, k = self.index[entry].T
+        return np.bincount((i * nq + q) * dim + k, weights=self.values[entry] * w,
+                           minlength=dim * nq * dim).reshape(dim, nq, dim)
+
+
+def _join_nonzeros(at: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Join positions with the nonzeros of a matrix on its row index.
+
+    For each n and each nonzero mat[at[n], col], in the order of n and then of
+    col, one term (n, col, mat[at[n], col]); a row with no nonzero makes none.
+    """
+    row, col = np.nonzero(mat)
+    per_row = np.bincount(row, minlength=len(mat))
+    fan = per_row[at]
+    n = np.repeat(np.arange(len(at)), fan)
+    pos = (np.repeat((np.cumsum(per_row) - per_row)[at] - (np.cumsum(fan) - fan), fan)
+           + np.arange(len(n)))  # position in (row, col) of each term's nonzero
+    return n, col[pos], mat[row[pos], col[pos]]
 
 
 def _flat_key(index: np.ndarray, dim: int) -> np.ndarray:
@@ -192,17 +216,21 @@ def build_so_matrix_model(n: int) -> CompactLieAlgebra:
 
 # The Jacobi join below makes T = sum_m nnz(c[:, :, m]) nnz(c[m]) products,
 # the per-slice path dim^5; the join is taken when T <= dim^5 / _JOIN_FILL.
-# The builders' tensors, S^2 to CaP2, have T between 0.1 and 0.8 dim^3, so
-# every benchmark workload joins. A dense tensor, such as a randomly broken
-# one, has T = dim^5 and takes the per-slice path, whose time and memory are
-# bounded by dim alone, where the join would hold dim^4 terms for each l.
+# The builders' tensors, S^2 to CaP2, have T between 0.1 and 0.8 dim^3 and
+# keys that fit the packing below, so every benchmark workload joins. A
+# dense tensor, such as a randomly broken one, has T = dim^5 and takes the
+# per-slice path, whose time and memory are bounded by dim alone, where the
+# join would hold dim^4 terms for each l.
 _JOIN_FILL = 8
 # Each block of the join sorts its terms by one int64, the (orbit, l) key
 # shifted above the term's index in the block, so every (orbit, l) run sums
 # in term order whatever order a sort gives equal keys. The keys are below
-# dim^4, and blocks of at most about this many terms keep the packed key
-# below 2^63 up to dim g 1217.
-_JACOBI_BLOCK_TERMS = 1 << 21
+# dim^4. A block holds whole l, about this many terms, or one l that has
+# more; blocks below 2^14 terms keep the packed key below 2^63 up to dim g
+# 4870. On the builders' tensors one l outgrows that at large dim, and the
+# key still fits up to CP^48 (dim g 2400, 235,000 terms in one l) and
+# HP^30 (dim g 1953).
+_JACOBI_BLOCK_TERMS = 1 << 13
 
 
 def _jacobi_dense(c: np.ndarray) -> float:
@@ -237,11 +265,11 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
     # entry c[i, j, m], as the right factor c[m', k, l] = c[i, j, m], meets the
     # per_m[i] left factors c[:, :, i]
     fan = per_m[i]
-    # blocks of whole l with about dim^3 / 8 terms keep the join's arrays
-    # near dim^3 floats; a block too large for the packed key takes the
-    # per-slice path, as a dense tensor does
+    # blocks of whole l with about _JACOBI_BLOCK_TERMS terms bound the join's
+    # arrays; a block too large for the packed key takes the per-slice path,
+    # as a dense tensor does
     terms_l = np.bincount(m, weights=fan, minlength=dim)
-    block = (np.cumsum(terms_l) - terms_l) // max(1, min(dim ** 3 // 8, _JACOBI_BLOCK_TERMS))
+    block = (np.cumsum(terms_l) - terms_l) // _JACOBI_BLOCK_TERMS
     edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
     shift = int(np.max(np.add.reduceat(terms_l, edges[:-1]))).bit_length()
     if _JOIN_FILL * int(fan.sum()) > dim ** 5 or (dim ** 4).bit_length() + shift > 63:
@@ -288,19 +316,13 @@ def verify_algebra(alg: CompactLieAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -
     # <[x,y],z> + <y,[x,z]> = 0 on basis triples: t[i,j,l] + t[i,l,j] with
     # t[i,j,l] = sum_k c[i,j,k] g[k,l], from the entries joined on k with the
     # nonzeros of g; each t sums its terms in k order, as c @ g does
-    dim, k = alg.dim, alg.index[:, 2]
-    gk, gl = np.nonzero(g)
-    per_k = np.bincount(gk, minlength=dim)
-    fan = per_k[k]
-    entry = np.repeat(np.arange(len(vals)), fan)
-    at = (np.repeat((np.cumsum(per_k) - per_k)[k] - (np.cumsum(fan) - fan), fan)
-          + np.arange(len(entry)))  # position in (gk, gl) of each term's g[k,l]
+    dim = alg.dim
+    entry, col, gkl = _join_nonzeros(alg.index[:, 2], g)
     i, j, _ = alg.index[entry].T
-    col = gl[at]
     key, swapped = (i * dim + j) * dim + col, (i * dim + col) * dim + j
     order = np.argsort(key, kind="stable")
     first = np.diff(key[order], prepend=-1) != 0
-    t = np.bincount(np.cumsum(first) - 1, weights=(vals[entry] * g[gk[at], col])[order])
+    t = np.bincount(np.cumsum(first) - 1, weights=(vals[entry] * gkl)[order])
     adinv = _max_plus_swapped(key[order][first], t, swapped[order][first])
     eigmin = float(np.min(np.linalg.eigvalsh(g)))
     checks = {

@@ -6,14 +6,15 @@ contact._nijenhuis_on_support). The forms below take the whole matrices and
 tensors, as the package once did, and the tests require the two to agree bit
 for bit. The package reads the bracket laws in frame coordinates
 (crossmodel.verify_bracket_laws), all 18 inclusions from one product with a
-0/1 mask. loop_bracket_laws reads them one inclusion at a time, and
-projection_bracket_laws projects algebra vectors onto spans instead; the
-tests require all three to agree. compactform.verify_algebra joins the
-bracket entries with the invariant form for the ad-invariance residual;
-dense_ad_invariance takes the dense product c @ g. crossmodel.SymmetricPair
-rejects signs whose sigma fails s_i s_j = s_k on a bracket entry;
-sigma_automorphism_residual compares sigma[x, y] with [sigma x, sigma y] on
-the dense tensor instead.
+0/1 mask, on a table that crossmodel._frame_brackets scatters from the
+bracket entries. loop_bracket_laws reads them one inclusion at a time from
+the dense product bracket_table, and projection_bracket_laws projects
+algebra vectors onto spans instead; the tests require all three to agree.
+compactform.verify_algebra joins the bracket entries with the invariant
+form for the ad-invariance residual; dense_ad_invariance takes the dense
+product c @ g. crossmodel.SymmetricPair rejects signs whose sigma fails
+s_i s_j = s_k on a bracket entry; sigma_automorphism_residual compares
+sigma[x, y] with [sigma x, sigma y] on the dense tensor instead.
 
 The root system is built on coefficient tuples and table positions
 (rootsys.generate_positive_roots and assign_structure_constants); the
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crosscontact import compactform, crossmodel, rootsys, tanbundle
+from crosscontact import compactform, rootsys, tanbundle
 from crosscontact.rootsys import RootSystemError
 
 
@@ -114,11 +115,16 @@ def dense_ad_invariance(c, g):
     return float(np.max(np.abs(t + np.transpose(t, (0, 2, 1)))))
 
 
+def bracket_table(c, xs, ys):
+    """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys, c the dense tensor."""
+    return np.tensordot(xs, ys.T @ c, axes=(0, 0))
+
+
 def sigma_automorphism_residual(alg, signs):
     """Max |sigma[x,y] - [sigma x, sigma y]| over basis pairs, sigma = diag(signs)."""
     s, c = np.diag(signs), alg.dense()
     lhs = c @ s.T
-    rhs = compactform.bracket_table(c, s, s)
+    rhs = bracket_table(c, s, s)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -138,10 +144,11 @@ INCLUSIONS = [
 
 def loop_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
     """verify_bracket_laws with a boolean mask and a copy of the out-of-target
-    coordinates per inclusion, in place of the one masked product."""
+    coordinates per inclusion, in place of the one masked product, on the
+    table from the dense tensor in place of the entry scatter."""
     full = np.column_stack((frame.mbar, frame.h_basis))
     blocks = {**frame.slices(), "h": slice(frame.dim_mbar, full.shape[1])}
-    t = crossmodel._frame_brackets(frame.alg, frame.ip, full, frame.mbar, full)
+    t = bracket_table(frame.alg.dense(), full, frame.mbar) @ (frame.ip @ full)
     checks = {}
     for s1, s2, tgt in INCLUSIONS:
         outside = np.ones(full.shape[1], dtype=bool)
@@ -179,7 +186,7 @@ def projection_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
     c = alg.dense()
 
     def br(s1, s2):
-        return compactform.bracket_table(c, sub[s1], sub[s2])
+        return bracket_table(c, sub[s1], sub[s2])
 
     checks = {}
     for s1, s2, tgt in INCLUSIONS:

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (CAYLEY_PARAMS, INCLUSIONS, axiom_residuals, dense_ad_invariance,
-                     loop_bracket_laws, nijenhuis_tensor, projection_bracket_laws)
+from oracles import (CAYLEY_PARAMS, INCLUSIONS, axiom_residuals, bracket_table,
+                     dense_ad_invariance, loop_bracket_laws, nijenhuis_tensor,
+                     projection_bracket_laws)
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -166,8 +167,7 @@ def dense_jacobi_join(c):
     start = np.cumsum(per_m) - per_m
     fan = per_m[i]
     terms_l = np.bincount(m, weights=fan, minlength=dim)
-    block = (np.cumsum(terms_l) - terms_l) // max(
-        1, min(dim ** 3 // 8, compactform._JACOBI_BLOCK_TERMS))
+    block = (np.cumsum(terms_l) - terms_l) // compactform._JACOBI_BLOCK_TERMS
     edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
     shift = int(np.max(np.add.reduceat(terms_l, edges[:-1]))).bit_length()
     if compactform._JOIN_FILL * int(fan.sum()) > dim ** 5 or (dim ** 4).bit_length() + shift > 63:
@@ -677,15 +677,20 @@ def test_verify_algebra_equals_dense_scan(space):
 
 
 def test_jacobi_join_does_not_depend_on_block_size(monkeypatch):
-    """Each (orbit, l) run sums in term order, so a smaller block bound, down to
-    one l per block, gives the same residual bit for bit, also on a broken tensor."""
+    """Each (orbit, l) run sums in term order, so any block bound, from one l
+    per block to one block for the whole join, gives the residual of the
+    default bound bit for bit, also on a broken tensor. The default splits
+    the joins of HP^3, HP^4 and CaP2 into several blocks."""
     algs = [crossmodel.build_frame(SpaceId(*key)).alg
             for key in ((Family.COMPLEX_PROJECTIVE, 2), (Family.QUATERNIONIC_PROJECTIVE, 3),
                         (Family.QUATERNIONIC_PROJECTIVE, 4), (Family.CAYLEY_PLANE,))]
     algs.append(with_tensor(algs[-1], sparsely_broken_tensor(algs[-1])))
+    for alg in algs[1:]:  # join terms: each c[i, j, m] meets the nnz(c[:, :, i]) left factors
+        per_m = np.bincount(alg.index[:, 2], minlength=alg.dim)
+        assert per_m[alg.index[:, 0]].sum() > 2 * compactform._JACOBI_BLOCK_TERMS
     want = [compactform._jacobi_max(alg) for alg in algs]
     assert want[-1] > 1e-4
-    for bound in (1, 97, 4096):
+    for bound in (1, 97, 4096, 1 << 21):
         monkeypatch.setattr(compactform, "_JACOBI_BLOCK_TERMS", bound)
         assert [compactform._jacobi_max(alg) for alg in algs] == want, bound
 
@@ -733,8 +738,7 @@ def test_ad_invariance_negative_control(space):
 
 def dense_cbar(frame):
     """<[e_i, e_j], e_k> over the mbar frame, projected from the dense tensor."""
-    return compactform.bracket_table(frame.alg.dense(), frame.mbar, frame.mbar) \
-        @ (frame.ip @ frame.mbar)
+    return bracket_table(frame.alg.dense(), frame.mbar, frame.mbar) @ (frame.ip @ frame.mbar)
 
 
 def allowed_triples(frame):
@@ -762,11 +766,46 @@ def test_cbar_bytes_equal_dense_projection(space):
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
 def test_cbar_zero_outside_inclusions(space):
     """Outside the allowed block triples cbar is exactly 0, and the dense
-    projection there holds only rounding, below 1e-16."""
+    projection and the kernel's unmasked output there hold only rounding,
+    below 1e-16."""
     frame = crossmodel.build_frame(space)
     outside = ~allowed_triples(frame)
     assert np.all(frame.cbar[outside] == 0.0)
-    assert np.max(np.abs(dense_cbar(frame)[outside]), initial=0.0) < 1e-16
+    unmasked = crossmodel._frame_brackets(frame.alg, frame.ip, frame.mbar, frame.mbar, frame.mbar)
+    for t in (dense_cbar(frame), unmasked):
+        assert np.max(np.abs(t[outside]), initial=0.0) < 1e-16
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_frame_path_builds_no_dense_tensor(space, monkeypatch):
+    """Building a frame and checking it and its algebra never form the dim^3
+    tensor: with dense() refused, every ladder space still builds and passes."""
+    def no_dense(_):
+        raise AssertionError("dense bracket tensor built")
+
+    monkeypatch.setattr(compactform.CompactLieAlgebra, "dense", no_dense)
+    frame = crossmodel.restricted_frame(crossmodel.build_pair(space))
+    assert crossmodel.verify_bracket_laws(frame)["passed"]
+    assert compactform.verify_algebra(frame.alg)["passed"]
+    if space.family is Family.COMPLEX_PROJECTIVE:
+        assert crossmodel.fixture_check_cp2_brackets(frame)["passed"]
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.QUATERNIONIC_PROJECTIVE, 1),
+                                   SpaceId(Family.COMPLEX_PROJECTIVE, 4),
+                                   SpaceId(Family.CAYLEY_PLANE)], ids=SpaceId.label)
+def test_frame_brackets_match_dense_on_rotated_frames(space):
+    """The entry scatter equals the dense product within 1e-15 on frames that
+    are not sparse: mbar rotated by a random element of O(m_eps) x O(m_half),
+    the same on xi and zeta, alone and as [mbar | h] on all three sides."""
+    frame = crossmodel.build_frame(space)
+    mbar = frame.mbar @ paired_blocks(frame, rotation(np.random.default_rng(27)))
+    assert np.count_nonzero(mbar) > np.count_nonzero(frame.mbar)
+    c = frame.alg.dense()
+    for basis in (mbar, np.column_stack((mbar, frame.h_basis))):
+        got = crossmodel._frame_brackets(frame.alg, frame.ip, basis, basis, basis)
+        want = bracket_table(c, basis, basis) @ (frame.ip @ basis)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)

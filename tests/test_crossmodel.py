@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import loop_bracket_laws, projection_bracket_laws, sigma_automorphism_residual
+from oracles import (bracket_table, loop_bracket_laws, projection_bracket_laws,
+                     sigma_automorphism_residual)
 
 from crosscontact import compactform, contact, crossmodel, rootsys, suites
 from crosscontact.compactform import DEFAULT_TOL
@@ -524,7 +525,7 @@ def center_of_h(frame) -> np.ndarray:
     if nh == 0:
         return hb
     # column i = flattened ad_{h_i} restricted to h, rows (p, j) = <h_p, [h_i, h_j]>
-    mat = (compactform.bracket_table(alg.dense(), hb, hb) @ ip @ hb).transpose(2, 1, 0).reshape(nh * nh, nh)
+    mat = (bracket_table(alg.dense(), hb, hb) @ ip @ hb).transpose(2, 1, 0).reshape(nh * nh, nh)
     _, sv, vt = np.linalg.svd(mat, full_matrices=True)
     null = [vt[k] for k in range(nh) if k >= len(sv) or sv[k] < 1e-9]
     if not null:

@@ -31,10 +31,7 @@ PACKAGE = ROOT / "src" / "crosscontact"
 
 ALLOWED: set[str] = set()  # public names that only tests call
 
-DENSE_CALLERS = {
-    "compactform._jacobi_max",
-    "crossmodel._frame_brackets",
-}
+DENSE_CALLERS = {"compactform._jacobi_max"}
 
 
 def all_defs(tree: ast.Module, module: str):
