@@ -50,6 +50,13 @@ def u_basis_index(rank: int, p: int | np.ndarray, a: int) -> int | np.ndarray:
     return rank + 2 * p + a
 
 
+# brackets_with makes Y a chunk of columns of at most this many floats, which
+# keeps every ladder rung up to dim g 28 in one chunk; in a block of rows of
+# bracket_terms, the rows before the last make fewer than this many terms
+_BRACKET_CHUNK_FLOATS = 1 << 14
+_TERM_BLOCK = 1 << 12
+
+
 @dataclass
 class CompactLieAlgebra:
     """A real compact Lie algebra: nonzero structure constants plus ad-invariant form.
@@ -100,19 +107,86 @@ class CompactLieAlgebra:
         return np.bincount(k * self.dim + j, weights=w,
                            minlength=self.dim ** 2).reshape(self.dim, self.dim)
 
-    def brackets_with(self, ys: np.ndarray) -> np.ndarray:
-        """Y[i, q, k] = sum_j c[i,j,k] ys[j,q], the coordinates of [e_i, y_q].
+    def brackets_with(self, ys: np.ndarray):
+        """Y[i, q, k] = sum_j c[i,j,k] ys[j,q], the coordinates of [e_i, y_q], a
+        chunk of columns q at a time: yields Y[:, lo:hi] for consecutive chunks.
 
-        The entries are joined with the nonzeros of ys on j, so each entry is
+        A chunk holds at most _BRACKET_CHUNK_FLOATS floats, or one column. The
+        entries are joined once with the nonzeros of ys on j, so each entry is
         read once per nonzero in its row of ys, and each Y entry sums its
-        rounded terms in j order. No dim^3 array is formed; Y is dim^2 times
-        the columns of ys.
+        rounded terms in j order, whatever the chunks. No dim^3 array is formed.
         """
         dim, nq = self.dim, ys.shape[1]
+        width = max(1, _BRACKET_CHUNK_FLOATS // dim ** 2)
         entry, q, w = _join_nonzeros(self.index[:, 1], ys)
+        if width < nq:  # by column, in join order within one
+            q, order = _stable_sort(q)
+            entry, w = entry[order], w[order]
         i, _, k = self.index[entry].T
-        return np.bincount((i * nq + q) * dim + k, weights=self.values[entry] * w,
-                           minlength=dim * nq * dim).reshape(dim, nq, dim)
+        w = self.values[entry] * w
+        starts = range(0, nq, width)
+        cut = np.append(np.searchsorted(q, starts), len(q))
+        for c, lo in enumerate(starts):
+            n, part = min(width, nq - lo), slice(cut[c], cut[c + 1])
+            yield np.bincount((i[part] * n + q[part] - lo) * dim + k[part], weights=w[part],
+                              minlength=dim * n * dim).reshape(dim, n, dim)
+
+    def bracket_terms(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
+        """T[r, q, s] = sum c[i,j,k] xs[i,r] ys[j,q] zs[k,s] from its nonzero terms, a
+        block of whole rows r at a time: yields (r, q, s, t) over the (r, q, s) of a
+        block that have a term, in row-major order, with t their sums.
+
+        The rows of a block before its last make fewer than _TERM_BLOCK terms,
+        so a block holds about that many, or one r that has more. The entries
+        are joined with the nonzeros of xs on i, of ys on j and of zs on k, and
+        each sum adds its rounded terms ((c xs) ys) zs in entry order, whatever
+        the blocks. Only products of nonzeros are formed, so a non-finite value
+        reaches only the sums of its own terms, where the dense product would
+        reach every sum that reads its column.
+        """
+        # one nonzero xs[i, r] makes a term per entry (i, j, k) and nonzero of ys[j]
+        # and zs[k]; only the entries that make terms are joined
+        fan = (np.count_nonzero(ys, axis=1)[self.index[:, 1]]
+               * np.count_nonzero(zs, axis=1)[self.index[:, 2]])
+        live = fan > 0
+        index, values = self.index[live], self.values[live]
+        per_i = np.bincount(index[:, 0], weights=fan[live], minlength=self.dim)
+        edges = _block_edges((xs != 0).T @ per_i, _TERM_BLOCK)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            r, q, s, t = _term_sums(index, values, xs[:, lo:hi], ys, zs)
+            yield r + lo, q, s, t
+
+
+def _term_sums(index: np.ndarray, values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+               zs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(r, q, s, t) over the (r, q, s) with a term c[i,j,k] xs[i,r] ys[j,q] zs[k,s],
+    in row-major order, with t their sums, each adding its terms in entry order.
+
+    Each join extends the key (r, then (r, q), then (r, q, s)) and the product
+    of a term; a sum over equal keys in a stable order is a sum in entry order."""
+    i, j, k = index.T
+    e, key, w = _join_nonzeros(i, xs)
+    w = values[e] * w
+    n, key, w = _join_terms(j[e], ys, key, w)
+    key, w = _join_terms(k[e[n]], zs, key, w)[1:]
+    key, order = _stable_sort(key)
+    first = np.diff(key, prepend=-1) != 0
+    t = np.bincount(np.cumsum(first) - 1, weights=w[order])
+    key = key[first]
+    nq, ns = ys.shape[1], zs.shape[1]
+    return key // (nq * ns), key // ns % nq, key % ns, t
+
+
+def _join_terms(at: np.ndarray, mat: np.ndarray, key: np.ndarray,
+                w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Terms (key, w) at rows at of mat, joined with its nonzeros: for each nonzero
+    mat[at[n], col] one term (n, key[n] * cols + col, w[n] * mat[at[n], col])."""
+    n, col, val = _join_nonzeros(at, mat)
+    key, w = key[n], w[n]
+    key *= mat.shape[1]
+    key += col
+    w *= val
+    return n, key, w
 
 
 def _join_nonzeros(at: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -125,9 +199,31 @@ def _join_nonzeros(at: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, ...]:
     per_row = np.bincount(row, minlength=len(mat))
     fan = per_row[at]
     n = np.repeat(np.arange(len(at)), fan)
-    pos = (np.repeat((np.cumsum(per_row) - per_row)[at] - (np.cumsum(fan) - fan), fan)
-           + np.arange(len(n)))  # position in (row, col) of each term's nonzero
-    return n, col[pos], mat[row[pos], col[pos]]
+    # position in (row, col) of each term's nonzero
+    pos = np.repeat((np.cumsum(per_row) - per_row)[at] - (np.cumsum(fan) - fan), fan)
+    pos += np.arange(len(n))
+    return n, col[pos], mat[row, col][pos]
+
+
+def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key[order], order) with order the stable sort of the non-negative integer
+    keys, from one sort of the keys packed above their positions in an int64."""
+    shift = len(key).bit_length()
+    if int(np.max(key, initial=0)).bit_length() + shift > 63:
+        raise AlgebraError(f"{len(key)} keys up to {np.max(key)} do not pack in an int64")
+    packed = key << shift
+    packed |= np.arange(len(key))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return packed, order
+
+
+def _block_edges(terms: np.ndarray, bound: int) -> np.ndarray:
+    """Edges of consecutive runs of items that hold about bound terms together, or
+    one item that has more: run b is items edges[b] to edges[b + 1]."""
+    block = (np.cumsum(terms) - terms) // bound
+    return np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [len(terms)]))
 
 
 def _flat_key(index: np.ndarray, dim: int) -> np.ndarray:
@@ -269,8 +365,7 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
     # arrays; a block too large for the packed key takes the per-slice path,
     # as a dense tensor does
     terms_l = np.bincount(m, weights=fan, minlength=dim)
-    block = (np.cumsum(terms_l) - terms_l) // _JACOBI_BLOCK_TERMS
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [dim]))
+    edges = _block_edges(terms_l, _JACOBI_BLOCK_TERMS)
     shift = int(np.max(np.add.reduceat(terms_l, edges[:-1]))).bit_length()
     if _JOIN_FILL * int(fan.sum()) > dim ** 5 or (dim ** 4).bit_length() + shift > 63:
         return _jacobi_dense(alg.dense())
@@ -289,9 +384,7 @@ def _jacobi_max(alg: CompactLieAlgebra) -> float:
         key = orbit * dim + m[right]
         w = v[left] * v[right]
         w[(a == b) & (b == k)] *= 3.0
-        packed = np.sort((key << shift) | np.arange(len(key)))
-        order = packed & ((1 << shift) - 1)
-        key = packed >> shift
+        key, order = _stable_sort(key)
         runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         worst.append(np.max(np.abs(np.add.reduceat(w[order], runs))))
     return float(np.max(worst))

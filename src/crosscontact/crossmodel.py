@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -172,6 +173,22 @@ INCLUSIONS = (
 )
 
 
+def _counted() -> np.ndarray:
+    """counted[b1, b2, b3] over _FRAME_BLOCKS: the coordinates in block b3 of a
+    bracket of blocks b1 and b2 lie outside the targets of their inclusion."""
+    counted = np.zeros((len(_FRAME_BLOCKS),) * 3, dtype=bool)
+    for s1, s2, tgt in INCLUSIONS:
+        b1, b2 = _FRAME_BLOCKS.index(s1), _FRAME_BLOCKS.index(s2)
+        counted[b1, b2] = True
+        counted[b1, b2, [_FRAME_BLOCKS.index(t) for t in tgt]] = False
+    return counted
+
+
+# the blocks of [mbar | h], and which coordinates each bracket law counts
+_FRAME_BLOCKS = (*_block_slices(0, 0), "h")
+_COUNTED = _counted()
+
+
 @dataclass
 class RestrictedFrame:
     """Orthonormal restricted-root frame of mbar = a + m_eps + m_half + k_eps + k_half.
@@ -239,10 +256,20 @@ def _frame_brackets(alg: CompactLieAlgebra, ip: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """T[i, j, k] = <[r_i, c_j], comp_k> over the columns of rows, cols and comps.
 
-    The brackets with cols come from the bracket entries, and rows and comps
-    are contracted by BLAS. The brackets are passed unnamed, so they are
-    freed before the last product."""
-    return np.tensordot(rows, alg.brackets_with(cols), axes=(0, 0)) @ (ip @ comps)
+    The brackets with cols come from the bracket entries a chunk of columns at
+    a time, and rows and comps are contracted by BLAS, each by one matrix
+    product over the whole chunk; a stack of one-row products would take
+    numpy's matrix-vector kernel, whose sums differ in the last bit, so the
+    result does not depend on the chunks."""
+    out = np.empty((rows.shape[1], cols.shape[1], comps.shape[1]))
+    rt, pc, lo = np.ascontiguousarray(rows.T), ip @ comps, 0
+    for y in alg.brackets_with(cols):
+        n = y.shape[1]
+        t = np.dot(rt, y.reshape(alg.dim, -1)).reshape(-1, alg.dim) @ pc
+        del y  # the next chunk is made before the loop rebinds y
+        out[:, lo:lo + n] = t.reshape(len(out), n, -1)
+        lo += n
+    return out
 
 
 def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
@@ -304,7 +331,8 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
             if "h" not in (s1, t):  # the table's second block is never h
                 allowed[blocks[s1], blocks[s2], blocks[t]] = True
                 allowed[blocks[s2], blocks[s1], blocks[t]] = True
-    cbar = np.where(allowed, _frame_brackets(pair.alg, ip, mbar, mbar, mbar), 0.0)
+    cbar = _frame_brackets(pair.alg, ip, mbar, mbar, mbar)
+    cbar[~allowed] = 0.0
     return RestrictedFrame(pair.space, pair.alg, ip, me, mh, h_basis, mbar, cbar)
 
 
@@ -328,25 +356,45 @@ def verify_bracket_laws(frame: RestrictedFrame,
     Brackets are read in the coordinates of F = [mbar | h_basis]: the part of a
     bracket outside some frame blocks is the norm of its other coordinates only
     when F is an orthonormal basis of g, which frame_basis checks (inf if F is
-    not square)."""
+    not square). The table T[r, q, s] = <[f_r, m_q], f_s> is summed from its
+    nonzero terms, a block of rows at a time, and never held whole; a
+    non-finite column of F, of mbar or of ip F makes every residual that reads
+    its row, column or coordinate of T NaN, as the dense product would."""
     full = np.column_stack((frame.mbar, frame.h_basis))
-    blocks = {**frame.slices(), "h": slice(frame.dim_mbar, full.shape[1])}
-    t = _frame_brackets(frame.alg, frame.ip, full, frame.mbar, full)
+    n, nq = full.shape[1], frame.dim_mbar
+    blocks = {**frame.slices(), "h": slice(nq, n)}
+    # position in _FRAME_BLOCKS of each frame vector; the blocks are consecutive
+    block = np.repeat(np.arange(len(_FRAME_BLOCKS)),
+                      [blocks[name].stop - blocks[name].start for name in _FRAME_BLOCKS])
+    # the eps/half pairing: d[0] = T[m_eps, m_half] - T[k_eps, k_half] and
+    # d[1] = T[k_eps, m_half] + T[m_eps, k_half], each entry a sum of two values
+    me, mh, ke, kh = (np.arange(n)[blocks[x]] for x in ("m_eps", "m_half", "k_eps", "k_half"))
+    prow, pcol, in_k = np.full(n, -1), np.full(nq, -1), np.zeros(n, dtype=bool)
+    prow[me], prow[ke], pcol[mh], pcol[kh] = (np.arange(len(v)) for v in (me, ke, mh, kh))
+    in_k[ke] = in_k[kh] = True
+    d = np.zeros((2, len(me), len(mh), n))
 
-    # pairing identities between the eps and half blocks, read before t is squared
-    me, mh, ke, kh = (blocks[n] for n in ("m_eps", "m_half", "k_eps", "k_half"))
-    pairing = float(np.max(np.abs([t[me, mh] - t[ke, kh], t[ke, mh] + t[me, kh]]), initial=0.0))
+    norms = np.zeros((n, nq))  # sum of T[r, q, s]^2 over the s that count
+    pfull = frame.ip @ full
+    for r, q, s, t in frame.alg.bracket_terms(full, frame.mbar, pfull):
+        keep = _COUNTED[block[r], block[q], block[s]]
+        np.add.at(norms, (r[keep], q[keep]), t[keep] * t[keep])
+        hit = (prow[r] >= 0) & (pcol[q] >= 0)
+        r, q, s, t = r[hit], q[hit], s[hit], t[hit]
+        rk, qk = in_k[r], in_k[q]
+        np.add.at(d, (np.where(rk == qk, 0, 1), prow[r], pcol[q], s), np.where(rk & qk, -t, t))
+    # the dense product's NaN reach; mbar column q is column q of F
+    bad, bad_s = ~np.isfinite(full).all(axis=0), ~np.isfinite(pfull).all(axis=0)
+    reach = _COUNTED[:, :, block[bad_s]].any(axis=2)  # block pairs that count a bad s
+    norms[bad[:, None] | bad[:nq] | reach[block[:, None], block[:nq]]] = np.nan
+    d[:, bad[me] | bad[ke]] = np.nan
+    d[:, :, bad[mh] | bad[kh]] = np.nan
+    d[..., bad_s] = np.nan
 
-    # column q of mask is 1 on the coordinates outside inclusion q's targets
-    mask = np.ones((full.shape[1], len(INCLUSIONS)))
-    for q, (_, _, tgt) in enumerate(INCLUSIONS):
-        for name in tgt:
-            mask[blocks[name], q] = 0.0
-    norms = np.square(t, out=t) @ mask
     checks = {f"[{s1},{s2}]c{'+'.join(tgt)}":
-              float(np.sqrt(np.max(norms[blocks[s1], blocks[s2], q], initial=0.0)))
-              for q, (s1, s2, tgt) in enumerate(INCLUSIONS)}
-    checks["eps_half_pairing"] = pairing
+              math.sqrt(norms[blocks[s1], blocks[s2]].max(initial=0.0))
+              for s1, s2, tgt in INCLUSIONS}
+    checks["eps_half_pairing"] = float(np.abs(d).max(initial=0.0))
     checks["frame_basis"] = (float(np.max(np.abs(full.T @ frame.ip @ full - np.eye(len(full)))))
                              if full.shape[0] == full.shape[1] else np.inf)
     passed = all(tol.is_zero(v) for v in checks.values())

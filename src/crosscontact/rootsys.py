@@ -144,23 +144,7 @@ class RootSystem:
         pos = self.positive_roots
         size = len(pos)
         coeffs = np.array(pos, dtype=int).reshape(size, self.rank)
-
-        # a coefficient vector inside the box 0 <= v <= top (every positive root
-        # is) has the integer key v @ radix, and no two such vectors share one
-        top = coeffs.max(axis=0)
-        if math.prod(int(t) + 1 for t in top) > 2 ** 62:
-            raise RootSystemError("root coefficients too large for an integer key")
-        radix = np.cumprod(np.concatenate(([1], top[:-1] + 1)))
-        keys = coeffs @ radix
-        order = np.argsort(keys)
-        keys = keys[order]
-
-        def position(vecs: np.ndarray) -> np.ndarray:
-            inside = ((vecs >= 0) & (vecs <= top)).all(axis=-1)
-            key = vecs @ radix
-            at = np.minimum(np.searchsorted(keys, key), size - 1)
-            return np.where(inside & (keys[at] == key), order[at], -1)
-
+        position = _root_positions(coeffs)
         sum_index = position(coeffs[:, None, :] + coeffs[None, :, :])
         diff_index = position(coeffs[:, None, :] - coeffs[None, :, :])
         # one dot per entry: a matrix product sums in another order and can
@@ -170,6 +154,28 @@ class RootSystem:
                             for row in float_coeffs]).reshape(coeffs.shape)
         return PairTables(coeffs, pairing, sum_index, diff_index,
                           self.n[:size, :size], self.n[size:, :size])
+
+
+def _root_positions(coeffs: np.ndarray):
+    """position(vecs): the row of coeffs (the positive roots, one per row) equal to
+    each coefficient vector of vecs, -1 where there is none."""
+    # a coefficient vector inside the box 0 <= v <= top (every positive root
+    # is) has the integer key v @ radix, and no two such vectors share one
+    top = coeffs.max(axis=0)
+    if math.prod(int(t) + 1 for t in top) > 2 ** 62:
+        raise RootSystemError("root coefficients too large for an integer key")
+    radix = np.cumprod(np.concatenate(([1], top[:-1] + 1)))
+    keys = coeffs @ radix
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def position(vecs: np.ndarray) -> np.ndarray:
+        inside = ((vecs >= 0) & (vecs <= top)).all(axis=-1)
+        key = vecs @ radix
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(inside & (keys[at] == key), order[at], -1)
+
+    return position
 
 
 def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -280,13 +286,19 @@ def assign_structure_constants(roots: tuple[Coeffs, ...], gram: np.ndarray) -> n
             table[x, y] = table[ny, nx] = val
             table[y, x] = table[nx, ny] = -val
 
-    # a root before gamma in the (height, lex) order has at most its height, so a
-    # root gamma - alpha is positive; rows below size are the positive roots
+    # the special pairs (alpha, beta = gamma - alpha), alpha <= beta, of each gamma,
+    # from every alpha before gamma in one lookup: a root before gamma in the
+    # (height, lex) order has at most its height, so a root gamma - alpha is positive
+    coeffs = np.array(roots, dtype=int).reshape(size, -1)
+    g_of, a_of = np.tril_indices(size, -1)
+    b_of = _root_positions(coeffs)(coeffs[g_of] - coeffs[a_of])
+    special = [[] for _ in roots]
+    for g, a, b in zip(*(x[b_of >= a_of].tolist() for x in (g_of, a_of, b_of))):
+        special[g].append((a, b))
     for g, gamma in enumerate(roots):
         if sum(gamma) < 2:
             continue
-        pairs = [(a, b) for a in range(g)
-                 if (b := row.get(_sub(gamma, roots[a]), -1)) >= a]
+        pairs = special[g]
         a1, b1 = pairs[0]  # extraspecial: minimal alpha (always simple)
         put(a1, b1, size + g, n_magnitude(a1, b1))
         m1 = size + a1  # the row of -a1

@@ -5,11 +5,13 @@ tensor on the xi/zeta pairing of the frame (contact._pairing_axioms and
 contact._nijenhuis_on_support). The forms below take the whole matrices and
 tensors, as the package once did, and the tests require the two to agree bit
 for bit. The package reads the bracket laws in frame coordinates
-(crossmodel.verify_bracket_laws), all 18 inclusions from one product with a
-0/1 mask, on a table that crossmodel._frame_brackets scatters from the
-bracket entries. loop_bracket_laws reads them one inclusion at a time from
+(crossmodel.verify_bracket_laws) from the nonzero terms of the bracket
+tensor in that frame, summed a block of rows at a time, with no table and
+no contraction shared with the cbar kernel crossmodel._frame_brackets.
+loop_bracket_laws reads them one inclusion at a time from the whole table,
 the dense product bracket_table, and projection_bracket_laws projects
-algebra vectors onto spans instead; the tests require all three to agree.
+algebra vectors onto spans instead; the tests require all three to agree,
+and the loop to be NaN in exactly the checks the laws are NaN in.
 compactform.verify_algebra joins the bracket entries with the invariant
 form for the ad-invariance residual; dense_ad_invariance takes the dense
 product c @ g. crossmodel.SymmetricPair rejects signs whose sigma fails
@@ -144,8 +146,8 @@ INCLUSIONS = [
 
 def loop_bracket_laws(frame, tol=compactform.DEFAULT_TOL):
     """verify_bracket_laws with a boolean mask and a copy of the out-of-target
-    coordinates per inclusion, in place of the one masked product, on the
-    table from the dense tensor in place of the entry scatter."""
+    coordinates per inclusion, on the whole table from the dense tensor in
+    place of the term sums."""
     full = np.column_stack((frame.mbar, frame.h_basis))
     blocks = {**frame.slices(), "h": slice(frame.dim_mbar, full.shape[1])}
     t = bracket_table(frame.alg.dense(), full, frame.mbar) @ (frame.ip @ full)

@@ -695,6 +695,17 @@ def test_jacobi_join_does_not_depend_on_block_size(monkeypatch):
         assert [compactform._jacobi_max(alg) for alg in algs] == want, bound
 
 
+def test_stable_sort_keeps_positions_of_equal_keys():
+    """The packed sort orders equal keys by position, as a stable sort does, and
+    refuses keys that do not fit above the positions in an int64."""
+    key = np.random.default_rng(3).integers(0, 7, size=500)
+    got, order = compactform._stable_sort(key.copy())
+    np.testing.assert_array_equal(order, np.argsort(key, kind="stable"))
+    np.testing.assert_array_equal(got, key[order])
+    with pytest.raises(compactform.AlgebraError):
+        compactform._stable_sort(np.array([1 << 62, 0]))
+
+
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
 def test_bracket_laws_equal_projection_oracle(space):
     """The frame-coordinate laws and the projection oracle agree on the verdict
@@ -806,6 +817,108 @@ def test_frame_brackets_match_dense_on_rotated_frames(space):
         got = crossmodel._frame_brackets(frame.alg, frame.ip, basis, basis, basis)
         want = bracket_table(c, basis, basis) @ (frame.ip @ basis)
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+ROTATED = [SpaceId(Family.QUATERNIONIC_PROJECTIVE, 1), SpaceId(Family.COMPLEX_PROJECTIVE, 4),
+           SpaceId(Family.CAYLEY_PLANE)]
+
+
+@pytest.mark.parametrize("space", ROTATED, ids=SpaceId.label)
+def test_bracket_laws_on_rotated_frames(space, monkeypatch):
+    """On the rotated frames above the law tensor has terms on most coordinates
+    (590,924 on CaP2). The term sums equal the loop on the dense product
+    within 1e-15; the rows before the last of each block hold fewer than
+    _TERM_BLOCK terms; and any block bound, from one row per block to one
+    block for the whole tensor, gives the same checks bit for bit."""
+    frame = crossmodel.build_frame(space)
+    mbar = frame.mbar @ paired_blocks(frame, rotation(np.random.default_rng(27)))
+    rotated = dataclasses.replace(frame, mbar=mbar)
+    got = crossmodel.verify_bracket_laws(rotated)
+    want = loop_bracket_laws(rotated)
+    assert got["passed"] == want["passed"] is True
+    assert list(got["checks"]) == list(want["checks"])
+    for name, value in want["checks"].items():
+        assert abs(got["checks"][name] - value) <= 1e-15, name
+
+    # terms of row r of T: one per nonzero full[i, r], entry (i, j, k), and
+    # nonzero of mbar[j] and of (ip full)[k]
+    full = np.column_stack((mbar, frame.h_basis))
+    i, j, k = frame.alg.index.T
+    fan = np.count_nonzero(mbar, axis=1)[j] * np.count_nonzero(frame.ip @ full, axis=1)[k]
+    per_row = (full != 0).T @ np.bincount(i, weights=fan, minlength=frame.alg.dim)
+    widths = []
+    term_sums = compactform._term_sums
+
+    def recorded(index, values, xs, ys, zs):
+        widths.append(xs.shape[1])
+        return term_sums(index, values, xs, ys, zs)
+
+    monkeypatch.setattr(compactform, "_term_sums", recorded)
+    assert crossmodel.verify_bracket_laws(rotated) == got
+    edges = np.cumsum([0] + widths)
+    assert edges[-1] == full.shape[1]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        assert per_row[lo:hi - 1].sum() < compactform._TERM_BLOCK
+    if space.family is Family.CAYLEY_PLANE:
+        assert len(widths) > 10
+    for bound in (1, 1 << 40):
+        monkeypatch.setattr(compactform, "_TERM_BLOCK", bound)
+        assert crossmodel.verify_bracket_laws(rotated) == got, bound
+
+
+@pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
+def test_frame_brackets_do_not_depend_on_the_chunk_width(space, monkeypatch):
+    """Each Y entry sums its terms in j order whatever the chunks, and each
+    chunk takes one matrix product, so cbar and the complex-projective scalars
+    are the same bit for bit with one column per chunk, the default budget and
+    the whole table in one chunk. The default budget makes one chunk on every
+    rung up to dim g 30 and several on HP^4 and CaP2."""
+    pair = crossmodel.build_pair(space)
+
+    def outputs():
+        frame = crossmodel.restricted_frame(pair)
+        if space.family is Family.COMPLEX_PROJECTIVE:
+            return frame.cbar.tobytes(), crossmodel.fixture_check_cp2_brackets(frame)
+        return frame.cbar.tobytes(), None
+
+    want = outputs()
+    frame = crossmodel.build_frame(space)
+    chunks = sum(1 for _ in frame.alg.brackets_with(frame.mbar))
+    if frame.alg.dim <= 30:
+        assert chunks == 1
+    if space in (SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4), SpaceId(Family.CAYLEY_PLANE)):
+        assert chunks > 2
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(compactform, "_BRACKET_CHUNK_FLOATS", budget)
+        assert outputs() == want, budget
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4),
+                                   SpaceId(Family.CAYLEY_PLANE),
+                                   SpaceId(Family.COMPLEX_PROJECTIVE, 13)], ids=SpaceId.label)
+def test_frame_and_laws_hold_no_bracket_table(space):
+    """Neither restricted_frame nor verify_bracket_laws holds a dim g^2 x dim mbar
+    table of brackets: on CP^13 (dim g 195) each peaks below a quarter of one,
+    and on HP^4 and CaP2, where F, ip F, the pairing differences and the term
+    arrays are already a fair part of one, below one. The frame's peak is
+    counted without the cbar it returns, which alone is 0.32 (HP^4) and 0.36
+    (CaP2) of a table."""
+    pair = crossmodel.build_pair(space)
+    pair.m_basis, pair.k_basis  # the pair's own cached bases
+    tracemalloc.start()
+    try:
+        frame = crossmodel.restricted_frame(pair)
+        frame_peak = tracemalloc.get_traced_memory()[1] - frame.cbar.nbytes
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert crossmodel.verify_bracket_laws(frame)["passed"]
+        laws_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    table = pair.alg.dim ** 2 * frame.dim_mbar * 8
+    bound = table / 4 if pair.alg.dim > 100 else table
+    assert frame_peak < bound
+    assert laws_peak < bound
 
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)

@@ -432,12 +432,21 @@ def broken_cp3_frames(cp3):
     swapped[:, [xi, zeta]] = swapped[:, [zeta, xi]]
     with_nan = cp3.mbar.copy()
     with_nan[0, 1] = np.nan
+    h_nan = cp3.h_basis.copy()
+    h_nan[np.flatnonzero(h_nan[:, 2])[0], 2] = np.nan
+    ip_nan = cp3.ip.copy()
+    ip_nan[3, 3] = np.nan
     return {"h_column_dropped": dataclasses.replace(cp3, h_basis=cp3.h_basis[:, 1:]),
             "xi_zeta_swapped": dataclasses.replace(cp3, mbar=swapped),
-            "nan_in_mbar": dataclasses.replace(cp3, mbar=with_nan)}
+            "nan_in_mbar": dataclasses.replace(cp3, mbar=with_nan),
+            "nan_in_h": dataclasses.replace(cp3, h_basis=h_nan),
+            "nan_in_ip": dataclasses.replace(cp3, ip=ip_nan)}
 
 
-@pytest.mark.parametrize("broken", ["h_column_dropped", "xi_zeta_swapped", "nan_in_mbar"])
+BROKEN = ["h_column_dropped", "xi_zeta_swapped", "nan_in_mbar", "nan_in_h", "nan_in_ip"]
+
+
+@pytest.mark.parametrize("broken", BROKEN)
 def test_bracket_laws_negative_controls(frames, broken):
     """Each broken frame fails the laws, and fails the projection oracle too."""
     frame = broken_cp3_frames(frames["cp3"])[broken]
@@ -458,12 +467,12 @@ def test_bracket_laws_negative_controls(frames, broken):
         assert np.isnan(np.max(inclusions))
 
 
-@pytest.mark.parametrize("broken", ["h_column_dropped", "xi_zeta_swapped", "nan_in_mbar"])
+@pytest.mark.parametrize("broken", BROKEN)
 def test_bracket_laws_negative_controls_equal_inclusion_loop(frames, broken):
-    """The masked product and the per-inclusion loop agree on the broken frames:
-    the same checks and verdict, each value within 1e-15. A NaN bracket
-    coordinate reaches every column of the product, so there an inclusion may
-    be NaN where the loop, which skips the target coordinates, is finite."""
+    """The term sums and the per-inclusion loop on the dense product agree on
+    the broken frames: the same checks and verdict, each value within 1e-15,
+    and NaN in the same checks. A non-finite column of F, mbar or ip F reaches
+    the residuals that read it, and no others, in both."""
     frame = broken_cp3_frames(frames["cp3"])[broken]
     got = crossmodel.verify_bracket_laws(frame)
     want = loop_bracket_laws(frame)
@@ -471,8 +480,8 @@ def test_bracket_laws_negative_controls_equal_inclusion_loop(frames, broken):
     assert list(got["checks"]) == list(want["checks"])
     for name, value in want["checks"].items():
         have = got["checks"][name]
-        if np.isnan(have):
-            assert np.isnan(value) or broken == "nan_in_mbar", name
+        if np.isnan(have) or np.isnan(value):
+            assert np.isnan(have) and np.isnan(value), name
         else:
             assert have == value or abs(have - value) <= 1e-15, name
 

@@ -13,11 +13,15 @@ fact the record holds for no one.
 A third walk pins the functions of ``src/`` that build the dense bracket
 tensor with ``.dense()``: the list may only shrink (ROADMAP item 8).
 
-A fourth walk pins where ``src/`` names ``table1``, the classification
+A fourth walk pins the functions of ``src/`` that call
+``crossmodel._frame_brackets``, the BLAS kernel that builds ``cbar``, so the
+bracket laws that check ``cbar`` cannot go back to sharing it.
+
+A fifth walk pins where ``src/`` names ``table1``, the classification
 table: only inside ``suites.suite_table1``, which checks frames against it,
 so no construction can read the answer it is checked against.
 
-A fifth check requires ``pyproject.toml`` to ship every data file of the
+A sixth check requires ``pyproject.toml`` to ship every data file of the
 package, so an installed gate finds its fixtures and samples.
 """
 
@@ -113,6 +117,25 @@ def test_dense_callers_are_pinned():
                if calls_dense(node)}
     assert sorted(callers - DENSE_CALLERS) == []
     assert sorted(DENSE_CALLERS - callers) == []
+
+
+FRAME_BRACKET_CALLERS = {"crossmodel.restricted_frame", "crossmodel.fixture_check_cp2_brackets"}
+
+
+def test_frame_bracket_callers_are_pinned():
+    """The src/ functions that call _frame_brackets, by name or attribute, are
+    exactly FRAME_BRACKET_CALLERS."""
+    def calls_frame_brackets(node):
+        return any(isinstance(n, ast.Call)
+                   and "_frame_brackets" in (getattr(n.func, "id", None),
+                                             getattr(n.func, "attr", None))
+                   for n in ast.walk(node))
+
+    callers = {qualified
+               for path in sorted(PACKAGE.glob("*.py"))
+               for qualified, node in all_defs(ast.parse(path.read_text()), path.stem)
+               if calls_frame_brackets(node)}
+    assert sorted(callers) == sorted(FRAME_BRACKET_CALLERS)
 
 
 TABLE1_READERS = {"suites.suite_table1"}
