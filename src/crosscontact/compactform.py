@@ -50,10 +50,8 @@ def u_basis_index(rank: int, p: int | np.ndarray, a: int) -> int | np.ndarray:
     return rank + 2 * p + a
 
 
-# brackets_with makes Y a chunk of columns of at most this many floats, which
-# keeps every ladder rung up to dim g 28 in one chunk; in a block of rows of
-# bracket_terms, the rows before the last make fewer than this many terms
-_BRACKET_CHUNK_FLOATS = 1 << 14
+# in a block of rows of bracket_terms, the rows before the last make fewer
+# than this many terms
 _TERM_BLOCK = 1 << 12
 
 
@@ -106,30 +104,6 @@ class CompactLieAlgebra:
         w = np.asarray(x, dtype=float)[i] * self.values
         return np.bincount(k * self.dim + j, weights=w,
                            minlength=self.dim ** 2).reshape(self.dim, self.dim)
-
-    def brackets_with(self, ys: np.ndarray):
-        """Y[i, q, k] = sum_j c[i,j,k] ys[j,q], the coordinates of [e_i, y_q], a
-        chunk of columns q at a time: yields Y[:, lo:hi] for consecutive chunks.
-
-        A chunk holds at most _BRACKET_CHUNK_FLOATS floats, or one column. The
-        entries are joined once with the nonzeros of ys on j, so each entry is
-        read once per nonzero in its row of ys, and each Y entry sums its
-        rounded terms in j order, whatever the chunks. No dim^3 array is formed.
-        """
-        dim, nq = self.dim, ys.shape[1]
-        width = max(1, _BRACKET_CHUNK_FLOATS // dim ** 2)
-        entry, q, w = _join_nonzeros(self.index[:, 1], ys)
-        if width < nq:  # by column, in join order within one
-            q, order = _stable_sort(q)
-            entry, w = entry[order], w[order]
-        i, _, k = self.index[entry].T
-        w = self.values[entry] * w
-        starts = range(0, nq, width)
-        cut = np.append(np.searchsorted(q, starts), len(q))
-        for c, lo in enumerate(starts):
-            n, part = min(width, nq - lo), slice(cut[c], cut[c + 1])
-            yield np.bincount((i[part] * n + q[part] - lo) * dim + k[part], weights=w[part],
-                              minlength=dim * n * dim).reshape(dim, n, dim)
 
     def bracket_terms(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
         """T[r, q, s] = sum c[i,j,k] xs[i,r] ys[j,q] zs[k,s] from its nonzero terms, a

@@ -173,20 +173,32 @@ INCLUSIONS = (
 )
 
 
-def _counted() -> np.ndarray:
-    """counted[b1, b2, b3] over _FRAME_BLOCKS: the coordinates in block b3 of a
-    bracket of blocks b1 and b2 lie outside the targets of their inclusion."""
+def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(counted, allowed)[b1, b2, b3] over _FRAME_BLOCKS. counted: the coordinates
+    in block b3 of a bracket of blocks b1 and b2 lie outside the targets of
+    their inclusion. allowed: b3 is one of those targets, in either order of
+    b1 and b2."""
     counted = np.zeros((len(_FRAME_BLOCKS),) * 3, dtype=bool)
+    allowed = np.zeros_like(counted)
     for s1, s2, tgt in INCLUSIONS:
         b1, b2 = _FRAME_BLOCKS.index(s1), _FRAME_BLOCKS.index(s2)
+        b3 = [_FRAME_BLOCKS.index(t) for t in tgt]
         counted[b1, b2] = True
-        counted[b1, b2, [_FRAME_BLOCKS.index(t) for t in tgt]] = False
-    return counted
+        counted[b1, b2, b3] = False
+        allowed[b1, b2, b3] = allowed[b2, b1, b3] = True
+    return counted, allowed
 
 
-# the blocks of [mbar | h], and which coordinates each bracket law counts
+def _vector_blocks(blocks: dict[str, slice]) -> np.ndarray:
+    """Position in _FRAME_BLOCKS of each frame vector, for consecutive blocks
+    named in that order."""
+    return np.repeat(np.arange(len(blocks)), [s.stop - s.start for s in blocks.values()])
+
+
+# the blocks of [mbar | h], which coordinates each bracket law counts, and
+# where cbar may be nonzero
 _FRAME_BLOCKS = (*_block_slices(0, 0), "h")
-_COUNTED = _counted()
+_COUNTED, _ALLOWED = _block_tables()
 
 
 @dataclass
@@ -254,21 +266,11 @@ class RestrictedFrame:
 
 def _frame_brackets(alg: CompactLieAlgebra, ip: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """T[i, j, k] = <[r_i, c_j], comp_k> over the columns of rows, cols and comps.
-
-    The brackets with cols come from the bracket entries a chunk of columns at
-    a time, and rows and comps are contracted by BLAS, each by one matrix
-    product over the whole chunk; a stack of one-row products would take
-    numpy's matrix-vector kernel, whose sums differ in the last bit, so the
-    result does not depend on the chunks."""
-    out = np.empty((rows.shape[1], cols.shape[1], comps.shape[1]))
-    rt, pc, lo = np.ascontiguousarray(rows.T), ip @ comps, 0
-    for y in alg.brackets_with(cols):
-        n = y.shape[1]
-        t = np.dot(rt, y.reshape(alg.dim, -1)).reshape(-1, alg.dim) @ pc
-        del y  # the next chunk is made before the loop rebinds y
-        out[:, lo:lo + n] = t.reshape(len(out), n, -1)
-        lo += n
+    """T[i, j, k] = <[r_i, c_j], comp_k> over the columns of rows, cols and comps:
+    the term sums of alg.bracket_terms scattered into a table, 0 where no term is."""
+    out = np.zeros((rows.shape[1], cols.shape[1], comps.shape[1]))
+    for r, q, s, t in alg.bracket_terms(rows, cols, ip @ comps):
+        out[r, q, s] = t
     return out
 
 
@@ -324,15 +326,9 @@ def restricted_frame(pair: SymmetricPair) -> RestrictedFrame:
     me, mh = xi_eps.shape[1], xi_half.shape[1]
     # projected bracket tensor: cbar[i,j,k] = <[e_i, e_j], e_k>, set to 0 on the
     # block triples outside the inclusion table, where it holds only rounding
-    blocks = _block_slices(me, mh)
-    allowed = np.zeros((mbar.shape[1],) * 3, dtype=bool)
-    for s1, s2, tgt in INCLUSIONS:
-        for t in tgt:
-            if "h" not in (s1, t):  # the table's second block is never h
-                allowed[blocks[s1], blocks[s2], blocks[t]] = True
-                allowed[blocks[s2], blocks[s1], blocks[t]] = True
+    block = _vector_blocks(_block_slices(me, mh))
     cbar = _frame_brackets(pair.alg, ip, mbar, mbar, mbar)
-    cbar[~allowed] = 0.0
+    cbar[~_ALLOWED[np.ix_(block, block, block)]] = 0.0
     return RestrictedFrame(pair.space, pair.alg, ip, me, mh, h_basis, mbar, cbar)
 
 
@@ -363,9 +359,7 @@ def verify_bracket_laws(frame: RestrictedFrame,
     full = np.column_stack((frame.mbar, frame.h_basis))
     n, nq = full.shape[1], frame.dim_mbar
     blocks = {**frame.slices(), "h": slice(nq, n)}
-    # position in _FRAME_BLOCKS of each frame vector; the blocks are consecutive
-    block = np.repeat(np.arange(len(_FRAME_BLOCKS)),
-                      [blocks[name].stop - blocks[name].start for name in _FRAME_BLOCKS])
+    block = _vector_blocks(blocks)
     # the eps/half pairing: d[0] = T[m_eps, m_half] - T[k_eps, k_half] and
     # d[1] = T[k_eps, m_half] + T[m_eps, k_half], each entry a sum of two values
     me, mh, ke, kh = (np.arange(n)[blocks[x]] for x in ("m_eps", "m_half", "k_eps", "k_half"))

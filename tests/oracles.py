@@ -4,14 +4,16 @@ The package evaluates the almost contact metric axioms and the normality
 tensor on the xi/zeta pairing of the frame (contact._pairing_axioms and
 contact._nijenhuis_on_support). The forms below take the whole matrices and
 tensors, as the package once did, and the tests require the two to agree bit
-for bit. The package reads the bracket laws in frame coordinates
-(crossmodel.verify_bracket_laws) from the nonzero terms of the bracket
-tensor in that frame, summed a block of rows at a time, with no table and
-no contraction shared with the cbar kernel crossmodel._frame_brackets.
-loop_bracket_laws reads them one inclusion at a time from the whole table,
-the dense product bracket_table, and projection_bracket_laws projects
-algebra vectors onto spans instead; the tests require all three to agree,
-and the loop to be NaN in exactly the checks the laws are NaN in.
+for bit. The package reads cbar, the complex-projective scalars
+(crossmodel._frame_brackets) and the bracket laws in frame coordinates
+(crossmodel.verify_bracket_laws) from one kernel: the nonzero terms of the
+bracket tensor in a frame, joined and summed a block of rows at a time
+(CompactLieAlgebra.bracket_terms). loop_frame_brackets adds the same terms
+in a plain loop, and the tests require cbar to equal it byte for byte.
+loop_bracket_laws reads the laws one inclusion at a time from the whole
+table, the dense product bracket_table, and projection_bracket_laws
+projects algebra vectors onto spans instead; the tests require all three
+to agree, and the loop to be NaN in exactly the checks the laws are NaN in.
 compactform.verify_algebra joins the bracket entries with the invariant
 form for the ad-invariance residual; dense_ad_invariance takes the dense
 product c @ g. crossmodel.SymmetricPair rejects signs whose sigma fails
@@ -120,6 +122,25 @@ def dense_ad_invariance(c, g):
 def bracket_table(c, xs, ys):
     """T[i, j] = [x_i, y_j] over the columns x_i of xs and y_j of ys, c the dense tensor."""
     return np.tensordot(xs, ys.T @ c, axes=(0, 0))
+
+
+def loop_frame_brackets(alg, ip, rows, cols, comps):
+    """crossmodel._frame_brackets as a plain loop: for each bracket entry (i, j, k, c)
+    in stored order, and each nonzero rows[i, r], cols[j, q] and (ip @ comps)[k, s]
+    in column order, add ((c * rows[i, r]) * cols[j, q]) * (ip @ comps)[k, s] to
+    T[r, q, s]. So each T entry adds its terms in entry order, with no join or sort."""
+    def nonzeros(mat):
+        return [[(col, row[col]) for col in range(len(row)) if row[col] != 0]
+                for row in mat.tolist()]
+
+    xs, ys, zs = nonzeros(rows), nonzeros(cols), nonzeros(ip @ comps)
+    out = np.zeros((rows.shape[1], cols.shape[1], comps.shape[1]))
+    for (i, j, k), c in zip(alg.index.tolist(), alg.values.tolist()):
+        for r, x in xs[i]:
+            for q, y in ys[j]:
+                for s, z in zs[k]:
+                    out[r, q, s] += ((c * x) * y) * z
+    return out
 
 
 def sigma_automorphism_residual(alg, signs):

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (CAYLEY_PARAMS, INCLUSIONS, axiom_residuals, bracket_table,
-                     dense_ad_invariance, loop_bracket_laws, nijenhuis_tensor,
-                     projection_bracket_laws)
+                     dense_ad_invariance, loop_bracket_laws, loop_frame_brackets,
+                     nijenhuis_tensor, projection_bracket_laws)
 
 from crosscontact import compactform, contact, crossmodel, homgeo, suites
 from crosscontact.contact import ContactError
@@ -767,11 +767,15 @@ def allowed_triples(frame):
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
 def test_cbar_bytes_equal_dense_projection(space):
-    """On the block triples the inclusion table allows, cbar is the dense-tensor
-    projection byte for byte, as any sparse kernel must be."""
+    """On the block triples the inclusion table allows, cbar is the plain loop
+    over the bracket entries byte for byte, and within 2.3e-16 of the
+    dense-tensor projection, which sums in BLAS's order where the kernel sums
+    in entry order."""
     frame = crossmodel.build_frame(space)
     allowed = allowed_triples(frame)
-    assert frame.cbar[allowed].tobytes() == dense_cbar(frame)[allowed].tobytes()
+    loop = loop_frame_brackets(frame.alg, frame.ip, frame.mbar, frame.mbar, frame.mbar)
+    assert frame.cbar[allowed].tobytes() == loop[allowed].tobytes()
+    assert np.max(np.abs(frame.cbar - dense_cbar(frame))[allowed]) <= 2.3e-16
 
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
@@ -867,12 +871,10 @@ def test_bracket_laws_on_rotated_frames(space, monkeypatch):
 
 
 @pytest.mark.parametrize("space", LADDER, ids=SpaceId.label)
-def test_frame_brackets_do_not_depend_on_the_chunk_width(space, monkeypatch):
-    """Each Y entry sums its terms in j order whatever the chunks, and each
-    chunk takes one matrix product, so cbar and the complex-projective scalars
-    are the same bit for bit with one column per chunk, the default budget and
-    the whole table in one chunk. The default budget makes one chunk on every
-    rung up to dim g 30 and several on HP^4 and CaP2."""
+def test_frame_brackets_do_not_depend_on_the_term_block(space, monkeypatch):
+    """Each term sum adds its terms in entry order whatever the blocks, so cbar
+    and the complex-projective scalars are the same bit for bit with one row
+    per block, the default bound and the whole table in one block."""
     pair = crossmodel.build_pair(space)
 
     def outputs():
@@ -882,15 +884,9 @@ def test_frame_brackets_do_not_depend_on_the_chunk_width(space, monkeypatch):
         return frame.cbar.tobytes(), None
 
     want = outputs()
-    frame = crossmodel.build_frame(space)
-    chunks = sum(1 for _ in frame.alg.brackets_with(frame.mbar))
-    if frame.alg.dim <= 30:
-        assert chunks == 1
-    if space in (SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4), SpaceId(Family.CAYLEY_PLANE)):
-        assert chunks > 2
-    for budget in (1, 1 << 40):
-        monkeypatch.setattr(compactform, "_BRACKET_CHUNK_FLOATS", budget)
-        assert outputs() == want, budget
+    for bound in (1, 1 << 40):
+        monkeypatch.setattr(compactform, "_TERM_BLOCK", bound)
+        assert outputs() == want, bound
 
 
 @pytest.mark.parametrize("space", [SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4),

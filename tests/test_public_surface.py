@@ -14,8 +14,10 @@ A third walk pins the functions of ``src/`` that build the dense bracket
 tensor with ``.dense()``: the list may only shrink (ROADMAP item 8).
 
 A fourth walk pins the functions of ``src/`` that call
-``crossmodel._frame_brackets``, the BLAS kernel that builds ``cbar``, so the
-bracket laws that check ``cbar`` cannot go back to sharing it.
+``crossmodel._frame_brackets``, which builds ``cbar`` and the
+complex-projective scalars, and those that call
+``CompactLieAlgebra.bracket_terms``, the one kernel under it and under the
+bracket laws, so no second bracket kernel comes back.
 
 A fifth walk pins where ``src/`` names ``table1``, the classification
 table: only inside ``suites.suite_table1``, which checks frames against it,
@@ -119,23 +121,36 @@ def test_dense_callers_are_pinned():
     assert sorted(DENSE_CALLERS - callers) == []
 
 
+def callers_of(name: str) -> set[str]:
+    """The src/ functions that call name, as a bare name or an attribute."""
+    def calls(node):
+        return any(isinstance(n, ast.Call)
+                   and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                   for n in ast.walk(node))
+
+    return {qualified
+            for path in sorted(PACKAGE.glob("*.py"))
+            for qualified, node in all_defs(ast.parse(path.read_text()), path.stem)
+            if calls(node)}
+
+
 FRAME_BRACKET_CALLERS = {"crossmodel.restricted_frame", "crossmodel.fixture_check_cp2_brackets"}
 
 
 def test_frame_bracket_callers_are_pinned():
     """The src/ functions that call _frame_brackets, by name or attribute, are
     exactly FRAME_BRACKET_CALLERS."""
-    def calls_frame_brackets(node):
-        return any(isinstance(n, ast.Call)
-                   and "_frame_brackets" in (getattr(n.func, "id", None),
-                                             getattr(n.func, "attr", None))
-                   for n in ast.walk(node))
+    assert sorted(callers_of("_frame_brackets")) == sorted(FRAME_BRACKET_CALLERS)
 
-    callers = {qualified
-               for path in sorted(PACKAGE.glob("*.py"))
-               for qualified, node in all_defs(ast.parse(path.read_text()), path.stem)
-               if calls_frame_brackets(node)}
-    assert sorted(callers) == sorted(FRAME_BRACKET_CALLERS)
+
+BRACKET_TERM_CALLERS = {"crossmodel._frame_brackets", "crossmodel.verify_bracket_laws"}
+
+
+def test_bracket_term_callers_are_pinned():
+    """The src/ functions that call bracket_terms, by name or attribute, are
+    exactly BRACKET_TERM_CALLERS: cbar, the complex-projective scalars and the
+    bracket laws all come from its term sums."""
+    assert sorted(callers_of("bracket_terms")) == sorted(BRACKET_TERM_CALLERS)
 
 
 TABLE1_READERS = {"suites.suite_table1"}
