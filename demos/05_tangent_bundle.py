@@ -24,18 +24,17 @@ def main() -> None:
         print(f"  {name:>15}: {tanbundle.extension_admissible(q)}")
 
     # the Sasaki metric is Hermitian for q = id and induces the standard slices
-    fns = tanbundle.sasaki_fns()
     for r in (0.5, 1.0):
-        st = tanbundle.induce_slice_structure(frame, fns, lambda t: t, r)
+        st = tanbundle.induce_slice_structure(frame, tanbundle.sasaki_metric, lambda t: t, r)
         std = contact.standard_structure(frame, r)
         print(f"\nSasaki slice at r = {r}: matches standard structure to "
               f"{np.max(np.abs(st.phi - std.phi)):.1e}; "
               f"contact = {contact.classify(st).flags['contact_metric']}")
 
     # the J^1-compatible family induces the Sasakian structures on every slice
-    fns = tanbundle.gf_fns(lambda t: 2.0 / (1.0 + t * t))
+    metric = tanbundle.gf_metric(lambda t: 2.0 / (1.0 + t * t))
     for r in (0.5, 1.0, 2.0):
-        st = tanbundle.induce_slice_structure(frame, fns, lambda t: 1.0, r)
+        st = tanbundle.induce_slice_structure(frame, metric, lambda t: 1.0, r)
         cls = contact.classify(st)
         print(f"g^f slice at r = {r}: Sasakian = {cls.flags['sasakian']} "
               f"(normality residual {cls.residuals['nijenhuis']:.1e})")

@@ -214,7 +214,10 @@ def classify_all(structures: list[AlmostContactStructure],
     g = np.diagonal(gram, axis1=-2, axis2=-1)
     char = np.stack([s.char for s in structures])
     eta = np.stack([s.eta for s in structures])
-    f = _on_pairing(np.swapaxes(phi, -2, -1), frame.partner(), "phi")
+    p = frame.partner()
+    f = phi[..., p, np.arange(len(p))]  # f[..., j] = phi[p[j], j]
+    if np.count_nonzero(phi) != np.count_nonzero(f):
+        raise ContactError("phi has a nonzero entry off the xi/zeta pairing")
     if not np.all(np.isfinite(f)):
         raise ContactError("phi must be finite")
     if np.any(char[:, 1:]) or np.any(eta[:, 1:]):
@@ -251,14 +254,6 @@ def classify(structure: AlmostContactStructure,
     return classify_all([structure], tol)[0]
 
 
-def _on_pairing(m: np.ndarray, p: np.ndarray, name: str) -> np.ndarray:
-    """The entries m[..., i, p[i]]; ContactError if m has a nonzero anywhere else."""
-    paired = m[..., np.arange(len(p)), p]
-    if np.count_nonzero(m) != np.count_nonzero(paired):
-        raise ContactError(f"{name} has a nonzero entry off the xi/zeta pairing")
-    return paired
-
-
 def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
                                    diags: np.ndarray) -> np.ndarray:
     """Worst axiom/Killing residual of the unique contact candidate phi, per metric.
@@ -268,21 +263,29 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
     carries a K-contact structure with characteristic vector X/kappa iff the
     candidate satisfies the almost-contact axioms and X is Killing.
 
-    d eta and ad_X are nonzero only on the pairing i <-> p[i] (X with X, xi_k
-    with zeta_k; checked here), so the candidate lies on the pairing and its
-    axioms are those of _pairing_axioms; phi X = 0 and eta phi = 0 by its
-    form, so two of them decide. The Killing form has one nonzero per row too,
-    at (i, p[i]), and is evaluated the same way, so the residuals are those
-    of the dense products bit for bit, in O(P dim_mbar) time and memory.
+    On a restricted-root frame d eta and ad_X are nonzero only on the pairing
+    i <-> p[i] (X with X, xi_k with zeta_k), so the candidate lies on the
+    pairing and its axioms are those of _pairing_axioms; phi X = 0 and
+    eta phi = 0 by its form, so two of them decide. The Killing form has one
+    nonzero per row too, at (i, p[i]), and is evaluated the same way, so the
+    residuals are those of the dense products bit for bit, in O(P dim_mbar)
+    time and memory. On any other orthonormal frame the largest |entry| of
+    d eta and ad_X off the pairing is folded into every residual, so a frame
+    far off the pairing fails the scan.
     """
     p = frame.partner()
+    pairing = np.zeros((len(p), len(p)), dtype=bool)
+    pairing[np.arange(len(p)), p] = True  # one True per row, at (i, p[i])
+    d_eta, ad_x = d_eta_matrix(frame), frame.cbar[0]
+    off = max(np.max(np.abs(m[~pairing]), initial=0.0) for m in (d_eta, ad_x))
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
-    phi = -kappa * (_on_pairing(d_eta_matrix(frame), p, "d eta") / diags)  # phi[i, p[i]]
+    phi = -kappa * (d_eta[pairing] / diags)  # phi[i, p[i]]
     char, eta = _char_eta(frame.dim_mbar, kappa)
     axioms = _pairing_axioms(frame, phi[:, p], diags, char[:1], eta[:1])
-    ad = (kappa * char[0]) * _on_pairing(frame.cbar[0], p, "ad_X")  # ad_X[i, p[i]]
+    ad = (kappa * char[0]) * ad_x[pairing]  # ad_X[i, p[i]]
     killing = np.max(np.abs(0.5 * (ad * diags[:, p] + ad[p] * diags)), axis=-1)
-    return np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]), killing)
+    worst = np.maximum(np.maximum(axioms["phi_squared"], axioms["compatibility"]), killing)
+    return np.maximum(worst, off)
 
 
 # each scanned parameter runs over [target / SCAN_SPAN, target * SCAN_SPAN]

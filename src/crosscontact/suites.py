@@ -223,6 +223,7 @@ def _suite_checks(suite, tol: ToleranceConfig, spaces, grid: int = 5) -> list[Ch
 def samples() -> dict:
     """The sample rows of criteria 03, 04 and 10, read once from samples.json.
 
+    A criterion 10 row is (t, c, a, b, a_eps, a_half, b_eps, b_half, force).
     They are the draws of seeded generators, frozen so that the gate imports
     no random number generator; tests/oracles.py redraws them from the seeds
     and the tests require the file to equal them exactly.
@@ -404,20 +405,18 @@ def criterion_10_hermitian_and_extension(tol: ToleranceConfig,
     and the radial extension verdicts are (yes, no, no)."""
     frame = crossmodel.build_frame(SpaceId(Family.COMPLEX_PROJECTIVE, 2))
     ok = True
-    for t, c, *drawn, force in samples()["criterion_10"]:
+    for t, c, a, b, a_eps, a_half, b_eps, b_half, force in samples()["criterion_10"]:
         qfun = lambda s, c=c: c * s  # noqa: E731
-        vals = dict(zip(tanbundle.FNS_KEYS, drawn))
         if force:  # force the Hermitian conditions
             qe, qh = tanbundle.q_values(qfun, t)
-            vals["b"] = vals["a"]
-            vals["b_eps"] = qe * qe * vals["a_eps"]
-            vals["b_half"] = qh * qh * vals["a_half"]
-        fns = {k: (lambda s, v=v: v) for k, v in vals.items()}
+            b, b_eps, b_half = a, qe * qe * a_eps, qh * qh * a_half
+        pair = (MetricParams(a, a_eps, a_half, b_eps, b_half), b)
+        metric = lambda s, pair=pair: pair  # noqa: E731
         j = tanbundle.jq_matrix(frame, qfun, t)
-        g = tanbundle.ambient_metric(frame, fns, t)
+        g = tanbundle.ambient_metric(frame, metric, t)
         direct = float(np.max(np.abs(j.T @ g @ j - g))) < 1e-9 * max(
             1.0, float(np.max(np.abs(g))))
-        ok = ok and (tanbundle.is_hermitian(fns, qfun, t, tol) == direct)
+        ok = ok and (tanbundle.is_hermitian(metric, qfun, t, tol) == direct)
     verdicts = (tanbundle.extension_admissible(lambda t: t),
                 tanbundle.extension_admissible(lambda t: 1.0),
                 tanbundle.extension_admissible(math.sqrt))

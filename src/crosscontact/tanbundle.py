@@ -1,12 +1,12 @@
 """The punctured tangent bundle as G/H x R+: J^q structures and slice induction.
 
 Vectors carry one extra radial slot appended to the frame coordinates. Radial
-functions are plain positive evaluators; only pointwise values are used.
+functions are plain positive evaluators, and an ambient metric is one function
+of t; only pointwise values are used.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Callable
 
 import numpy as np
@@ -17,9 +17,8 @@ from .crossmodel import RestrictedFrame
 from .homgeo import MetricParams, gram_diagonal
 
 RadialFunction = Callable[[float], float]
-
-FNS_KEYS = ("a", "b", "a_eps", "a_half", "b_eps", "b_half")
-_PARAM_KEYS = tuple(f.name for f in fields(MetricParams))  # FNS_KEYS less the radial b
+# an ambient metric: t -> (its coefficients on G/H, its radial coefficient b)
+RadialMetric = Callable[[float], tuple[MetricParams, float]]
 
 
 class BundleError(ValueError):
@@ -48,14 +47,11 @@ def q_values(q: RadialFunction, t: float) -> tuple[float, float]:
     return qv
 
 
-def _metric_values(fns: dict[str, RadialFunction], t: float) -> dict[str, float]:
-    """The six metric functions at t, each a positive finite number."""
-    _positive("radial coordinate", t)
-    vals = {k: float(fns[k](t)) for k in FNS_KEYS}
-    if not positive_finite(*vals.values()):
-        raise BundleError(f"metric functions must be positive finite numbers at the "
-                          f"sample, got {vals!r}")
-    return vals
+def _metric_at(metric: RadialMetric, t: float) -> tuple[MetricParams, float]:
+    """(params, b) = metric(t), evaluated once: t and b must be positive finite
+    numbers, and MetricParams checks the five values on G/H."""
+    params, b = metric(_positive("radial coordinate", t))
+    return params, _positive("b", float(b))
 
 
 def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray:
@@ -69,44 +65,39 @@ def jq_matrix(frame: RestrictedFrame, q: RadialFunction, t: float) -> np.ndarray
     return j
 
 
-def ambient_metric(frame: RestrictedFrame, fns: dict[str, RadialFunction],
-                   t: float) -> np.ndarray:
+def ambient_metric(frame: RestrictedFrame, metric: RadialMetric, t: float) -> np.ndarray:
     """Gram of the invariant ambient metric at (o, t), radial slot last."""
-    vals = _metric_values(fns, t)
-    coeffs = [vals[k] for k in _PARAM_KEYS]
+    params, b = _metric_at(metric, t)
     # np.square is x * x, as in gram_diagonal: the a^2 and b^2 slots round alike
-    return np.diag(np.append(gram_diagonal(frame, coeffs), np.square(vals["b"])))
+    return np.diag(np.append(gram_diagonal(frame, params.as_tuple()), np.square(b)))
 
 
-def _params_fns(params: Callable[[float], MetricParams], b: RadialFunction) -> dict:
-    """The six metric functions: b on the radial slot, the others read off params(t)."""
-    return {k: b if k == "b" else (lambda t, k=k: getattr(params(t), k)) for k in FNS_KEYS}
+def sasaki_metric(t: float) -> tuple[MetricParams, float]:
+    """The Sasaki metric: contact.standard_params(t) on G/H and 1 on the radial slot."""
+    return contact.standard_params(t), 1.0
 
 
-def sasaki_fns() -> dict[str, RadialFunction]:
-    """The Sasaki metric: contact.standard_params(t) on G/H and unit on the radial slot."""
-    return _params_fns(contact.standard_params, lambda t: 1.0)
-
-
-def gf_fns(f: RadialFunction) -> dict[str, RadialFunction]:
-    """The J^1-compatible family: b = f and contact.theorem_params(f(t)) on G/H.
+def gf_metric(f: RadialFunction) -> RadialMetric:
+    """The J^1-compatible family: contact.theorem_params(f(t)) on G/H and b = f(t).
     f(t) must be a positive finite number, as every metric value here."""
-    return _params_fns(lambda t: contact.theorem_params(_positive("f", float(f(t)))), f)
+    def metric(t: float) -> tuple[MetricParams, float]:
+        ft = _positive("f", float(f(t)))
+        return contact.theorem_params(ft), ft
+    return metric
 
 
-def _sample(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
-            tol: ToleranceConfig) -> tuple[tuple[float, float], dict[str, float], bool]:
-    """(q_eps, q_half) and the six metric values at t, each evaluated once, and
-    whether they pair: a = b, and b_l = q_l^2 a_l by contact.hermitian_pairing."""
-    qv, v = q_values(q, t), _metric_values(fns, t)
-    return qv, v, tol.is_zero(v["a"] - v["b"], scale=v["a"]) and contact.hermitian_pairing(
-        qv, (v["a_eps"], v["a_half"]), (v["b_eps"], v["b_half"]), tol)
+def _a_is_b(params: MetricParams, b: float, tol: ToleranceConfig) -> bool:
+    """The radial half of the Hermitian pairing: a = b, at scale a."""
+    return tol.is_zero(params.a - b, scale=params.a)
 
 
-def is_hermitian(fns: dict[str, RadialFunction], q: RadialFunction, t: float,
+def is_hermitian(metric: RadialMetric, q: RadialFunction, t: float,
                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff a = b and b_l = q_l^2 a_l at the sample t."""
-    return _sample(fns, q, t, tol)[2]
+    qv = q_values(q, t)
+    params, b = _metric_at(metric, t)
+    return _a_is_b(params, b, tol) and contact.hermitian_pairing(
+        qv, (params.a_eps, params.a_half), (params.b_eps, params.b_half), tol)
 
 
 # radii at which extension_admissible samples q(t)/t, decreasing towards 0
@@ -131,12 +122,15 @@ def extension_admissible(q: RadialFunction) -> str:
     return "inconclusive"
 
 
-def induce_slice_structure(frame: RestrictedFrame, fns: dict[str, RadialFunction],
+def induce_slice_structure(frame: RestrictedFrame, metric: RadialMetric,
                            q: RadialFunction, r: float,
                            tol: ToleranceConfig = DEFAULT_TOL
                            ) -> contact.AlmostContactStructure:
-    """Almost contact metric structure induced on the radius-r slice."""
-    qv, v, hermitian = _sample(fns, q, r, tol)
-    if not hermitian:
-        raise BundleError("ambient pair is not Hermitian at the slice radius")
-    return contact.phi_q_structure(frame, *qv, MetricParams(*(v[k] for k in _PARAM_KEYS)), tol)
+    """Almost contact metric structure induced on the radius-r slice. The ambient
+    pair must be Hermitian at r: a = b here (BundleError), and b_l = q_l^2 a_l
+    in contact.phi_q_structure (ContactError)."""
+    qv = q_values(q, r)
+    params, b = _metric_at(metric, r)
+    if not _a_is_b(params, b, tol):
+        raise BundleError("ambient pair is not Hermitian at the slice radius: a != b")
+    return contact.phi_q_structure(frame, *qv, params, tol)

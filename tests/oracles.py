@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crosscontact import compactform, rootsys, tanbundle
+from crosscontact import compactform, rootsys
 from crosscontact.rootsys import RootSystemError
 
 
@@ -354,8 +354,9 @@ def draw_samples():
 
     criterion_03: 2 x 50 rows of metric coefficients (seed 7); criterion_04:
     60 rows (r, a, q_eps, q_half), the odd ones followed by a drawn
-    (a_eps, a_half) (seed 21); criterion_10: 30 rows (t, c, the FNS_KEYS
-    values, force flag) (seed 30).
+    (a_eps, a_half) (seed 21); criterion_10: 30 rows (t, c, a, b, a_eps,
+    a_half, b_eps, b_half, force), the six metric values drawn in that order
+    (seed 30).
     """
     rng = np.random.default_rng(7)
     c03 = []
@@ -378,7 +379,7 @@ def draw_samples():
     for _ in range(30):
         t = float(np.exp(rng.uniform(-1, 1)))
         c = float(np.exp(rng.uniform(-1, 1)))
-        vals = [float(np.exp(rng.uniform(-1, 1))) for _k in tanbundle.FNS_KEYS]
+        vals = [float(np.exp(rng.uniform(-1, 1))) for _k in range(6)]
         force = bool(rng.random() < 0.5)  # force the Hermitian conditions
         c10.append([t, c, *vals, force])
     return {"criterion_03": c03, "criterion_04": c04, "criterion_10": c10}

@@ -261,14 +261,17 @@ def test_reports_do_not_depend_on_radius(tmp_path, capsys, space):
 def test_traced_runs_report_as_untraced(tmp_path, monkeypatch):
     """The benchmark's tracer (perfbench/tracer.py) wraps every layer function and
     puts each back; a traced run reports what an untraced one does, apart from
-    wall_time, and its span self-times add up to its wall time within 1 %."""
+    wall_time, and its span self-times add up to its wall time within 1 %. The
+    traced CaP2 run gives the checks of perfbench/reference.json, the
+    uniqueness details string among them."""
     from crosscontact import crossmodel
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    cayley = ["run", "--space", "cayley", "--suite", "all", "--radius", "0.45", "--kappa", "1.2"]
     argvs = [["run", "--space", "hp", "--n", "2", "--suite", "brackets"],
-             ["run", "--space", "cp", "--n", "2", "--suite", "all"]]
+             ["run", "--space", "cp", "--n", "2", "--suite", "all"], cayley]
 
     def run_all():
         """Reports without wall_time and the seconds spent in cli.main."""
@@ -295,15 +298,19 @@ def test_traced_runs_report_as_untraced(tmp_path, monkeypatch):
         restored = tracer.uninstall()
     assert restored
     spans = tracer.summary()["spans"]
-    assert spans["crossmodel.restricted_frame"]["calls"] == 2  # hp2 and cp2
+    assert spans["crossmodel.restricted_frame"]["calls"] == 3  # hp2, cp2 and CaP2
     # perfbench's rootsys.build_ms sums these three spans: none may call another
     # traced function, or its time would count twice
     for stage in ("generate_positive_roots", "killing_gram", "assign_structure_constants"):
         span = spans[f"rootsys.{stage}"]
-        assert span["calls"] == 2 and span["incl_s"] == span["self_s"], stage
+        assert span["calls"] == 3 and span["incl_s"] == span["self_s"], stage
     self_s = sum(span["self_s"] for span in spans.values())
     assert abs(self_s - seconds) <= 0.01 * seconds
     assert traced == plain
+    reference = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                            / "reference.json").read_text())
+    assert sorted([c["name"], c["passed"], c["details"]] for c in traced[2]["checks"]) == \
+        reference[" ".join(cayley)]
 
 
 def test_benchmark_child_process_runs(tmp_path):

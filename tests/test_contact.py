@@ -369,14 +369,18 @@ def test_d_eta_and_ad_x_live_on_the_pairing(space):
         assert set(zip(*np.nonzero(m))) == pairs
 
 
-@pytest.mark.parametrize("entry", [(0, 1, 2), (1, 2, 0)], ids=["ad_x", "d_eta"])
-def test_off_pairing_entry_rejected(cp2, entry):
-    """One nonzero of ad_X or d eta off the pairing makes the scan refuse the frame."""
+# cbar[0] is ad_X, and d eta = -cbar[:, :, 0] / 2: each entry puts 1e-3 at (1, 2)
+@pytest.mark.parametrize("entry, value", [((0, 1, 2), 1e-3), ((1, 2, 0), -2e-3)],
+                         ids=["ad_x", "d_eta"])
+def test_off_pairing_entry_rejected(cp2, entry, value):
+    """One entry of 1e-3 in ad_X or d eta off the pairing fails the scan at every
+    point, the theorem point among them: every residual is at least 1e-3."""
     assert cp2.partner()[1] != 2
     cbar = cp2.cbar.copy()
-    cbar[entry] = 1e-3
-    with pytest.raises(ContactError, match="pairing"):
-        contact.uniqueness_scan(dataclasses.replace(cp2, cbar=cbar), 1.0)
+    cbar[entry] = value
+    scan = contact.uniqueness_scan(dataclasses.replace(cp2, cbar=cbar), 1.0)
+    assert not scan["theorem_point_passed"] and not scan["unique"]
+    assert scan["n_passed"] == 0 and scan["min_failing_residual"] >= 1e-3
 
 
 def test_uniqueness_scan_peak_memory(frames):

@@ -463,9 +463,9 @@ def test_classify_is_frame_independent(frames, label, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_scan_and_closed_forms_are_frame_independent(frames, label, seed):
     """A paired signed permutation leaves the uniqueness scan and the U-map
-    closed-form residual bit for bit. A paired rotation keeps the closed forms,
-    and the scan, which needs d eta and ad_X exactly on the pairing, refuses
-    the rotated frame: the rotation fills in entries of about 1e-17."""
+    closed-form residual bit for bit. A paired rotation keeps the closed forms
+    and the scan's verdicts: it fills in d eta and ad_X off the pairing with
+    entries of about 1e-17, which the scan folds into its residuals."""
     frame = frames[label]
     rng = np.random.default_rng(seed)
     kappa = float(np.exp(rng.uniform(-1, 1)))
@@ -477,8 +477,11 @@ def test_scan_and_closed_forms_are_frame_independent(frames, label, seed):
     assert np.array_equal(got, suites.lemma_u_closed_forms_residual(frame, params))
     rotated = paired_change_of_frame(frame, paired_blocks(frame, rotation(rng)))
     assert np.all(suites.lemma_u_closed_forms_residual(rotated, params) < 1e-9)
-    with pytest.raises(ContactError, match="pairing"):
-        contact.uniqueness_scan(rotated, kappa)
+    got, want = contact.uniqueness_scan(rotated, kappa), contact.uniqueness_scan(frame, kappa)
+    for key in ("axes", "n_points", "n_passed", "theorem_point_passed", "unique"):
+        assert got[key] == want[key], key
+    assert got["min_failing_residual"] == pytest.approx(want["min_failing_residual"], rel=1e-12)
+    assert got["max_passing_residual"] <= 1e-14
 
 
 @pytest.mark.parametrize("label", LABELS)

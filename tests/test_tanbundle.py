@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from crosscontact import contact, tanbundle
+from crosscontact.contact import ContactError
+from crosscontact.homgeo import GeometryError, MetricParams
 from crosscontact.tanbundle import BundleError
 
 identity = lambda t: t  # noqa: E731
+
+
+def constant_metric(a, b, a_eps, a_half, b_eps, b_half):
+    """The radial metric with these values at every t; MetricParams checks the
+    five values on G/H when it is called."""
+    return lambda t: (MetricParams(a, a_eps, a_half, b_eps, b_half), b)
 
 
 def test_jq_squares_to_minus_identity(frames):
@@ -40,40 +48,41 @@ def test_jq_block_action(cp2):
 
 
 def test_sasaki_metric_with_identity_q_is_hermitian(frames):
-    fns = tanbundle.sasaki_fns()
+    metric = tanbundle.sasaki_metric
     for frame in frames.values():
         for t in (0.25, 1.0, 3.0):
-            assert tanbundle.is_hermitian(fns, identity, t)
-            g = tanbundle.ambient_metric(frame, fns, t)
+            assert tanbundle.is_hermitian(metric, identity, t)
+            g = tanbundle.ambient_metric(frame, metric, t)
             j = tanbundle.jq_matrix(frame, identity, t)
             assert np.max(np.abs(j.T @ g @ j - g)) < 1e-12
 
 
 def test_gf_family_with_constant_q_is_hermitian(cp2):
     for f in (lambda t: 1.0, lambda t: t, lambda t: 2.0 / (1.0 + t * t)):
-        fns = tanbundle.gf_fns(f)
+        metric = tanbundle.gf_metric(f)
         for t in (0.5, 1.0, 2.0):
-            assert tanbundle.is_hermitian(fns, lambda t: 1.0, t)
-            g = tanbundle.ambient_metric(cp2, fns, t)
+            assert tanbundle.is_hermitian(metric, lambda t: 1.0, t)
+            g = tanbundle.ambient_metric(cp2, metric, t)
             j = tanbundle.jq_matrix(cp2, lambda t: 1.0, t)
             assert np.max(np.abs(j.T @ g @ j - g)) < 1e-12
 
 
 def test_hermitian_biconditional_randomized(cp2):
-    """is_hermitian agrees with J^T G J = G on random metric functions."""
+    """is_hermitian agrees with J^T G J = G on random constant metrics."""
     rng = np.random.default_rng(12)
     for _ in range(40):
-        vals = dict(zip(tanbundle.FNS_KEYS, np.exp(rng.uniform(-1.5, 1.5, 6))))
+        vals = dict(zip(("a", "b", "a_eps", "a_half", "b_eps", "b_half"),
+                        np.exp(rng.uniform(-1.5, 1.5, 6))))
         if rng.random() < 0.5:  # force the Hermitian relations half the time
             vals["b"] = vals["a"]
             vals["b_eps"] = vals["a_eps"]
             vals["b_half"] = vals["a_half"] / 4.0
-        fns = {k: (lambda t, v=v: v) for k, v in vals.items()}
+        metric = constant_metric(**vals)
         q = lambda t: t  # q_eps = 1, q_half = 1/2 at t = 1  # noqa: E731
-        g = tanbundle.ambient_metric(cp2, fns, 1.0)
+        g = tanbundle.ambient_metric(cp2, metric, 1.0)
         j = tanbundle.jq_matrix(cp2, q, 1.0)
         isometry = np.max(np.abs(j.T @ g @ j - g)) < 1e-9
-        assert tanbundle.is_hermitian(fns, q, 1.0) == isometry
+        assert tanbundle.is_hermitian(metric, q, 1.0) == isometry
 
 
 @pytest.mark.parametrize("q,verdict", [
@@ -97,34 +106,37 @@ def test_extension_admissible_needs_positive_finite_q(q):
 
 
 def test_radial_families_keep_their_closed_forms():
-    """sasaki_fns and gf_fns read contact.standard_params and contact.theorem_params,
-    bit for bit the closed forms (1, 1, 1, 1, t^2, t^2/4) and f (1, 1, 1/2, 1/4,
-    1/2, 1/4) in the order a, b, a_eps, a_half, b_eps, b_half."""
+    """sasaki_metric and gf_metric read contact.standard_params and
+    contact.theorem_params, bit for bit the closed forms (1, 1, 1, t^2, t^2/4)
+    with b = 1, and f (1, 1/2, 1/4, 1/2, 1/4) with b = f, in the order a, a_eps,
+    a_half, b_eps, b_half of MetricParams."""
     f = lambda t: 2.0 / (1.0 + t * t)  # noqa: E731
+    gf = tanbundle.gf_metric(f)
     for t in np.geomspace(1e-6, 1e6, 301):
         t = float(t)
-        sasaki, gf = tanbundle.sasaki_fns(), tanbundle.gf_fns(f)
-        assert [sasaki[k](t) for k in tanbundle.FNS_KEYS] == [1.0, 1.0, 1.0, 1.0, t * t,
-                                                             t * t / 4.0]
-        assert [gf[k](t) for k in tanbundle.FNS_KEYS] == [f(t), f(t), f(t) / 2.0, f(t) / 4.0,
-                                                         f(t) / 2.0, f(t) / 4.0]
+        params, b = tanbundle.sasaki_metric(t)
+        assert (params.as_tuple(), b) == ((1.0, 1.0, 1.0, t * t, t * t / 4.0), 1.0)
+        params, b = gf(t)
+        assert (params.as_tuple(), b) == ((f(t), f(t) / 2.0, f(t) / 4.0, f(t) / 2.0,
+                                           f(t) / 4.0), f(t))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_gf_family_needs_positive_finite_f(cp2, bad):
     """A bad f(t) raises BundleError, as every other bad value of the slice layer."""
-    fns = tanbundle.gf_fns(lambda t: bad)
+    metric = tanbundle.gf_metric(lambda t: bad)
     with pytest.raises(BundleError, match="f must be a positive finite number"):
-        tanbundle.ambient_metric(cp2, fns, 1.0)
+        tanbundle.ambient_metric(cp2, metric, 1.0)
     with pytest.raises(BundleError, match="f must be a positive finite number"):
-        tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+        tanbundle.is_hermitian(metric, lambda t: 1.0, 1.0)
+    with pytest.raises(BundleError, match="f must be a positive finite number"):
+        tanbundle.induce_slice_structure(cp2, metric, lambda t: 1.0, 1.0)
 
 
 def test_induced_slice_matches_standard_structure(cp2):
     """The Sasaki pair induces the standard structure on every slice."""
-    fns = tanbundle.sasaki_fns()
     for r in (0.25, 0.5, 1.0, 2.0):
-        got = tanbundle.induce_slice_structure(cp2, fns, identity, r)
+        got = tanbundle.induce_slice_structure(cp2, tanbundle.sasaki_metric, identity, r)
         std = contact.standard_structure(cp2, r)
         assert np.array_equal(got.phi, std.phi)
         assert np.array_equal(got.metric.gram, std.metric.gram)
@@ -137,10 +149,10 @@ def test_induced_slice_matches_theorem_structure(frames):
     for _ in range(10):
         r = float(np.exp(rng.uniform(-1.0, 1.0)))
         kappa = float(np.exp(rng.uniform(-1.0, 1.0)))
-        fns = tanbundle.gf_fns(lambda t, k=kappa: k)
+        metric = tanbundle.gf_metric(lambda t, k=kappa: k)
         for label in ("cp2", "hp1"):
             frame = frames[label]
-            got = tanbundle.induce_slice_structure(frame, fns, lambda t: 1.0, r)
+            got = tanbundle.induce_slice_structure(frame, metric, lambda t: 1.0, r)
             want = contact.theorem_main_structure(frame, kappa)
             for name in ("phi", "char", "eta"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -149,8 +161,8 @@ def test_induced_slice_matches_theorem_structure(frames):
 
 def test_induced_slices_are_sasakian(frames):
     for frame in frames.values():
-        fns = tanbundle.gf_fns(lambda t: 2.0 / (1.0 + t * t))
-        st = tanbundle.induce_slice_structure(frame, fns, lambda t: 1.0, 1.5)
+        metric = tanbundle.gf_metric(lambda t: 2.0 / (1.0 + t * t))
+        st = tanbundle.induce_slice_structure(frame, metric, lambda t: 1.0, 1.5)
         assert contact.classify(st).flags["sasakian"]
 
 
@@ -164,33 +176,42 @@ def test_induced_slices_are_sasakian(frames):
 ], ids=["large_a", "large_b_eps"])
 def test_one_hermitian_pairing_rule(cp2, vals, hermitian):
     """is_hermitian and the slice induction state b_l = q_l^2 a_l at one scale,
-    b_l: with q = 1 at t = 1 they agree on both sides of the rule."""
-    fns = {k: (lambda t, v=v: v) for k, v in vals.items()}
-    assert tanbundle.is_hermitian(fns, lambda t: 1.0, 1.0) == hermitian
+    b_l: with q = 1 at t = 1 they agree on both sides of the rule. The induction
+    leaves the block pairing to contact.phi_q_structure (ContactError) and
+    checks a = b itself (BundleError)."""
+    metric = constant_metric(**vals)
+    assert tanbundle.is_hermitian(metric, lambda t: 1.0, 1.0) == hermitian
     if hermitian:
-        st = tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+        st = tanbundle.induce_slice_structure(cp2, metric, lambda t: 1.0, 1.0)
         assert st.eta[0] == vals["a"]
     else:
-        with pytest.raises(BundleError, match="not Hermitian"):
-            tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+        with pytest.raises(ContactError, match="Hermitian pairing"):
+            tanbundle.induce_slice_structure(cp2, metric, lambda t: 1.0, 1.0)
+    off_b = constant_metric(**dict(vals, b=vals["a"] * (1 + 1e-6)))
+    assert not tanbundle.is_hermitian(off_b, lambda t: 1.0, 1.0)
+    with pytest.raises(BundleError, match="not Hermitian"):
+        tanbundle.induce_slice_structure(cp2, off_b, lambda t: 1.0, 1.0)
 
 
-def test_slice_induction_evaluates_the_pair_once(cp2):
-    """q and each of the six metric functions are called once per slice."""
+def test_slice_induction_evaluates_the_pair_once(cp2, monkeypatch):
+    """One induction calls the metric once, f once and q twice (at r and r/2),
+    and checks the block pairing once, in contact.phi_q_structure."""
     calls = []
 
     def counted(name, fn):
-        return lambda t: calls.append(name) or fn(t)
+        return lambda *args: calls.append(name) or fn(*args)
 
-    fns = {k: counted(k, f) for k, f in tanbundle.gf_fns(lambda t: 1.5).items()}
-    tanbundle.induce_slice_structure(cp2, fns, counted("q", lambda t: 1.0), 0.8)
-    assert sorted(calls) == sorted(["q", "q", *tanbundle.FNS_KEYS])
+    monkeypatch.setattr(contact, "hermitian_pairing",
+                        counted("pairing", contact.hermitian_pairing))
+    metric = counted("metric", tanbundle.gf_metric(counted("f", lambda t: 1.5)))
+    tanbundle.induce_slice_structure(cp2, metric, counted("q", lambda t: 1.0), 0.8)
+    assert sorted(calls) == ["f", "metric", "pairing", "q", "q"]
 
 
 def test_non_hermitian_pair_rejected(cp2):
-    fns = tanbundle.sasaki_fns()
-    with pytest.raises(BundleError):
-        tanbundle.induce_slice_structure(cp2, fns, lambda t: 1.0, 1.0)
+    """The Sasaki metric with q = 1 has b_half = 1/4 against q_half^2 a_half = 1."""
+    with pytest.raises(ContactError, match="Hermitian pairing"):
+        tanbundle.induce_slice_structure(cp2, tanbundle.sasaki_metric, lambda t: 1.0, 1.0)
 
 
 def test_invalid_inputs(cp2):
@@ -199,7 +220,7 @@ def test_invalid_inputs(cp2):
     with pytest.raises(BundleError):
         tanbundle.jq_matrix(cp2, lambda t: -1.0, 1.0)
     with pytest.raises(BundleError):
-        tanbundle.ambient_metric(cp2, tanbundle.sasaki_fns(), -2.0)
+        tanbundle.ambient_metric(cp2, tanbundle.sasaki_metric, -2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
@@ -211,13 +232,13 @@ def test_jq_q_must_be_positive_finite(cp2, slot, bad):
     t = 1.0
     at = {"eps": (t,), "half": (t / 2.0,), "both": (t, t / 2.0)}[slot]
     q = lambda s: bad if s in at else 1.0  # noqa: E731
-    fns = tanbundle.gf_fns(lambda s: 1.5)
+    metric = tanbundle.gf_metric(lambda s: 1.5)
     with pytest.raises(BundleError, match="positive and finite"):
         tanbundle.jq_matrix(cp2, q, t)
     with pytest.raises(BundleError, match="positive and finite"):
-        tanbundle.is_hermitian(fns, q, t)
+        tanbundle.is_hermitian(metric, q, t)
     with pytest.raises(BundleError, match="positive and finite"):
-        tanbundle.induce_slice_structure(cp2, fns, q, t)
+        tanbundle.induce_slice_structure(cp2, metric, q, t)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -1.0])
@@ -226,23 +247,29 @@ def test_radial_coordinate_must_be_positive_finite(cp2, t):
     with pytest.raises(BundleError, match="positive finite"):
         tanbundle.q_values(identity, t)
     with pytest.raises(BundleError, match="positive finite"):
-        tanbundle.ambient_metric(cp2, tanbundle.sasaki_fns(), t)
+        tanbundle.ambient_metric(cp2, tanbundle.sasaki_metric, t)
 
 
 @pytest.mark.parametrize("key, bad", [("a_eps", np.nan), ("b", np.inf),
                                       ("b_half", np.nan), ("a", -np.inf),
-                                      ("b_eps", -1.0), ("all", -1.0)])
+                                      ("b_eps", -1.0), ("a_half", np.inf),
+                                      ("all", -1.0)])
 def test_metric_functions_must_be_positive_finite(cp2, key, bad):
-    """min(values) <= 0 let a NaN into the Gram matrix and an inf into its radial
-    slot, and is_hermitian took six metric functions of -1 for a Hermitian pair."""
-    keys = tanbundle.FNS_KEYS if key == "all" else (key,)
-    fns = dict(tanbundle.sasaki_fns(), **{k: (lambda t: bad) for k in keys})
-    with pytest.raises(BundleError, match="positive finite"):
-        tanbundle.ambient_metric(cp2, fns, 1.0)
-    with pytest.raises(BundleError, match="positive finite"):
-        tanbundle.is_hermitian(fns, identity, 1.0)
-    with pytest.raises(BundleError, match="positive finite"):
-        tanbundle.induce_slice_structure(cp2, fns, identity, 1.0)
+    """Every value of the metric must be a positive finite number: MetricParams
+    raises GeometryError on the five on G/H, and the slice layer BundleError on
+    b. min(values) <= 0 let a NaN into the Gram matrix and an inf into its
+    radial slot, and is_hermitian took a metric of -1 everywhere for a
+    Hermitian pair. The other values are the Sasaki metric's at t = 1."""
+    vals = {"a": 1.0, "b": 1.0, "a_eps": 1.0, "a_half": 1.0, "b_eps": 1.0, "b_half": 0.25}
+    vals.update(dict.fromkeys(vals if key == "all" else (key,), bad))
+    metric = constant_metric(**vals)
+    error = BundleError if key == "b" else GeometryError
+    with pytest.raises(error, match="positive finite"):
+        tanbundle.ambient_metric(cp2, metric, 1.0)
+    with pytest.raises(error, match="positive finite"):
+        tanbundle.is_hermitian(metric, identity, 1.0)
+    with pytest.raises(error, match="positive finite"):
+        tanbundle.induce_slice_structure(cp2, metric, identity, 1.0)
 
 
 def test_base_point_pair_consistency(cp2):
