@@ -396,7 +396,7 @@ def verify_algebra(alg: CompactLieAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -
         "antisymmetry": antisym,
         "jacobi": jacobi,
         "ad_invariance": adinv,
-        "form_positive": -min(eigmin, 0.0),
+        "form_positive": 0.0 - min(eigmin, 0.0),  # +0.0, not -0.0, and NaN kept
     }
     passed = all(tol.is_zero(v, scale * scale if k == "jacobi" else scale)
                  for k, v in checks.items())

@@ -175,19 +175,17 @@ def _nabla_phi_on_support(frame: RestrictedFrame, f: np.ndarray, gram: np.ndarra
                           char: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Deviation of alpha(u, phi v) - phi alpha(u, v) from g(u,v) char - eta(v) u.
 
-    alpha = cbar/2 + U is the Levi-Civita bilinear, with U formed as
-    homgeo.u_block forms it. The deviation is evaluated per structure at the
+    alpha = cbar/2 + U is the Levi-Civita bilinear, with U from
+    homgeo.u_entries. The deviation is evaluated per structure at the
     entries frame.paired_support["nabla_phi"], with f as in _pairing_axioms,
     and is zero everywhere else.
     """
     c, p = frame.cbar, frame.partner()
     i, j, k = frame.paired_support["nabla_phi"]
     g = np.diagonal(gram, axis1=-2, axis2=-1)
-    inv_g = 1.0 / g
 
     def alpha(i, j, k):
-        u = 0.5 * ((c[k, i, j] * g[:, j] + c[k, j, i] * g[:, i]) * inv_g[:, k])
-        return 0.5 * c[i, j, k] + u
+        return 0.5 * c[i, j, k] + homgeo.u_entries(frame, g, i, j, k)
 
     lhs = f[:, j] * alpha(i, p[j], k) - alpha(i, j, p[k]) * f[:, p[k]]
     rhs = gram[:, i, j] * char[:, k] - eta[:, j] * (i == k)
@@ -277,7 +275,7 @@ def _k_contact_candidate_residuals(frame: RestrictedFrame, kappa: float,
     pairing = np.zeros((len(p), len(p)), dtype=bool)
     pairing[np.arange(len(p)), p] = True  # one True per row, at (i, p[i])
     d_eta, ad_x = d_eta_matrix(frame), frame.cbar[0]
-    off = max(np.max(np.abs(m[~pairing]), initial=0.0) for m in (d_eta, ad_x))
+    off = np.maximum(*(np.max(np.abs(m[~pairing]), initial=0.0) for m in (d_eta, ad_x)))
     # g(phi u, v) = kappa d_eta(u, v)  =>  phi^T G = kappa D  =>  phi = -kappa G^-1 D
     phi = -kappa * (d_eta[pairing] / diags)  # phi[i, p[i]]
     char, eta = _char_eta(frame.dim_mbar, kappa)

@@ -232,15 +232,18 @@ class RestrictedFrame:
 
     @functools.cached_property
     def paired_support(self) -> dict[str, np.ndarray]:
-        """Entries (i, j, k) where the normality and nabla phi residuals can be nonzero.
+        """Entries (i, j, k) where the U-map and the normality and nabla phi
+        residuals can be nonzero.
 
-        For a phi on the pairing p = partner() (column j nonzero only at row
-        p[j]), each product of phi with cbar reads cbar at one position, which
-        is (i, j, k) with p applied to some of the indices. An entry is kept
-        when one of the positions it reads holds a nonzero of cbar; nabla phi
-        also keeps the (i, i, 0) and (i, 0, i) of its right-hand side. Each
-        value is a (3, size) index array in row-major order. Derived once per
-        frame, on first use: a frame made by dataclasses.replace derives its own.
+        U(e_i, e_j)_k reads cbar at (k, i, j) and (k, j, i). For a phi on the
+        pairing p = partner() (column j nonzero only at row p[j]), each
+        product of phi with cbar reads cbar at one position, which is
+        (i, j, k) with p applied to some of the indices. An entry is kept
+        when one of the positions it reads holds a nonzero of cbar (a NaN
+        among them); nabla phi also keeps the (i, i, 0) and (i, 0, i) of its
+        right-hand side. Each value is a (3, size) index array in row-major
+        order. Derived once per frame, on first use: a frame made by
+        dataclasses.replace derives its own.
         """
         n, p = self.dim_mbar, self.partner()
         i, j, k = np.nonzero(self.cbar)
@@ -249,6 +252,7 @@ class RestrictedFrame:
         diag = np.arange(n)
         zero = np.zeros(n, dtype=int)
         reads = {
+            "u": alpha[1:],  # U = alpha - cbar/2
             # N = -c + phi c(phi, phi) - phi c(phi, .) phi - c(., phi) phi
             "nijenhuis": [(i, j, k), (p[i], p[j], k), (p[i], j, p[k]), (i, p[j], p[k])],
             # alpha(e_i, phi e_j) - alpha(e_i, e_j) phi, minus g(e_i, e_j) char - eta(e_j) e_i

@@ -78,7 +78,8 @@ def u_block(frame: RestrictedFrame, gram_diag: np.ndarray, rows: slice,
     U solves 2<U(e_i,e_j), w> = <[w,e_i],e_j> + <[w,e_j],e_i> for all w; the
     Gram system is diagonal (see InvariantMetric), so it is solved by division.
     Leading axes of gram_diag stack several metrics. The slices read cbar
-    through views.
+    through views. Criterion 03 reads U a block pair at a time for its closed
+    forms; everywhere else U is read on its support (u_entries).
     """
     c = frame.cbar
     cg = c[:, rows, cols] * gram_diag[..., None, None, cols]  # cg[w,i,j] = g([e_w,e_i], e_j)
@@ -88,9 +89,18 @@ def u_block(frame: RestrictedFrame, gram_diag: np.ndarray, rows: slice,
     return u.transpose(*range(u.ndim - 3), -2, -1, -3)
 
 
-def u_tensor(frame: RestrictedFrame, metric: InvariantMetric) -> np.ndarray:
-    """U[i,j,:] = U(e_i, e_j) over the whole frame."""
-    return u_block(frame, np.diagonal(metric.gram), slice(None), slice(None))
+def u_entries(frame: RestrictedFrame, gram_diag: np.ndarray, i: np.ndarray,
+              j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U(e_i, e_j)_w at the index arrays (i, j, w), in the association of u_block.
+
+    Leading axes of gram_diag stack several metrics; the last axis of the
+    result runs over the entries. U(e_i, e_j)_w is zero unless cbar[w, i, j]
+    or cbar[w, j, i] is nonzero, which are the entries of
+    frame.paired_support["u"].
+    """
+    c = frame.cbar
+    return 0.5 * ((c[w, i, j] * gram_diag[..., j] + c[w, j, i] * gram_diag[..., i])
+                  * (1.0 / gram_diag)[..., w])
 
 
 def killing_residual(frame: RestrictedFrame, gram_diag: np.ndarray,
@@ -104,9 +114,10 @@ def killing_residual(frame: RestrictedFrame, gram_diag: np.ndarray,
     broadcast of those axes.
     """
     ad = np.tensordot(xi, frame.cbar, axes=1)
-    vals = 0.5 * (ad * gram_diag[..., None, :]
-                  + np.swapaxes(ad, -2, -1) * gram_diag[..., :, None])
-    return np.max(np.abs(vals), axis=(-2, -1))
+    half = ad * gram_diag[..., None, :]  # half[..., i, j] = ad[i, j] g_j
+    vals = half + np.swapaxes(half, -2, -1)
+    vals *= 0.5
+    return np.max(np.abs(vals, out=vals), axis=(-2, -1))
 
 
 def is_killing(frame: RestrictedFrame, metric: InvariantMetric, xi: np.ndarray,
@@ -117,5 +128,6 @@ def is_killing(frame: RestrictedFrame, metric: InvariantMetric, xi: np.ndarray,
 
 def is_naturally_reductive(frame: RestrictedFrame, metric: InvariantMetric,
                            tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the U-map vanishes identically."""
-    return tol.is_zero(float(np.max(np.abs(u_tensor(frame, metric)))))
+    """True iff the U-map vanishes identically, read on its support."""
+    u = u_entries(frame, np.diagonal(metric.gram), *frame.paired_support["u"])
+    return tol.is_zero(float(np.max(np.abs(u), initial=0.0)))

@@ -2,9 +2,10 @@
 
 The package evaluates the almost contact metric axioms and the normality
 tensor on the xi/zeta pairing of the frame (contact._pairing_axioms and
-contact._nijenhuis_on_support). The forms below take the whole matrices and
-tensors, as the package once did, and the tests require the two to agree bit
-for bit. The package reads cbar, the complex-projective scalars
+contact._nijenhuis_on_support), and the U-map on the support of cbar
+(homgeo.u_entries). The forms below take the whole matrices and tensors, as
+the package once did, and the tests require the two to agree bit for bit.
+The package reads cbar, the complex-projective scalars
 (crossmodel._frame_brackets) and the bracket laws in frame coordinates
 (crossmodel.verify_bracket_laws) from one kernel: the nonzero terms of the
 bracket tensor in a frame, joined and summed a block of rows at a time
@@ -111,6 +112,13 @@ def nijenhuis_tensor(structure):
     t3 = np.tensordot(phi, c @ phi.T, axes=(0, 0))  # phi [phi e_i, e_j]
     t4 = phi_c @ phi.T  # phi [e_i, phi e_j]
     return -c + t2 - t3 - t4
+
+
+def einsum_u_tensor(frame, metric):
+    """The U tensor as two einsums against the full Gram matrix."""
+    cg = np.einsum("wil,lj->wij", frame.cbar, metric.gram)
+    rhs = cg + cg.transpose(0, 2, 1)
+    return 0.5 * np.einsum("wij,w->ijw", rhs, 1.0 / np.diag(metric.gram))
 
 
 def dense_ad_invariance(c, g):

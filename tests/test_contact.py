@@ -383,6 +383,23 @@ def test_off_pairing_entry_rejected(cp2, entry, value):
     assert scan["n_passed"] == 0 and scan["min_failing_residual"] >= 1e-3
 
 
+def test_off_pairing_nan_rejected(cp2, monkeypatch):
+    """A NaN in ad_X off the pairing, with d eta finite, fails the scan at every
+    point with a NaN residual: folding d eta and ad_X keeps the NaN."""
+    cbar = cp2.cbar.copy()
+    cbar[0, 1, 2] = np.nan
+    frame = dataclasses.replace(cp2, cbar=cbar)
+    assert np.all(np.isfinite(contact.d_eta_matrix(frame)))
+    scan = contact.uniqueness_scan(frame, 1.0)
+    assert not scan["theorem_point_passed"] and not scan["unique"]
+    assert scan["n_passed"] == 0 and np.isnan(scan["min_failing_residual"])
+    monkeypatch.setattr(crossmodel, "build_frame", lambda space: frame)
+    rep = VerificationReport(config={})
+    suites.suite_uniqueness(cp2.space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
+    (check,) = rep.checks
+    assert not check.passed and "min failing residual nan" in check.details
+
+
 def test_uniqueness_scan_peak_memory(frames):
     """The CaP2 scan holds per-metric vectors, not 625 dim_mbar^2 matrices (19.5 MB)."""
     frame = frames["CaP2"]

@@ -1,13 +1,15 @@
 """Invariant metrics, the U-map and its closed forms, geometric predicates."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import einsum_u_tensor
 
-from crosscontact import homgeo, suites
+from crosscontact import crossmodel, homgeo, suites
 from crosscontact.compactform import DEFAULT_TOL
 from crosscontact.crossmodel import Family, SpaceId
 from crosscontact.homgeo import GeometryError, MetricParams
@@ -32,12 +34,12 @@ def bracket_mbar(frame, u, v):
 
 def alpha_tensor(frame, metric):
     """alpha(e_i, e_j) = [e_i, e_j]_mbar / 2 + U(e_i, e_j), the Levi-Civita bilinear."""
-    return 0.5 * frame.cbar + homgeo.u_tensor(frame, metric)
+    return 0.5 * frame.cbar + einsum_u_tensor(frame, metric)
 
 
 def u_map(frame, metric, u, v):
     """U(u, v) for two frame-coordinate vectors."""
-    return np.einsum("i,j,ijk->k", u, v, homgeo.u_tensor(frame, metric))
+    return np.einsum("i,j,ijk->k", u, v, einsum_u_tensor(frame, metric))
 
 
 def closed_form_u(frame, params, i, j):
@@ -154,8 +156,8 @@ def test_killing_with_equal_block_params(cp2):
 @pytest.mark.parametrize("space", [SpaceId(Family.SPHERE, 3), SpaceId(Family.COMPLEX_PROJECTIVE, 2)],
                          ids=SpaceId.label)
 def test_metrics_suite_killing_check_sees_both_answers(space, monkeypatch):
-    """The metrics suite samples Killing and non-Killing metrics, so an is_killing
-    that always answers False, or always True, fails its check."""
+    """The metrics suite samples Killing and non-Killing metrics, so a Killing
+    residual that always answers 1 (not Killing), or always 0, fails its check."""
     def metrics_checks():
         rep = VerificationReport(config={})
         suites.suite_metrics(space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
@@ -164,9 +166,69 @@ def test_metrics_suite_killing_check_sees_both_answers(space, monkeypatch):
     checks = metrics_checks()
     assert all(c.passed for c in checks.values())
     assert checks["u_symmetry"].residual == 0.0
-    for answer in (False, True):
-        monkeypatch.setattr(homgeo, "is_killing", lambda *args, answer=answer: (answer, 0.0))
+    for answer in (1.0, 0.0):
+        monkeypatch.setattr(homgeo, "killing_residual",
+                            lambda frame, diags, xi, answer=answer: np.full(len(diags), answer))
         assert not metrics_checks()["killing_criterion"].passed
+
+
+def with_nan_cbar(monkeypatch, space, entry=None):
+    """Make crossmodel.build_frame give the frame of space with a NaN in cbar at
+    entry, by default its first nonzero; returns that frame."""
+    frame = crossmodel.build_frame(space)
+    cbar = frame.cbar.copy()
+    cbar[tuple(np.argwhere(cbar)[0]) if entry is None else entry] = np.nan
+    broken = dataclasses.replace(frame, cbar=cbar)
+    build = crossmodel.build_frame
+    monkeypatch.setattr(crossmodel, "build_frame",
+                        lambda s: broken if s == space else build(s))
+    return broken
+
+
+def test_metrics_suite_u_symmetry_keeps_a_nan(monkeypatch):
+    """A NaN in cbar makes U NaN on its support, and the u_symmetry check fails
+    with a NaN residual: the fold over the sample metrics does not drop it."""
+    space = SpaceId(Family.COMPLEX_PROJECTIVE, 2)
+    with_nan_cbar(monkeypatch, space)
+    rep = VerificationReport(config={})
+    suites.suite_metrics(space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
+    check = {c.name.rsplit("/", 1)[1]: c for c in rep.checks}["u_symmetry"]
+    assert not check.passed and np.isnan(check.residual)
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.COMPLEX_PROJECTIVE, 3),
+                                   SpaceId(Family.QUATERNIONIC_PROJECTIVE, 2)],
+                         ids=SpaceId.label)
+def test_criterion_03_keeps_a_nan(space, monkeypatch):
+    """A NaN in the cbar of either space of criterion 03 makes its closed-form
+    residual NaN, and the criterion fails with that NaN, whichever space
+    comes first in the fold."""
+    frame = with_nan_cbar(monkeypatch, space)
+    params = [MetricParams(*row) for row in suites.samples()["criterion_03"][:50]]
+    assert np.all(np.isnan(suites.lemma_u_closed_forms_residual(frame, params)))
+    check = suites.criterion_03_u_closed_forms(DEFAULT_TOL, 5)
+    assert not check.passed and np.isnan(check.residual)
+
+
+@pytest.mark.parametrize("space", [SpaceId(Family.CAYLEY_PLANE),
+                                   SpaceId(Family.QUATERNIONIC_PROJECTIVE, 4),
+                                   SpaceId(Family.COMPLEX_PROJECTIVE, 6)],
+                         ids=SpaceId.label)
+def test_metrics_suite_peak_memory(space):
+    """The metrics suite reads U on its support, never as a dense dim_mbar^3
+    tensor: with the frame's supports derived, it peaks below 1.5 cbar."""
+    frame = crossmodel.build_frame(space)
+    frame.paired_support  # derived once per frame, before the measurement
+    cbar_bytes = frame.cbar.nbytes
+    rep = VerificationReport(config={})
+    tracemalloc.start()
+    try:
+        suites.suite_metrics(space, 1.0, 1.0, 5, rep, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in rep.checks)
+    assert peak < 1.5 * cbar_bytes
 
 
 def test_naturally_reductive_iff_proportional(cp2):

@@ -17,7 +17,9 @@ A fourth walk pins the functions of ``src/`` that call
 ``crossmodel._frame_brackets``, which builds ``cbar`` and the
 complex-projective scalars, and those that call
 ``CompactLieAlgebra.bracket_terms``, the one kernel under it and under the
-bracket laws, so no second bracket kernel comes back.
+bracket laws, so no second bracket kernel comes back. It also pins the
+callers of ``homgeo.u_block``, the dense U-map: only criterion 03's closed
+forms, a set that may only shrink.
 
 A fifth walk pins where ``src/`` names ``table1``, the classification
 table: only inside ``suites.suite_table1``, which checks frames against it,
@@ -31,6 +33,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from crosscontact import homgeo
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crosscontact"
@@ -151,6 +155,18 @@ def test_bracket_term_callers_are_pinned():
     exactly BRACKET_TERM_CALLERS: cbar, the complex-projective scalars and the
     bracket laws all come from its term sums."""
     assert sorted(callers_of("bracket_terms")) == sorted(BRACKET_TERM_CALLERS)
+
+
+U_BLOCK_CALLERS = {"suites.lemma_u_closed_forms_residual"}
+
+
+def test_u_block_callers_are_pinned():
+    """The src/ functions that call u_block, by name or attribute, lie in
+    U_BLOCK_CALLERS, a set that may only shrink: criterion 03 reads U a block
+    pair at a time for its closed forms, and every other reader of U reads it
+    on its support (homgeo.u_entries), with no whole-frame U."""
+    assert sorted(callers_of("u_block") - U_BLOCK_CALLERS) == []
+    assert not hasattr(homgeo, "u_tensor")
 
 
 TABLE1_READERS = {"suites.suite_table1"}
